@@ -13,7 +13,7 @@ from .families import (Family, FamilyError, ResourceBoundError, bracket,
 from .trees import (BlockTree, FiniteTree, TreeError, certify_block_tree,
                     derivative, family_as_tree, index_lower_bound_search,
                     order, tree_to_family)
-from .spaces import (C0, L1, Bounds, Derived, FsFunctional, FsVector,
+from .spaces import (C0, L1, Bounds, Derived, FsVector,
                      MixedTsirelson, Schlumprecht, SpaceError, Tsirelson,
                      assoc_norm, dual_assoc_norm, dual_norm, norm, norm_n,
                      parse_space, primal_from_dual)

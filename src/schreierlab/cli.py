@@ -110,19 +110,19 @@ def _write_report(report, args):
         sys.stdout.write(payload)
 
 
-def _report(args, result, mode=None):
+def _report(args, result, mode):
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func",) and v is not None}
     return {
         "config": cfg,
         "version": __version__,
         "fundamental_sequence_convention": CONVENTION,
-        "mode": mode or args.mode,
+        "mode": mode,
         "result": result,
     }
 
 
-def _emit(args, result, terse, exit_code, mode=None):
+def _emit(args, result, terse, exit_code, mode="exact"):
     _write_report(_report(args, result, mode=mode), args)
     if not args.json:
         print(terse)
@@ -197,12 +197,13 @@ def _cmd_tree(args):
     fam = parse_family(args.family)
     res = index_lower_bound_search(space, fam, Fraction(args.K),
                                    args.universe, mode=args.tree_mode)
+    mode = space_mode(space)
     if isinstance(res, SearchFailure):
         return _emit(args, {"success": False, "stats": res.stats},
-                     "search failed", EXIT_FAIL)
+                     "search failed", EXIT_FAIL, mode=mode)
     bt, cert = res
     return _emit(args, {"success": True, "certificate": cert.to_json()},
-                 "certified depth %d" % order(bt.tree), EXIT_PASS)
+                 "certified depth %d" % order(bt.tree), EXIT_PASS, mode=mode)
 
 
 def _cmd_norm(args):
@@ -382,9 +383,7 @@ def _cmd_suite(args):
 
 def build_parser():
     common = _Parser(add_help=False)
-    common.add_argument("--mode", choices=("exact", "float"), default="exact")
     common.add_argument("--universe", type=int, default=10)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", default=None)
     common.add_argument("--json", action="store_true")
 

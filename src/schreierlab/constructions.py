@@ -17,7 +17,7 @@ from fractions import Fraction
 from .families import schreier, schreier_member
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (FsVector, norm, norm_n, assoc_norm, primal_from_dual,
-                     dual_norm, space_mode, is_unconditional)
+                     dual_norm, space_mode)
 from .trees import BlockTree, certify_block_tree
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
 
 START_SEARCH_BOUND = 64
 EXHAUSTIVE_SCC_BOUND = 24
-PATTERN_BOUND = 12
 
 
 class ConstructionError(ValueError):
@@ -461,10 +460,11 @@ class SpreadingReport:
 
 def check_spreading_model(space, blocks, alpha, C, universe_max):
     """For every F in S_alpha within {1..universe_max}: the subsequence
-    (x_i)_{i in F} must satisfy the l1 lower estimate with constant C,
-    checked at sign-pattern extreme points."""
-    import itertools
+    (x_i)_{i in F} must satisfy the l1 lower estimate with constant C.
 
+    Only the all-ones combination is evaluated: every built-in norm is
+    1-unconditional and the blocks have disjoint supports, so every sign
+    pattern gives the same value."""
     alpha = _as_ordinal(alpha)
     C = Fraction(C) if not isinstance(C, float) else C
     if len(blocks) < universe_max:
@@ -474,26 +474,10 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     for F in schreier(alpha).enumerate(universe_max):
         if not F:
             continue
-        k = len(F)
-        # the all-ones pattern goes first: any single failing pattern is
-        # already a witness; for a 1-unconditional norm on disjoint
-        # supports all patterns give the same value, so it also decides
-        if is_unconditional(space) or k > PATTERN_BOUND:
-            patterns = [(1,) * k]
-        else:
-            patterns = itertools.chain(
-                [(1,) * k],
-                (p for p in itertools.product((1, -1), repeat=k)
-                 if p != (1,) * k))
-        for signs in patterns:
-            y = FsVector()
-            for i, s in zip(F, signs):
-                b = blocks[i - 1]
-                y = y + (b if s > 0 else b.scale(-1))
-            v = norm(space, y)
-            if C * v < k:
-                return SpreadingReport(False, alpha, C, universe_max,
-                                       witness=(F, signs, v))
+        v = norm(space, sum((blocks[i - 1] for i in F), FsVector()))
+        if C * v < len(F):
+            return SpreadingReport(False, alpha, C, universe_max,
+                                   witness=(F, (1,) * len(F), v))
     return SpreadingReport(True, alpha, C, universe_max)
 
 
@@ -505,7 +489,7 @@ def measure_asymptoticity(space, alpha, universe_max, variant="admissible"):
     The corpus blocks are intervals, for which disjoint and successive
     coincide, so the allowable variant measures the same corpus.
     """
-    from .spaces import _cursor_advance, _cursor_start
+    from .spaces import _cursor_advance_set, _cursor_start
 
     alpha = _as_ordinal(alpha)
     if variant not in ("admissible", "allowable"):
@@ -531,12 +515,8 @@ def measure_asymptoticity(space, alpha, universe_max, variant="admissible"):
 
     def rec(lo, states, acc, k):
         for a in range(lo, N + 1):
-            if states is None:
-                nxt = _cursor_start(alpha, a, N - a)
-            else:
-                nxt = set()
-                for s in states:
-                    nxt.update(_cursor_advance(s, a, N - a))
+            nxt = (_cursor_start(alpha, a, N - a) if states is None
+                   else _cursor_advance_set(states, a, N - a))
             if not nxt:
                 continue
             for b in range(a, N + 1):

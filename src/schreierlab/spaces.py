@@ -7,15 +7,18 @@ associated admissible/allowable norms, and two-sided dual-norm bounds.
 Everything runs in exact rational arithmetic except the Schlumprecht
 norm, whose 1/log2(k+1) weights force floats.
 
-The partition suprema are computed by dynamic programs over cut points.
-For bimonotone 1-unconditional norms the supremum over admissible
-successive sets is attained on gap-free partitions of the interval
-support whose piece minima are support points (enlarging a piece to the
-right never decreases its norm and never changes its minimum; an initial
-segment of the support may be dropped).  Admissibility of the chosen
-minima is tracked with the Schreier cursor from
-:mod:`schreierlab.families`, with budgets capped at the number of
-remaining support points so that the state space stays small.
+The partition suprema (the implicit norms, the derived norms and the
+dual bounds) all run on one max-plus dynamic program over cut points,
+:class:`_Partitions`.  For bimonotone 1-unconditional norms the
+supremum over admissible successive sets is attained on gap-free
+partitions of the interval support whose piece minima are support
+points (enlarging a piece to the right never decreases its norm and
+never changes its minimum; an initial segment of the support may be
+dropped).  Admissibility of the chosen minima is tracked with the
+Schreier cursor from :mod:`schreierlab.families`, with budgets capped at
+the number of remaining support points so that the state space stays
+small.  "At most n pieces" is itself such a cursor: an S_1-like budget
+of n - 1 further blocks of singletons.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .ordinal import Ordinal
 __all__ = [
     "SpaceError",
     "FsVector",
-    "FsFunctional",
     "C0",
     "L1",
     "Tsirelson",
@@ -49,6 +51,7 @@ __all__ = [
 
 SUPPORT_BOUND = 256
 ALLOWABLE_SUPPORT_BOUND = 20
+PATTERN_BOUND = 12  # largest support whose sign patterns the dual bounds try
 
 FREE = ("free",)  # cursor state whose block budget exceeds all remaining cuts
 
@@ -174,9 +177,6 @@ class FsVector:
         return " + ".join("%s*e%d" % (v, i) for i, v in self.entries) or "0"
 
 
-FsFunctional = FsVector  # biorthogonal coordinates share the representation
-
-
 # ---------------------------------------------------------------------------
 # Space descriptors
 # ---------------------------------------------------------------------------
@@ -231,14 +231,6 @@ class Derived:
             return "NN(%s,%d)" % (self.base, self.kind[1])
         variant = "adm" if self.kind[2] == "admissible" else "allow"
         return "ASSOC(%s,S(%s),%s)" % (self.base, self.kind[1], variant)
-
-
-def is_unconditional(space):
-    """True when the norm is known 1-unconditional (all built-in norms
-    are: they depend only on the absolute values of the coefficients)."""
-    if isinstance(space, Derived):
-        return is_unconditional(space.base)
-    return isinstance(space, (C0, L1, Tsirelson, MixedTsirelson, Schlumprecht))
 
 
 def space_mode(space):
@@ -341,8 +333,67 @@ def _cursor_advance(state, n, remaining):
 # ---------------------------------------------------------------------------
 
 
-class _Evaluator:
-    """Per-vector memoized evaluator for one implicit-norm space."""
+class _Partitions:
+    """The one max-plus dynamic program behind every partition supremum.
+
+    Positions index the support points sp; piece(i, j) is the value of
+    the piece over positions [i..j].  A chain is a gap-free partition of
+    [l..j] into successive pieces whose minima are fed to a Schreier
+    cursor, the first piece starting at l with the cursor in `state`
+    after reading sp[l].  Each caller keeps its own start rule: any start
+    position for admissible sums, position 0 for at most n pieces, at
+    least two pieces for the implicit norms.  The rules are not
+    interchangeable, since dual lower bounds are not monotone under
+    interval inclusion once a piece exceeds PATTERN_BOUND."""
+
+    def __init__(self, sp, piece):
+        self.sp = sp
+        self.piece = piece
+        self._chain = {}
+
+    def chain(self, l, state, j):
+        """Best piece-sum over chains of [l..j] (one piece or more)."""
+        key = (l, state, j)
+        if key in self._chain:
+            return self._chain[key]
+        best = self.cut(l, state, j, self.piece(l, j))
+        self._chain[key] = best
+        return best
+
+    def cut(self, l, state, j, best):
+        """max(best, best piece-sum over chains of [l..j] with at least
+        two pieces)."""
+        sp, piece = self.sp, self.piece
+        for m in range(l + 1, j + 1):
+            for s2 in _cursor_advance(state, sp[m], j - m):
+                v = piece(l, m - 1) + self.chain(m, s2, j)
+                if v > best:
+                    best = v
+        return best
+
+    def admissible(self, alpha):
+        """sup over alpha-admissible chains of a tail [l..end] of the
+        support (an initial segment may be dropped)."""
+        last = len(self.sp) - 1
+        out = None
+        for l in range(last + 1):
+            for s in _cursor_start(alpha, self.sp[l], last - l):
+                v = self.chain(l, s, last)
+                if out is None or v > out:
+                    out = v
+        return out
+
+    def at_most(self, n):
+        """sup over chains of the whole support with at most n pieces: the
+        budget cursor of S_1-like blocks of singletons allows n - 1 cuts."""
+        last = len(self.sp) - 1
+        budget = ("blk", Ordinal.from_int(0), n - 1, ("one",))
+        return self.chain(0, _cap(budget, last), last)
+
+
+class _Evaluator(_Partitions):
+    """Per-vector memoized evaluator for one implicit-norm space; its
+    pieces are its own segment norms."""
 
     def __init__(self, space, x):
         if len(x.entries) > SUPPORT_BOUND:
@@ -383,33 +434,17 @@ class _Evaluator:
         self._seg[key] = best
         return best
 
+    # a class attribute, not an instance one: no reference cycle keeps
+    # the memos alive after the evaluator's last use
+    piece = seg_norm
+
     # best sum over >= 2 admissible pieces inside [i..j]; first piece may
     # start after i (dropped prefix), pieces are gap-free afterwards
     def split_admissible(self, i, j, alpha):
         best = Fraction(0) if not self.float_mode else 0.0
         for l in range(i, j):  # second cut must exist, so l < j
-            remaining = j - l
-            for s in _cursor_start(alpha, self.sp[l], remaining):
-                for m in range(l + 1, j + 1):
-                    for s2 in _cursor_advance(s, self.sp[m], j - m):
-                        v = self.seg_norm(l, m - 1) + self._chain_from(m, s2, j, alpha)
-                        if v > best:
-                            best = v
-        return best
-
-    def _chain_from(self, l, state, j, alpha):
-        """Best piece-sum for cuts continuing at position l (cut just made
-        there, cursor state after feeding sp[l]) up to position j."""
-        key = (l, state, j, alpha)
-        if key in self._chain:
-            return self._chain[key]
-        best = self.seg_norm(l, j)  # close: piece [l..j]
-        for m in range(l + 1, j + 1):
-            for s2 in _cursor_advance(state, self.sp[m], j - m):
-                v = self.seg_norm(l, m - 1) + self._chain_from(m, s2, j, alpha)
-                if v > best:
-                    best = v
-        self._chain[key] = best
+            for s in _cursor_start(alpha, self.sp[l], j - l):
+                best = self.cut(l, s, j, best)
         return best
 
     # best sum over exactly k successive pieces covering [i..j]
@@ -458,15 +493,15 @@ def norm(space, x):
 # ---------------------------------------------------------------------------
 
 
-def _piece_table(space, x):
-    """seg -> base-norm lookup for DP over pieces of x's support points.
+def _partitions(space, x):
+    """Partition engine over x's support points whose pieces are base
+    norms of restrictions of x to intervals.
 
-    For implicit-norm spaces a single shared evaluator is used: the norm
-    of a restriction to an interval equals the evaluator's segment norm,
-    and sharing the memo across pieces avoids re-deriving overlapping
-    subsegments."""
+    For implicit-norm spaces the evaluator itself is used: the norm of a
+    restriction to an interval equals its segment norm, and its chains
+    are the same quantities, so the memos are shared."""
     if isinstance(space, (Tsirelson, MixedTsirelson, Schlumprecht)):
-        return _Evaluator(space, x).seg_norm
+        return _Evaluator(space, x)
     sp = x.support
     memo = {}
 
@@ -476,7 +511,7 @@ def _piece_table(space, x):
             memo[key] = norm(space, x.restrict((sp[i], sp[j])))
         return memo[key]
 
-    return piece
+    return _Partitions(sp, piece)
 
 
 def norm_n(space, n, y):
@@ -485,27 +520,8 @@ def norm_n(space, n, y):
         raise SpaceError("interval count must be >= 1")
     if y.is_zero():
         return norm(space, y)
-    sp = y.support
-    piece = _piece_table(space, y)
-    P = len(sp)
-    memo = {}
-
-    def best(i, r):
-        # cover [i..end] with <= r pieces; dropping never helps for
-        # bimonotone norms, so pieces tile the remaining support
-        key = (i, r)
-        if key in memo:
-            return memo[key]
-        v = piece(i, P - 1)
-        if r > 1:
-            for m in range(i + 1, P):
-                w = piece(i, m - 1) + best(m, r - 1)
-                if w > v:
-                    v = w
-        memo[key] = v
-        return v
-
-    return best(0, min(n, P))
+    # dropping never helps for bimonotone norms, so pieces tile the support
+    return _partitions(space, y).at_most(n)
 
 
 def assoc_norm(space, alpha, x, variant="admissible"):
@@ -519,31 +535,7 @@ def assoc_norm(space, alpha, x, variant="admissible"):
         return _assoc_allowable(space, alpha, x)
     if variant != "admissible":
         raise SpaceError("variant must be admissible or allowable")
-    sp = x.support
-    P = len(sp)
-    piece = _piece_table(space, x)
-    memo = {}
-
-    def chain(l, state):
-        key = (l, state)
-        if key in memo:
-            return memo[key]
-        best = piece(l, P - 1)
-        for m in range(l + 1, P):
-            for s2 in _cursor_advance(state, sp[m], P - 1 - m):
-                v = piece(l, m - 1) + chain(m, s2)
-                if v > best:
-                    best = v
-        memo[key] = best
-        return best
-
-    out = None
-    for l in range(P):
-        for s in _cursor_start(alpha, sp[l], P - 1 - l):
-            v = chain(l, s)
-            if out is None or v > out:
-                out = v
-    return out
+    return _partitions(space, x).admissible(alpha)
 
 
 def _assoc_allowable(space, alpha, x):
@@ -625,7 +617,7 @@ def _section_of(phi, section):
     return phi.interval_support()
 
 
-def dual_norm(space, phi, section=None, pattern_bound=12):
+def dual_norm(space, phi, section=None):
     """Bounds on the dual norm of phi over a finite section.
 
     Exact for c0 (dual l1) and l1 (dual linf).  Otherwise: certified
@@ -650,7 +642,7 @@ def dual_norm(space, phi, section=None, pattern_bound=12):
     upper = sum(abs(c) for c in sub.values)
     lower = Fraction(0)
     supp = sub.support
-    if len(supp) <= pattern_bound:
+    if len(supp) <= PATTERN_BOUND:
         import itertools
         for r in range(1, len(supp) + 1):
             for S in itertools.combinations(supp, r):
@@ -674,6 +666,8 @@ def dual_assoc_norm(space, phi, n=None, alpha=None, variant="admissible",
     of sums of per-piece dual norms."""
     if (n is None) == (alpha is None):
         raise SpaceError("give exactly one of n and alpha")
+    if isinstance(alpha, int):
+        alpha = Ordinal.from_int(alpha)
     if phi.is_zero():
         z = Fraction(0)
         return Bounds(z, z)
@@ -683,8 +677,6 @@ def dual_assoc_norm(space, phi, n=None, alpha=None, variant="admissible",
         z = Fraction(0)
         return Bounds(z, z)
     sp = sub.support
-    P = len(sp)
-
     piece_bounds = {}
 
     def piece(i, j):
@@ -693,47 +685,8 @@ def dual_assoc_norm(space, phi, n=None, alpha=None, variant="admissible",
         return piece_bounds[(i, j)]
 
     def run(side):
-        val = lambda b: getattr(b, side)
-        if n is not None:
-            memo = {}
-
-            def best(i, r):
-                key = (i, r)
-                if key in memo:
-                    return memo[key]
-                v = val(piece(i, P - 1))
-                if r > 1:
-                    for m in range(i + 1, P):
-                        w = val(piece(i, m - 1)) + best(m, r - 1)
-                        if w > v:
-                            v = w
-                memo[key] = v
-                return v
-
-            return best(0, min(n, P))
-        a = Ordinal.from_int(alpha) if isinstance(alpha, int) else alpha
-        memo = {}
-
-        def chain(l, state):
-            key = (l, state)
-            if key in memo:
-                return memo[key]
-            best = val(piece(l, P - 1))
-            for m in range(l + 1, P):
-                for s2 in _cursor_advance(state, sp[m], P - 1 - m):
-                    v = val(piece(l, m - 1)) + chain(m, s2)
-                    if v > best:
-                        best = v
-            memo[key] = best
-            return best
-
-        out = None
-        for l in range(P):
-            for s in _cursor_start(a, sp[l], P - 1 - l):
-                v = chain(l, s)
-                if out is None or v > out:
-                    out = v
-        return out
+        dp = _Partitions(sp, lambda i, j: getattr(piece(i, j), side))
+        return dp.at_most(n) if n is not None else dp.admissible(alpha)
 
     if variant == "allowable":
         raise SpaceError("allowable dual bounds are not implemented")
@@ -742,22 +695,23 @@ def dual_assoc_norm(space, phi, n=None, alpha=None, variant="admissible",
 
 def minimax_admissible_cover(space, x, alpha):
     """min over alpha-admissible gap-free covers of supp x of the largest
-    piece norm; the first piece must start at min supp."""
+    piece norm; the first piece must start at min supp.  This min-max
+    fold is the one partition program not run on :class:`_Partitions`."""
     if isinstance(alpha, int):
         alpha = Ordinal.from_int(alpha)
     sp = x.support
     P = len(sp)
-    piece = _piece_table(space, x)
+    piece = _partitions(space, x).piece
     memo = {}
 
-    def chain(l, state):
+    def cover(l, state):
         key = (l, state)
         if key in memo:
             return memo[key]
         best = piece(l, P - 1)
         for m in range(l + 1, P):
             for s2 in _cursor_advance(state, sp[m], P - 1 - m):
-                v = max(piece(l, m - 1), chain(m, s2))
+                v = max(piece(l, m - 1), cover(m, s2))
                 if v < best:
                     best = v
         memo[key] = best
@@ -765,14 +719,14 @@ def minimax_admissible_cover(space, x, alpha):
 
     out = None
     for s in _cursor_start(alpha, sp[0], P - 1):
-        v = chain(0, s)
+        v = cover(0, s)
         if out is None or v < out:
             out = v
     return out
 
 
 def primal_from_dual(space, x, n=None, alpha=None, variant="admissible",
-                     candidates=None, section=None, pattern_bound=12):
+                     candidates=None, section=None):
     """Bounds on the dual-derived primal norm sup{phi(x): derived dual
     norm of phi <= 1}.
 
@@ -786,7 +740,7 @@ def primal_from_dual(space, x, n=None, alpha=None, variant="admissible",
         return Bounds(z, z)
     cands = []
     supp = x.support
-    if len(supp) <= pattern_bound:
+    if len(supp) <= PATTERN_BOUND:
         import itertools
         for r in range(1, len(supp) + 1):
             for S in itertools.combinations(supp, r):

@@ -30,8 +30,6 @@ __all__ = [
     "index_lower_bound_search",
 ]
 
-PATTERN_BOUND = 12
-
 
 class TreeError(ValueError):
     pass
@@ -174,23 +172,18 @@ class TreeViolation:
         }
 
 
-def _combine(branch, signs):
-    acc = FsVector()
-    for x, s in zip(branch, signs):
-        acc = acc + (x if s > 0 else x.scale(-1))
-    return acc
-
-
 def certify_block_tree(block_tree, space, float_tol=1e-9):
     """Verify a block tree's invariants by exact norm evaluation.
 
     Each label must be normalized and supports must strictly increase
     along branches.  On each maximal branch of length k the extremal
-    equivalence check runs over the 2^k sign patterns: for l1 mode the
-    minimum of ||sum eps_i x_i|| over patterns must be >= k/K (the
-    minimum of the norm on the l1-sphere is attained at such vertices);
-    for c0 mode the maximum must be <= K (the lower c0 estimate
-    ||sum a_i x_i|| >= max|a_i| is automatic for a bimonotone basis).
+    equivalence check evaluates the all-ones combination: for l1 mode
+    its norm must be >= k/K (the minimum of the norm on the l1-sphere is
+    attained at sign-pattern vertices); for c0 mode it must be <= K (the
+    lower c0 estimate ||sum a_i x_i|| >= max|a_i| is automatic for a
+    bimonotone basis).  Every sign pattern gives the same norm, since all
+    built-in norms are 1-unconditional and branch labels have disjoint
+    supports, so one evaluation is exact.
     """
     tree, mode, K = block_tree.tree, block_tree.mode, block_tree.K
     tol = float_tol if space_mode(space) == "float" else 0
@@ -206,33 +199,14 @@ def certify_block_tree(block_tree, space, float_tol=1e-9):
     branch_values = []
     for br in tree.branches():
         k = len(br)
-        if k > PATTERN_BOUND:
-            # all built-in norms are 1-unconditional and branch labels
-            # have disjoint supports, so every sign pattern gives the
-            # same norm; one evaluation is exact
-            patterns = [(1,) * k]
-        else:
-            patterns = itertools.product((1, -1), repeat=k)
-        if mode == "l1":
-            worst = None
-            for signs in patterns:
-                v = norm(space, _combine(br, signs))
-                if worst is None or v < worst:
-                    worst, worst_signs = v, signs
-            if K * worst < k - tol * k:
-                return TreeViolation("l1 lower estimate fails", br,
-                                     coefficients=worst_signs, value=worst)
-            branch_values.append((br, worst))
-        else:
-            worst = None
-            for signs in patterns:
-                v = norm(space, _combine(br, signs))
-                if worst is None or v > worst:
-                    worst, worst_signs = v, signs
-            if worst > K + tol:
-                return TreeViolation("c0 upper estimate fails", br,
-                                     coefficients=worst_signs, value=worst)
-            branch_values.append((br, worst))
+        v = norm(space, sum(br, FsVector()))
+        if mode == "l1" and K * v < k - tol * k:
+            return TreeViolation("l1 lower estimate fails", br,
+                                 coefficients=(1,) * k, value=v)
+        if mode != "l1" and v > K + tol:
+            return TreeViolation("c0 upper estimate fails", br,
+                                 coefficients=(1,) * k, value=v)
+        branch_values.append((br, v))
     return TreeCertificate(mode, K, tuple(branch_values))
 
 

@@ -59,31 +59,44 @@ def successive_partitions(elems):
             yield [tuple(p) for p in pieces]
 
 
-def tsirelson_table_01(universe, theta=Fraction(1, 2)):
-    """Least-fixed-point table S -> ||indicator(S)|| in T(S_1, theta)
-    over all nonempty subsets of {1..universe}; independent of the DP."""
+def interval_partitions(lo, hi):
+    """All gap-free partitions of the positions lo..hi into successive
+    intervals, as lists of (first, last) pairs."""
+    inner = range(lo + 1, hi + 1)
+    for cuts in itertools.product((0, 1), repeat=len(inner)):
+        starts = [lo] + [m for m, c in zip(inner, cuts) if c]
+        yield list(zip(starts, [m - 1 for m in starts[1:]] + [hi]))
+
+
+def tsirelson_table_01(universe, levels=((brute_s1, Fraction(1, 2)),)):
+    """Least-fixed-point table S -> ||indicator(S)|| over all nonempty
+    subsets of {1..universe} in the mixed Tsirelson space with the given
+    (membership, theta) levels; one level (brute_s1, 1/2) is T(S_1, 1/2).
+    Independent of the DP."""
     subsets = [tuple(c) for r in range(1, universe + 1)
                for c in itertools.combinations(range(1, universe + 1), r)]
     val = {S: Fraction(1) for S in subsets}
-    # precompute admissible partitions per subset
+    # precompute (theta, admissible partitions) per level and subset
     parts = {}
     for S in subsets:
-        ps = []
+        ps = [(theta, []) for _, theta in levels]
         for pieces in successive_partitions(S):
             if len(pieces) < 2:
                 continue
             minima = tuple(p[0] for p in pieces)
-            if brute_s1(minima):
-                ps.append(pieces)
+            for (member, _), (_, admissible) in zip(levels, ps):
+                if member(minima):
+                    admissible.append(pieces)
         parts[S] = ps
     for _ in range(64):
         changed = False
         for S in subsets:
             best = val[S]
-            for pieces in parts[S]:
-                v = theta * sum(val[tuple(p)] for p in pieces)
-                if v > best:
-                    best = v
+            for theta, admissible in parts[S]:
+                for pieces in admissible:
+                    v = theta * sum(val[tuple(p)] for p in pieces)
+                    if v > best:
+                        best = v
             if best != val[S]:
                 val[S] = best
                 changed = True

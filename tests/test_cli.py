@@ -164,6 +164,18 @@ class TestReports:
         assert rep["fundamental_sequence_convention"] == CONVENTION
         assert rep["config"]["space"] == "T(S(1),1/2)"
 
+    @pytest.mark.parametrize("flag", [("--mode", "float"), ("--seed", "1")])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        code, _, err = run(capsys, *self.ARGS, *flag)
+        assert code == 64 and "unrecognized arguments" in err
+
+    def test_mode_reported_from_space(self, capsys):
+        code, out, _ = run(capsys, "tree", "search", "--family", "S(1)",
+                           "--space", "SCHL", "--universe", "6", "--json")
+        rep = json.loads(out)
+        assert code == 0 and rep["mode"] == "float"
+        assert "mode" not in rep["config"] and "seed" not in rep["config"]
+
     def test_out_file_deterministic(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, *self.ARGS, "--out", str(p1))[0] == 0

@@ -6,15 +6,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_s1, successive_partitions, tsirelson_table_01
+from conftest import (brute_s1, brute_s2, interval_partitions,
+                      successive_partitions, tsirelson_table_01)
 from schreierlab.ordinal import Ordinal
 from schreierlab.spaces import (C0, L1, Bounds, Derived, FsVector,
                                 MixedTsirelson, Schlumprecht, SpaceError,
                                 Tsirelson, assoc_norm, dual_assoc_norm,
-                                dual_norm, norm, norm_n, parse_space,
-                                primal_from_dual, space_mode)
+                                dual_norm, minimax_admissible_cover, norm,
+                                norm_n, parse_space, primal_from_dual,
+                                space_mode)
 
 T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
+T22 = Tsirelson(Ordinal.from_int(2), Fraction(1, 2))
+MT12 = MixedTsirelson(((Ordinal.from_int(1), Fraction(1, 2)),
+                       (Ordinal.from_int(2), Fraction(1, 4))))
+MEMBER = {0: lambda F: len(F) <= 1, 1: brute_s1, 2: brute_s2}
+# fixed signed rational vectors for the partition-DP oracles
+VECTORS = [
+    FsVector.from_pairs([(2, 1), (3, "-1/2"), (5, "3/4"), (6, 1)]),
+    FsVector.from_pairs([(1, "1/4"), (2, 1), (3, 1), (4, -1), (5, 1)]),
+    FsVector.from_pairs([(1, -1), (2, "1/4"), (4, "1/2"), (7, "-1/2"),
+                         (8, 1), (10, "3/2")]),
+    FsVector.from_pairs([(3, "1/2"), (4, -1), (5, "1/3"), (6, 2),
+                         (8, "-3/4"), (9, "1/4"), (11, 1)]),
+]
 
 
 def small_vectors():
@@ -124,6 +139,15 @@ class TestTsirelsonNorm:
 
 
 class TestHigherAndMixed:
+    @pytest.mark.parametrize("space,levels", [
+        (T22, [(brute_s2, Fraction(1, 2))]),
+        (MT12, [(brute_s1, Fraction(1, 2)), (brute_s2, Fraction(1, 4))]),
+    ], ids=["T(S_2)", "MT"])
+    def test_against_fixed_point_table(self, space, levels):
+        # MT's levels share the evaluator's chain memo
+        for S, want in tsirelson_table_01(7, levels).items():
+            assert norm(space, FsVector.indicator(S)) == want, S
+
     def test_s2_space_sees_deeper_splits(self):
         T2 = Tsirelson(Ordinal.from_int(2), Fraction(1, 2))
         x = FsVector.indicator([2, 3, 4, 5])
@@ -159,6 +183,25 @@ class TestDerivedNorms:
         vals = [norm_n(T12, n, x) for n in range(1, 6)]
         assert vals == sorted(vals)
         assert vals[0] == norm(T12, x)
+
+    @pytest.mark.parametrize("space", [T12, MT12, C0()], ids=str)
+    def test_derived_vs_brute_force(self, space):
+        # oracle: sups over all families of successive subsets of supp x
+        for x in VECTORS:
+            norms = {}
+            values = []
+            for pieces in successive_partitions(x.support):
+                for p in pieces:
+                    if p not in norms:
+                        norms[p] = norm(space, x.restrict(list(p)))
+                values.append((pieces, sum(norms[p] for p in pieces)))
+            for n in (1, 2, 3, 4):
+                want = max(v for pieces, v in values if len(pieces) <= n)
+                assert norm_n(space, n, x) == want, (x, n)
+            for alpha, member in MEMBER.items():
+                want = max(v for pieces, v in values
+                           if member(tuple(p[0] for p in pieces)))
+                assert assoc_norm(space, alpha, x) == want, (x, alpha)
 
     def test_assoc_vs_brute_force(self):
         # oracle: sup over all admissible families of successive subsets
@@ -208,6 +251,42 @@ class TestDuals:
         assert b.exact and b.lower == 1  # l1 mass is partition-invariant
         b = dual_assoc_norm(C0(), phi, alpha=1)
         assert b.exact and b.lower == 1
+
+    def test_dual_assoc_vs_brute_force(self):
+        # oracle: the partition classes of the DPs over the per-piece
+        # bounds: at most two gap-free pieces from the first support
+        # point (n = 2); S_1-admissible gap-free pieces of a tail
+        for phi in VECTORS:
+            sp = phi.support
+            P = len(sp)
+            piece = {(i, j): dual_norm(T12, phi.restrict((sp[i], sp[j])))
+                     for i in range(P) for j in range(i, P)}
+            by_n = dual_assoc_norm(T12, phi, n=2)
+            by_alpha = dual_assoc_norm(T12, phi, alpha=1)
+            for side in ("lower", "upper"):
+                def total(parts):
+                    return sum(getattr(piece[p], side) for p in parts)
+                want = max(total(ps) for ps in interval_partitions(0, P - 1)
+                           if len(ps) <= 2)
+                assert getattr(by_n, side) == want, (phi, side)
+                want = max(total(ps) for l in range(P)
+                           for ps in interval_partitions(l, P - 1)
+                           if brute_s1(tuple(sp[i] for i, _ in ps)))
+                assert getattr(by_alpha, side) == want, (phi, side)
+
+    def test_minimax_cover_vs_brute_force(self):
+        # oracle: min over admissible gap-free covers from the first
+        # support point of the largest piece norm
+        for x in VECTORS:
+            sp = x.support
+            P = len(sp)
+            piece = {(i, j): norm(T12, x.restrict((sp[i], sp[j])))
+                     for i in range(P) for j in range(i, P)}
+            for alpha in (1, 2):
+                want = min(max(piece[p] for p in ps)
+                           for ps in interval_partitions(0, P - 1)
+                           if MEMBER[alpha](tuple(sp[i] for i, _ in ps)))
+                assert minimax_admissible_cover(T12, x, alpha) == want, (x, alpha)
 
     def test_primal_from_dual_sandwich(self):
         x = FsVector.indicator([2, 3, 4])
