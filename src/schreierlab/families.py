@@ -13,9 +13,14 @@ nondeterministic left-to-right "cursor" automaton over the sorted
 elements is kept alongside: its states record the remaining block budget
 at each recursion level, and it drives the admissible-partition dynamic
 programs in :mod:`schreierlab.spaces` and the subset-mass maximization
-used by the convex-combination checks.  (The cursor's start-state set
-grows explosively for limit ordinals at w^2 and above, which is why
-membership itself does not use it.)
+used by the convex-combination checks.  Every cursor step is told how
+many elements can still follow (`remaining`) and returns canonical
+states for that count: a state with a level whose fresh blocks can take
+all of them is the accept-all state FREE, and a level with no blocks
+left is replaced by its inner state.  Both rewrites keep what a state
+accepts from the next `remaining` elements, and they keep the state sets
+of limit ordinals small, where the raw automaton's start sets explode.
+Membership does not use the cursor.
 """
 
 from __future__ import annotations
@@ -69,36 +74,110 @@ def _finset(elements):
 # Schreier cursor: nondeterministic automaton over increasing elements.
 #
 # States (hashable tuples):
+#   FREE                      -- accepts every continuation
 #   ("one",)                  -- S_0 after consuming its single element
 #   ("blk", alpha_b, left, s) -- inside S_{b+1}: current S_b block in state
 #                                s, `left` further blocks may be opened
-# The fresh state is represented implicitly by _start(alpha, n).
+# The fresh state is represented implicitly by _start(alpha, n, remaining).
+# States are canonical for the `remaining` elements that may still come
+# after the element n just read:
+#   - a level whose `left` fresh blocks, opened after n, can take any
+#     `remaining` elements makes the whole state FREE;
+#   - a level with left == 0 is replaced by its inner state s;
+#   - a level around a FREE inner state is FREE, and a state set that
+#     contains FREE is (FREE,).
+# So every "blk" level has 1 <= left < remaining, and only ("one",) rejects.
 # ---------------------------------------------------------------------------
+
+FREE = ("free",)
+_ONE = Ordinal.from_int(1)
 
 
 @lru_cache(maxsize=None)
-def _start(alpha, n):
-    """States after feeding first element n to a fresh S_alpha cursor."""
+def _longest(beta, m, cap):
+    """A lower bound, capped at cap, on the length of the longest run
+    m, m+1, ... in S_beta for beta >= 1: exact for successors, through the
+    m-th term of the fundamental sequence for limits.  The S_1 and S_2
+    runs from m, of m and m(2^m - 1) points, lie in S_beta for beta >= 1
+    and beta >= 2."""
+    if m >= cap or (beta > _ONE and m * (2 ** m - 1) >= cap):
+        return cap
+    if beta.is_successor():
+        return _run(beta.predecessor(), m, m, cap)
+    return _longest(fundamental_sequence(beta, m), m, cap)
+
+
+def _run(beta, blocks, m, cap):
+    """A lower bound, capped at cap, on the longest run m, m+1, ... that
+    splits into at most `blocks` successive S_beta sets (greedy blocks are
+    longest, since S_beta is hereditary)."""
+    if beta.is_zero():
+        return min(blocks, cap)
+    total = 0
+    for _ in range(blocks):
+        if total >= cap:
+            break
+        total += _longest(beta, m + total, cap)
+    return min(total, cap)
+
+
+def _absorbs(beta, blocks, n, remaining):
+    """True when `blocks` fresh S_beta blocks opened after n can take any
+    `remaining` further elements.  The run n+1, n+2, ... is the hardest
+    such input, since S_beta is spreading."""
+    return _run(beta, blocks, n + 1, remaining) >= remaining
+
+
+def _blocks(beta, left, inner, n, remaining):
+    """Canonical states of an S_{beta+1} level with `left` further blocks
+    around the canonical inner states, after reading n."""
+    if not inner:
+        return ()
+    if FREE in inner or _absorbs(beta, left, n, remaining):
+        return (FREE,)
+    if left == 0:
+        return inner
+    return tuple(("blk", beta, left, s) for s in inner)
+
+
+@lru_cache(maxsize=None)
+def _start(alpha, n, remaining):
+    """States after feeding first element n to a fresh S_alpha cursor,
+    with at most `remaining` elements to follow."""
     if alpha.is_zero():
         return (("one",),)
     if alpha.is_successor():
         beta = alpha.predecessor()
-        return tuple(("blk", beta, n - 1, s) for s in _start(beta, n))
+        if _absorbs(beta, n - 1, n, remaining):
+            return (FREE,)
+        return _blocks(beta, n - 1, _start(beta, n, remaining), n, remaining)
     out = []
     for k in range(1, n + 1):
-        out.extend(_start(fundamental_sequence(alpha, k), n))
+        states = _start(fundamental_sequence(alpha, k), n, remaining)
+        if states == (FREE,):
+            return states
+        out.extend(states)
     return tuple(dict.fromkeys(out))
 
 
 @lru_cache(maxsize=None)
-def _advance(state, n):
-    """Successor states after feeding element n (n above all fed so far)."""
+def _advance(state, n, remaining):
+    """Successor states after feeding element n (n above all fed so far),
+    with at most `remaining` elements to follow."""
+    if state == FREE:
+        return (FREE,)
     if state[0] == "one":
         return ()
     _, beta, left, inner = state
-    out = [("blk", beta, left, s) for s in _advance(inner, n)]
-    if left >= 1:
-        out.extend(("blk", beta, left - 1, s) for s in _start(beta, n))
+    # opening a fresh block at n leaves left - 1 fresh blocks after it
+    if _absorbs(beta, left - 1, n, remaining):
+        return (FREE,)
+    out = _blocks(beta, left, _advance(inner, n, remaining), n, remaining)
+    if out != (FREE,):
+        out += _blocks(beta, left - 1, _start(beta, n, remaining), n,
+                       remaining)
+        if FREE in out:
+            return (FREE,)
     return tuple(dict.fromkeys(out))
 
 
@@ -388,14 +467,15 @@ class Family:
         F = _finset(F)
         if isinstance(self.expr, Schreier):
             alpha = self.expr.alpha
-            from functools import lru_cache as _lc
 
-            @_lc(maxsize=None)
+            @lru_cache(maxsize=None)
             def best(i, state):
                 if i == len(F):
                     return 0
                 r = best(i + 1, state)  # skip F[i]
-                nexts = _start(alpha, F[i]) if state is None else _advance(state, F[i])
+                rest = len(F) - 1 - i
+                nexts = (_start(alpha, F[i], rest) if state is None
+                         else _advance(state, F[i], rest))
                 for s in nexts:
                     v = weights[F[i]] + best(i + 1, s)
                     if v > r:

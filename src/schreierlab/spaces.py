@@ -15,10 +15,12 @@ partitions of the interval support whose piece minima are support
 points (enlarging a piece to the right never decreases its norm and
 never changes its minimum; an initial segment of the support may be
 dropped).  Admissibility of the chosen minima is tracked with the
-Schreier cursor from :mod:`schreierlab.families`, with budgets capped at
-the number of remaining support points so that the state space stays
-small.  "At most n pieces" is itself such a cursor: an S_1-like budget
-of n - 1 further blocks of singletons.
+Schreier cursor from :mod:`schreierlab.families`, whose states are
+canonical for the number of support points still to come, so no state is
+built whose budget already covers them all; the states are interned as
+ints, so the memo keys are int triples.  "At most n pieces" is itself
+such a cursor: S_1 after reading n, which allows n - 1 further blocks
+of singletons.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .families import _advance, _start
+from .families import _ONE, FREE, ResourceBoundError, _advance, _start
 from .ordinal import Ordinal
 
 __all__ = [
@@ -53,11 +56,14 @@ SUPPORT_BOUND = 256
 ALLOWABLE_SUPPORT_BOUND = 20
 PATTERN_BOUND = 12  # largest support whose sign patterns the dual bounds try
 
-FREE = ("free",)  # cursor state whose block budget exceeds all remaining cuts
-
 
 class SpaceError(ValueError):
     pass
+
+
+class SupportBoundError(ResourceBoundError, SpaceError):
+    """A support-size bound was exceeded: a resource bound (exit 65 on the
+    command line) that is also a SpaceError."""
 
 
 # ---------------------------------------------------------------------------
@@ -301,31 +307,45 @@ def parse_space(text):
 
 
 # ---------------------------------------------------------------------------
-# Schreier-cursor helpers with budget capping
+# Schreier cursor over interned states
 # ---------------------------------------------------------------------------
 
-
-def _cap(state, remaining):
-    """Collapse a cursor state whose top-level block budget covers all
-    remaining cut candidates: such a state accepts any future pattern,
-    since every element can open a fresh block and a fresh block always
-    accepts its first element."""
-    if state == FREE or state == ("one",):
-        return state
-    left = state[2]
-    if left >= remaining:
-        return FREE
-    return state
+# canonical cursor states as small ints, so the dynamic programs' memo keys
+# are int triples
+_FREE_ID = 0
+_STATES = [FREE]
+_IDS = {FREE: _FREE_ID}
 
 
+def _intern(states):
+    out = []
+    for s in states:
+        sid = _IDS.get(s)
+        if sid is None:
+            sid = _IDS[s] = len(_STATES)
+            _STATES.append(s)
+        out.append(sid)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _cursor_start(alpha, n, remaining):
-    return set(_cap(s, remaining) for s in _start(alpha, n))
+    """Ids of the cursor states after a fresh S_alpha reads n, with at most
+    `remaining` elements to follow."""
+    return _intern(_start(alpha, n, remaining))
 
 
+@lru_cache(maxsize=None)
 def _cursor_advance(state, n, remaining):
-    if state == FREE:
-        return {FREE}
-    return set(_cap(s, remaining) for s in _advance(state, n))
+    """Ids of the successors of state id `state` on reading n."""
+    return _intern(_advance(_STATES[state], n, remaining))
+
+
+def _cursor_advance_set(states, n, remaining):
+    out = set()
+    for s in states:
+        out.update(_cursor_advance(s, n, remaining))
+    return {_FREE_ID} if _FREE_ID in out else out
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +404,11 @@ class _Partitions:
         return out
 
     def at_most(self, n):
-        """sup over chains of the whole support with at most n pieces: the
-        budget cursor of S_1-like blocks of singletons allows n - 1 cuts."""
+        """sup over chains of the whole support with at most n pieces: an
+        S_1 cursor that has read n allows n - 1 further cuts."""
         last = len(self.sp) - 1
-        budget = ("blk", Ordinal.from_int(0), n - 1, ("one",))
-        return self.chain(0, _cap(budget, last), last)
+        (budget,) = _cursor_start(_ONE, n, last)
+        return self.chain(0, budget, last)
 
 
 class _Evaluator(_Partitions):
@@ -397,7 +417,8 @@ class _Evaluator(_Partitions):
 
     def __init__(self, space, x):
         if len(x.entries) > SUPPORT_BOUND:
-            raise SpaceError("support %d exceeds bound %d" % (len(x.entries), SUPPORT_BOUND))
+            raise SupportBoundError("support %d exceeds bound %d"
+                                    % (len(x.entries), SUPPORT_BOUND))
         self.space = space
         self.sp = x.support
         self.vals = x.values
@@ -544,8 +565,8 @@ def _assoc_allowable(space, alpha, x):
     sp = x.support
     P = len(sp)
     if P > ALLOWABLE_SUPPORT_BOUND:
-        raise SpaceError("allowable variant limited to support <= %d"
-                         % ALLOWABLE_SUPPORT_BOUND)
+        raise SupportBoundError("allowable variant limited to support <= %d"
+                                % ALLOWABLE_SUPPORT_BOUND)
     best = [norm(space, x.restrict(((sp[0]), sp[-1])))]  # single piece floor
 
     def value(pieces):
@@ -575,13 +596,6 @@ def _assoc_allowable(space, alpha, x):
 
     rec(0, [], None)
     return best[0]
-
-
-def _cursor_advance_set(states, n, remaining):
-    out = set()
-    for s in states:
-        out.update(_cursor_advance(s, n, remaining))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ iteration over explicitly enumerated admissible partitions.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 from hypothesis import settings
+
+from schreierlab.ordinal import fundamental_sequence
 
 settings.register_profile("ci", deadline=None, derandomize=True,
                           max_examples=60)
@@ -38,6 +41,32 @@ def brute_s2(F):
         return False
 
     return split(F, F[0])
+
+
+@lru_cache(maxsize=None)
+def brute_schreier(alpha, F):
+    """S_alpha membership of the sorted tuple F straight from the
+    definition: S_0 holds the sets of size <= 1, a member of S_{b+1} is a
+    union of at most min F successive nonempty S_b blocks (every split is
+    tried), and a member of S_lambda lies in S_{lambda_n} for some
+    n <= min F.  Uses no shortcut of the library's membership test."""
+    if not F:
+        return True
+    if alpha.is_zero():
+        return len(F) <= 1
+    if alpha.is_limit():
+        return any(brute_schreier(fundamental_sequence(alpha, n), F)
+                   for n in range(1, F[0] + 1))
+    beta = alpha.predecessor()
+
+    def split(i, blocks_left):
+        if i == len(F):
+            return True
+        return blocks_left > 0 and any(
+            brute_schreier(beta, F[i:j]) and split(j, blocks_left - 1)
+            for j in range(i + 1, len(F) + 1))
+
+    return split(0, F[0])
 
 
 def successive_partitions(elems):
@@ -103,3 +132,28 @@ def tsirelson_table_01(universe, levels=((brute_s1, Fraction(1, 2)),)):
         if not changed:
             return val
     raise AssertionError("fixed point iteration did not converge")
+
+
+def implicit_norm_oracle(pairs, levels):
+    """Norm of the vector with the given (index, value) pairs in the mixed
+    Tsirelson space with (membership, theta) levels, by recursion over the
+    restrictions to subsets of the support, smallest subsets first:
+    ||x|A|| is the larger of max |x_i| over A and theta times the sum of
+    ||x|E_k|| over successive E_1 < ... < E_m inside A with admissible
+    minima.  The one family {A} is left out, since theta * ||x|A|| is
+    never the larger value.  Independent of the DP and of the cursor."""
+    mag = {i: abs(v) for i, v in pairs}
+    val = {}
+    for r in range(1, len(mag) + 1):
+        for A in itertools.combinations(sorted(mag), r):
+            best = max(mag[i] for i in A)
+            for pieces in successive_partitions(A):
+                if pieces == [A]:
+                    continue
+                minima = tuple(p[0] for p in pieces)
+                total = sum(val[p] for p in pieces)
+                for member, theta in levels:
+                    if theta * total > best and member(minima):
+                        best = theta * total
+            val[A] = best
+    return val[tuple(sorted(mag))]

@@ -52,6 +52,15 @@ class TestExitCodes:
                            "--universe", "99")
         assert code == 65 and "resource bound" in err
 
+    @pytest.mark.parametrize("space,size", [
+        ("ASSOC(T(S(1),1/2),S(1),allow)", 21), ("T(S(1),1/2)", 257)],
+        ids=["allowable", "support"])
+    def test_support_bounds_are_resource_bounds(self, space, size, capsys):
+        vec = json.dumps([[i, "1"] for i in range(1, size + 1)])
+        code, _, err = run(capsys, "norm", "eval", "--space", space,
+                           "--vec", vec)
+        assert code == 65 and "resource bound" in err
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "suite", "nope")
         assert code == 64
@@ -66,6 +75,13 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    def test_norm_eval_w_squared(self, capsys):
+        # six points from 7 on, where the uncollapsed cursor start sets of
+        # S_{w^2} have millions of states
+        code, out, _ = run(capsys, "norm", "eval", "--space", "T(S(w^2),1/2)",
+                           "--vec", json.dumps([[i, "1"] for i in range(7, 13)]))
+        assert code == 0 and out.strip() == "3"
+
     def test_ord_fundseq(self, capsys):
         code, out, _ = run(capsys, "ord", "fundseq", "--expr", "w^2", "--n", "3")
         assert code == 0 and out.strip() == "w, w*2, w*3"

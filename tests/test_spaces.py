@@ -1,20 +1,25 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (brute_s1, brute_s2, interval_partitions,
+from conftest import (brute_s1, brute_s2, brute_schreier,
+                      implicit_norm_oracle, interval_partitions,
                       successive_partitions, tsirelson_table_01)
+from schreierlab.families import schreier_member
 from schreierlab.ordinal import Ordinal
+from schreierlab.ordinal import parse as parse_ordinal
 from schreierlab.spaces import (C0, L1, Bounds, Derived, FsVector,
                                 MixedTsirelson, Schlumprecht, SpaceError,
                                 Tsirelson, assoc_norm, dual_assoc_norm,
                                 dual_norm, minimax_admissible_cover, norm,
                                 norm_n, parse_space, primal_from_dual,
-                                space_mode)
+                                space_mode, _cursor_advance_set,
+                                _cursor_start)
 
 T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
 T22 = Tsirelson(Ordinal.from_int(2), Fraction(1, 2))
@@ -30,6 +35,30 @@ VECTORS = [
     FsVector.from_pairs([(3, "1/2"), (4, -1), (5, "1/3"), (6, 2),
                          (8, "-3/4"), (9, "1/4"), (11, 1)]),
 ]
+
+# signed vectors with support <= 8 inside {1..10}, where T(S_w), T(S_{w+1})
+# and T(S_{w^2}) are checked exactly; on some of them T(S_w) and T(S_{w+1})
+# differ (0 of the 127 indicators of {1..7} tell them apart)
+LIMIT_VECTORS = VECTORS[:3] + [
+    FsVector.from_pairs([(1, "-3/2"), (2, "-4/3"), (3, -4), (4, -3), (5, 2),
+                         (7, "3/4"), (9, "1/4"), (10, -1)]),
+    FsVector.from_pairs([(1, "1/3"), (2, -4), (3, "-1/4"), (4, "-1/2"),
+                         (6, 2), (7, 2), (8, "3/4"), (10, "-3/2")]),
+    FsVector.from_pairs([(2, "3/2"), (3, "-3/2"), (4, -3), (5, "1/4"),
+                         (6, "-3/2"), (7, 3), (8, "2/3"), (9, "2/3")]),
+    FsVector.from_pairs([(1, -4), (2, "3/2"), (4, "4/3"), (5, 3), (6, 4),
+                         (8, -1), (9, -3)]),
+    FsVector.from_pairs([(2, "4/3"), (3, "-2/3"), (5, -1), (7, "3/4"),
+                         (8, "3/4"), (9, "-1/3")]),
+]
+
+
+@lru_cache(maxsize=None)
+def limit_oracle(alpha, x):
+    """T(S_alpha, 1/2) norm of x by the subset-recursion oracle."""
+    a = parse_ordinal(alpha)
+    return implicit_norm_oracle(
+        x.entries, [(lambda F: brute_schreier(a, F), Fraction(1, 2))])
 
 
 def small_vectors():
@@ -162,6 +191,16 @@ class TestHigherAndMixed:
         assert v >= norm(T12, x)
         assert v == Fraction(5, 2)
 
+    @pytest.mark.parametrize("alpha", ["w", "w+1", "w^2"])
+    def test_limit_index_against_subset_oracle(self, alpha):
+        space = Tsirelson(parse_ordinal(alpha), Fraction(1, 2))
+        for x in LIMIT_VECTORS:
+            assert norm(space, x) == limit_oracle(alpha, x), x
+
+    def test_subset_oracle_tells_w_from_w_plus_1(self):
+        assert any(limit_oracle("w", x) != limit_oracle("w+1", x)
+                   for x in LIMIT_VECTORS)
+
     def test_schlumprecht_two_elements(self):
         S = Schlumprecht()
         v = norm(S, FsVector.indicator([1, 2]))
@@ -229,6 +268,25 @@ class TestDerivedNorms:
         x = FsVector.indicator(range(1, 22))
         with pytest.raises(SpaceError):
             assoc_norm(T12, 1, x, "allowable")
+
+
+class TestCursor:
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "3", "w", "w+1", "w*2",
+                                       "w^2"])
+    def test_language_is_schreier_membership(self, alpha):
+        """The cursor fed F accepts exactly the members of S_alpha, with the
+        exact count of elements still to come and with the looser count of
+        universe points above the current one."""
+        a = parse_ordinal(alpha)
+        for r in range(1, 11):
+            for F in itertools.combinations(range(1, 11), r):
+                want = schreier_member(a, F)
+                for remaining in (lambda i: len(F) - 1 - i,
+                                  lambda i: 10 - F[i]):
+                    states = _cursor_start(a, F[0], remaining(0))
+                    for i in range(1, len(F)):
+                        states = _cursor_advance_set(states, F[i], remaining(i))
+                    assert bool(states) == want, (F, remaining(0))
 
 
 class TestDuals:
