@@ -300,8 +300,7 @@ def _cmd_spreading(args):
 
 def _cmd_asymp(args):
     space = parse_space(args.space)
-    C = measure_asymptoticity(space, parse_ordinal(args.alpha), args.universe,
-                              variant=args.variant)
+    C = measure_asymptoticity(space, parse_ordinal(args.alpha), args.universe)
     result = {"C": _fmt(C),
               "note": "section measurement at universe %d" % args.universe}
     return _emit(args, result, str(_fmt(C)), EXIT_PASS, mode=space_mode(space))
@@ -461,8 +460,6 @@ def build_parser():
     sp = sub.add_parser("asymp")
     sp.add_argument("--space", required=True)
     sp.add_argument("--alpha", required=True)
-    sp.add_argument("--variant", choices=("admissible", "allowable"),
-                    default="admissible")
     sp.set_defaults(func=_cmd_asymp)
 
     sp = sub.add_parser("distort")

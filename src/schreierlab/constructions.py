@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import schreier, schreier_member
+from .families import _cursor_step, schreier
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (FsVector, norm, norm_n, assoc_norm, primal_from_dual,
                      dual_norm, space_mode)
@@ -118,26 +118,25 @@ def _repeated_average(xi, s):
 def _eta_masses(eta, F, coeffs):
     """(DP maximum, literal maximum or None) of subset mass over members
     of S_eta contained in F."""
-    fam = schreier(eta)
     weights = dict(coeffs)
-    dp = fam.max_mass(F, weights)
+    dp = schreier(eta).max_mass(F, weights)
     literal = None
     if len(F) <= EXHAUSTIVE_SCC_BOUND:
         best = Fraction(0)
         elems = sorted(F)
 
-        def rec(prefix, mass, i):
+        def rec(states, mass, i):
             nonlocal best
             if mass > best:
                 best = mass
             for j in range(i, len(elems)):
-                G = prefix + (elems[j],)
                 # Schreier families are hereditary, so dead prefixes
                 # cannot revive
-                if schreier_member(fam.expr.alpha, G):
-                    rec(G, mass + weights[elems[j]], j + 1)
+                nxt = _cursor_step(eta, states, elems[j], len(elems) - 1 - j)
+                if nxt:
+                    rec(nxt, mass + weights[elems[j]], j + 1)
 
-        rec((), Fraction(0), 0)
+        rec(None, Fraction(0), 0)
         literal = best
         if literal != dp:
             raise ConstructionError(
@@ -481,19 +480,15 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     return SpreadingReport(True, alpha, C, universe_max)
 
 
-def measure_asymptoticity(space, alpha, universe_max, variant="admissible"):
+def measure_asymptoticity(space, alpha, universe_max):
     """Smallest constant C with ||x_1 + ... + x_k|| >= k/C over the
     exhaustive corpus of admissible systems of normalized uniform
     interval blocks within {1..universe_max}.
 
     The corpus blocks are intervals, for which disjoint and successive
-    coincide, so the allowable variant measures the same corpus.
+    coincide, so the constant is also the allowable (disjoint-block) one.
     """
-    from .spaces import _cursor_advance_set, _cursor_start
-
     alpha = _as_ordinal(alpha)
-    if variant not in ("admissible", "allowable"):
-        raise ConstructionError("variant must be admissible or allowable")
     N = universe_max
     cache = {}
 
@@ -515,8 +510,7 @@ def measure_asymptoticity(space, alpha, universe_max, variant="admissible"):
 
     def rec(lo, states, acc, k):
         for a in range(lo, N + 1):
-            nxt = (_cursor_start(alpha, a, N - a) if states is None
-                   else _cursor_advance_set(states, a, N - a))
+            nxt = _cursor_step(alpha, states, a, N - a)
             if not nxt:
                 continue
             for b in range(a, N + 1):

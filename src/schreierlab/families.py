@@ -6,21 +6,22 @@ union of m successive S_b-blocks with m <= its first element; for limit
 a membership defers to S_{a_n} for some n <= min F, with a_n taken from
 the fundamental-sequence convention fixed in :mod:`schreierlab.ordinal`.
 
-Membership is decided by memoized recursion on the definition (greedy
-longest-prefix block splitting in the successor case); derivatives ride
-on the same recursion through probe elements above the universe.  A
+Membership, enumeration and every admissibility check run one
 nondeterministic left-to-right "cursor" automaton over the sorted
-elements is kept alongside: its states record the remaining block budget
-at each recursion level, and it drives the admissible-partition dynamic
-programs in :mod:`schreierlab.spaces` and the subset-mass maximization
-used by the convex-combination checks.  Every cursor step is told how
-many elements can still follow (`remaining`) and returns canonical
-states for that count: a state with a level whose fresh blocks can take
-all of them is the accept-all state FREE, and a level with no blocks
-left is replaced by its inner state.  Both rewrites keep what a state
-accepts from the next `remaining` elements, and they keep the state sets
-of limit ordinals small, where the raw automaton's start sets explode.
-Membership does not use the cursor.
+elements.  Its states record the remaining block budget at each
+recursion level; it also drives the admissible-partition dynamic
+programs in :mod:`schreierlab.spaces`, the interval corpus of the
+asymptoticity measurement and the subset-mass maximization used by the
+convex-combination checks.  Every cursor step is told how many elements
+can still follow (`remaining`) and returns canonical states for that
+count: a state with a level whose fresh blocks can take all of them is
+the accept-all state FREE, and a level with no blocks left is replaced
+by its inner state.  Both rewrites keep what a state accepts from the
+next `remaining` elements, and they keep the state sets of limit
+ordinals small, where the raw automaton's start sets explode.  The
+states are interned as ints; no other module sees their format.
+Derivatives ride on membership through probe elements above the
+universe.
 """
 
 from __future__ import annotations
@@ -87,6 +88,8 @@ def _finset(elements):
 #   - a level around a FREE inner state is FREE, and a state set that
 #     contains FREE is (FREE,).
 # So every "blk" level has 1 <= left < remaining, and only ("one",) rejects.
+# Callers outside the tuple-level functions step through _cursor_step,
+# which works on sets of interned state ids; None is the fresh cursor.
 # ---------------------------------------------------------------------------
 
 FREE = ("free",)
@@ -181,38 +184,62 @@ def _advance(state, n, remaining):
     return tuple(dict.fromkeys(out))
 
 
+# canonical cursor states as small ints, so the dynamic programs' memo keys
+# are int triples
+_FREE_ID = 0
+_STATES = [FREE]
+_IDS = {FREE: _FREE_ID}
+
+
+def _intern(states):
+    out = []
+    for s in states:
+        sid = _IDS.get(s)
+        if sid is None:
+            sid = _IDS[s] = len(_STATES)
+            _STATES.append(s)
+        out.append(sid)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _cursor_start(alpha, n, remaining):
+    """Ids of the cursor states after a fresh S_alpha reads n, with at most
+    `remaining` elements to follow."""
+    return _intern(_start(alpha, n, remaining))
+
+
+@lru_cache(maxsize=None)
+def _cursor_advance(state, n, remaining):
+    """Ids of the successors of state id `state` on reading n."""
+    return _intern(_advance(_STATES[state], n, remaining))
+
+
+def _cursor_step(alpha, states, n, remaining):
+    """Ids of the states after reading n, with at most `remaining` elements
+    to follow: from a fresh S_alpha cursor when states is None, else from
+    any of the ids in states.  Empty when n cannot be read; a set that
+    contains FREE is (FREE,)."""
+    if states is None:
+        return _cursor_start(alpha, n, remaining)
+    out = set()
+    for s in states:
+        out.update(_cursor_advance(s, n, remaining))
+    return (_FREE_ID,) if _FREE_ID in out else tuple(out)
+
+
 @lru_cache(maxsize=None)
 def schreier_member(alpha, F):
-    """Decide F in S_alpha by direct recursion on the definition.
-
-    The successor case asks for a split of F into at most F[0] successive
-    S_beta blocks; greedy longest-prefix splitting uses the minimum
-    number of blocks because S_beta is hereditary (any competing split's
-    first block is a prefix of the greedy one, and suffixes of members
-    are members).  Sets with |F| <= min F lie in every S_alpha with
-    alpha >= 1 (split into singletons, induct through limits), which
-    also keeps limit-case branching away from large probe elements.
-    """
-    if not F:
-        return True
-    if alpha.is_zero():
-        return len(F) <= 1
-    if len(F) <= F[0]:
-        return True
-    if alpha.is_successor():
-        beta = alpha.predecessor()
-        blocks, i = 0, 0
-        while i < len(F):
-            j = i + 1
-            while j < len(F) and schreier_member(beta, F[i:j + 1]):
-                j += 1
-            i = j
-            blocks += 1
-            if blocks > F[0]:
-                return False
-        return True
-    return any(schreier_member(fundamental_sequence(alpha, n), F)
-               for n in range(F[0], 0, -1))
+    """Decide F in S_alpha by feeding F to the cursor, told at each element
+    how many elements are left."""
+    states = None
+    for i, n in enumerate(F):
+        states = _cursor_step(alpha, states, n, len(F) - 1 - i)
+        if not states:
+            return False
+        if states == (_FREE_ID,):
+            return True
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -378,30 +405,31 @@ class Family:
             # explicit families need not be hereditary; list directly
             return sorted(F for F in self.expr.sets
                           if all(e <= universe_max for e in F))
+        # a Schreier family carries its cursor states down the search
+        alpha = self.expr.alpha if isinstance(self.expr, Schreier) else None
         out = [()]
 
-        def extend(F):
-            last = F[-1] if F else 0
-            for n in range(last + 1, universe_max + 1):
+        # depth first with increasing elements: lexicographic order
+        def extend(F, states):
+            for n in range((F[-1] if F else 0) + 1, universe_max + 1):
                 G = F + (n,)
-                if self.member(G):
+                if alpha is None:
+                    nxt = self.member(G)
+                else:
+                    nxt = _cursor_step(alpha, states, n, universe_max - n)
+                if nxt:
                     out.append(G)
-                    extend(G)
+                    extend(G, nxt)
 
-        extend(())
-        return sorted(out)
+        extend((), None)
+        return out
 
     # -- maximality and derivatives ------------------------------------
 
     def _has_right_extension(self, F, universe_max, probe_bound=None):
-        last = F[-1] if F else 0
         if isinstance(self.expr, Schreier):
-            if not F:
-                return True  # empty set extends to any singleton
-            # membership of F+(p,) does not depend on p once p > max F
-            # (spreading, plus budgets only read off block minima <= max F)
-            probe = last + max(universe_max, 64) + 1
-            return schreier_member(self.expr.alpha, F + (probe,))
+            return self._has_k_right_extensions(F, 1, universe_max)
+        last = F[-1] if F else 0
         hi = last + (probe_bound if probe_bound is not None else universe_max)
         # spreading families: membership of right extensions is monotone
         # in the added element, but stay conservative and scan the range

@@ -17,10 +17,11 @@ never changes its minimum; an initial segment of the support may be
 dropped).  Admissibility of the chosen minima is tracked with the
 Schreier cursor from :mod:`schreierlab.families`, whose states are
 canonical for the number of support points still to come, so no state is
-built whose budget already covers them all; the states are interned as
-ints, so the memo keys are int triples.  "At most n pieces" is itself
-such a cursor: S_1 after reading n, which allows n - 1 further blocks
-of singletons.
+built whose budget already covers them all.  The cursor's state ids come
+from :mod:`schreierlab.families`, which interns the states as ints, so
+the memo keys are int triples.  "At most n pieces" is itself such a
+cursor: S_1 after reading n, which allows n - 1 further blocks of
+singletons.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .families import _ONE, FREE, ResourceBoundError, _advance, _start
+from .families import (_ONE, ResourceBoundError, _cursor_advance,
+                       _cursor_start, _cursor_step)
 from .ordinal import Ordinal
 
 __all__ = [
@@ -307,48 +308,6 @@ def parse_space(text):
 
 
 # ---------------------------------------------------------------------------
-# Schreier cursor over interned states
-# ---------------------------------------------------------------------------
-
-# canonical cursor states as small ints, so the dynamic programs' memo keys
-# are int triples
-_FREE_ID = 0
-_STATES = [FREE]
-_IDS = {FREE: _FREE_ID}
-
-
-def _intern(states):
-    out = []
-    for s in states:
-        sid = _IDS.get(s)
-        if sid is None:
-            sid = _IDS[s] = len(_STATES)
-            _STATES.append(s)
-        out.append(sid)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _cursor_start(alpha, n, remaining):
-    """Ids of the cursor states after a fresh S_alpha reads n, with at most
-    `remaining` elements to follow."""
-    return _intern(_start(alpha, n, remaining))
-
-
-@lru_cache(maxsize=None)
-def _cursor_advance(state, n, remaining):
-    """Ids of the successors of state id `state` on reading n."""
-    return _intern(_advance(_STATES[state], n, remaining))
-
-
-def _cursor_advance_set(states, n, remaining):
-    out = set()
-    for s in states:
-        out.update(_cursor_advance(s, n, remaining))
-    return {_FREE_ID} if _FREE_ID in out else out
-
-
-# ---------------------------------------------------------------------------
 # Norm evaluation
 # ---------------------------------------------------------------------------
 
@@ -587,8 +546,7 @@ def _assoc_allowable(space, alpha, x):
             rec(pos + 1, pieces, states)
             pieces[k].pop()
         # open a new piece with minimum e
-        nxt = (_cursor_start(alpha, e, P - 1 - pos) if states is None else
-               _cursor_advance_set(states, e, P - 1 - pos))
+        nxt = _cursor_step(alpha, states, e, P - 1 - pos)
         if nxt:
             pieces.append([e])
             rec(pos + 1, pieces, nxt)

@@ -17,6 +17,12 @@ class TestExitCodes:
                            "--set", "3,4,5")
         assert code == 0 and out.strip() == "true"
 
+    def test_fam_member_deep_limit(self, capsys):
+        # S(w^3) at min 9 descends through long successor chains
+        code, out, _ = run(capsys, "fam", "member", "--family", "S(w^3)",
+                           "--set", ",".join(map(str, range(9, 19))))
+        assert code == 0 and out.strip() == "true"
+
     def test_fam_member_false(self, capsys):
         code, out, _ = run(capsys, "fam", "member", "--family", "S(1)",
                            "--set", "1,2")
@@ -183,6 +189,12 @@ class TestReports:
     @pytest.mark.parametrize("flag", [("--mode", "float"), ("--seed", "1")])
     def test_removed_flags_are_usage_errors(self, flag, capsys):
         code, _, err = run(capsys, *self.ARGS, *flag)
+        assert code == 64 and "unrecognized arguments" in err
+
+    def test_removed_asymp_variant_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "asymp", "--space", "T(S(1),1/2)",
+                           "--alpha", "1", "--universe", "6",
+                           "--variant", "allowable")
         assert code == 64 and "unrecognized arguments" in err
 
     def test_mode_reported_from_space(self, capsys):

@@ -182,10 +182,6 @@ class TestAsymptoticity:
     def test_c0_grows(self):
         assert measure_asymptoticity(C0(), 1, 10) == 5
 
-    def test_allowable_same_on_interval_corpus(self):
-        assert measure_asymptoticity(T12, 1, 7, "allowable") == \
-            measure_asymptoticity(T12, 1, 7, "admissible")
-
 
 class TestDistortionScan:
     def test_tsirelson_assoc_lambda_two(self):

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_s1, brute_s2
+from conftest import brute_s1, brute_s2, brute_schreier
 from schreierlab.families import (Family, FamilyError, ResourceBoundError,
                                   bracket, bracket_member, explicit_family,
                                   index_symbolic, parse_family, power,
-                                  schreier, tail_domination)
+                                  schreier, schreier_member, tail_domination)
 from schreierlab.ordinal import parse as parse_ordinal
 
 
@@ -36,6 +36,14 @@ class TestSchreierMembership:
         assert sw.member((2, 3, 4))  # in S_2
         assert not sw.member((1, 2))  # only S_1 available, |F| > 1
         assert sw.member(())
+
+    @pytest.mark.parametrize("alpha, F", [("w^3", tuple(range(9, 19))),
+                                          ("w^2*2", tuple(range(15, 31)))])
+    def test_deep_limit_membership(self, alpha, F):
+        # at min F the fundamental sequences run through long chains of
+        # successors, one nesting level each
+        a = parse_ordinal(alpha)
+        assert schreier_member(a, F) is brute_schreier(a, F) is True
 
     def test_enumerate_matches_member(self):
         fam = schreier(parse_ordinal("w+1"))

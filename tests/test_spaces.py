@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import (brute_s1, brute_s2, brute_schreier,
                       implicit_norm_oracle, interval_partitions,
                       successive_partitions, tsirelson_table_01)
-from schreierlab.families import schreier_member
+from schreierlab.families import _cursor_step
 from schreierlab.ordinal import Ordinal
 from schreierlab.ordinal import parse as parse_ordinal
 from schreierlab.spaces import (C0, L1, Bounds, Derived, FsVector,
@@ -18,8 +18,7 @@ from schreierlab.spaces import (C0, L1, Bounds, Derived, FsVector,
                                 Tsirelson, assoc_norm, dual_assoc_norm,
                                 dual_norm, minimax_admissible_cover, norm,
                                 norm_n, parse_space, primal_from_dual,
-                                space_mode, _cursor_advance_set,
-                                _cursor_start)
+                                space_mode)
 
 T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
 T22 = Tsirelson(Ordinal.from_int(2), Fraction(1, 2))
@@ -272,20 +271,21 @@ class TestDerivedNorms:
 
 class TestCursor:
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "3", "w", "w+1", "w*2",
-                                       "w^2"])
+                                       "w^2", "w^2*2", "w^3"])
     def test_language_is_schreier_membership(self, alpha):
-        """The cursor fed F accepts exactly the members of S_alpha, with the
-        exact count of elements still to come and with the looser count of
-        universe points above the current one."""
+        """The cursor fed F accepts exactly the members of S_alpha (from the
+        definition, every split tried), with the exact count of elements
+        still to come and with the looser count of universe points above
+        the current one."""
         a = parse_ordinal(alpha)
         for r in range(1, 11):
             for F in itertools.combinations(range(1, 11), r):
-                want = schreier_member(a, F)
+                want = brute_schreier(a, F)
                 for remaining in (lambda i: len(F) - 1 - i,
                                   lambda i: 10 - F[i]):
-                    states = _cursor_start(a, F[0], remaining(0))
-                    for i in range(1, len(F)):
-                        states = _cursor_advance_set(states, F[i], remaining(i))
+                    states = None
+                    for i in range(len(F)):
+                        states = _cursor_step(a, states, F[i], remaining(i))
                     assert bool(states) == want, (F, remaining(0))
 
 
