@@ -64,11 +64,28 @@ def _fmt(v):
     return v
 
 
+def _index(i):
+    """A vector index: a JSON integer, or a float with an integral value."""
+    if isinstance(i, float) and i.is_integer():
+        return int(i)
+    if isinstance(i, int) and not isinstance(i, bool):
+        return i
+    raise ValueError("index %r is not an integer" % (i,))
+
+
+def _coefficient(c):
+    """An exact coefficient.  Exponent strings are refused: Fraction
+    would expand "1e-99999999999" into a power of ten digit by digit."""
+    if isinstance(c, str) and "e" in c.lower():
+        raise ValueError("coefficient %r: exponent notation is not accepted" % c)
+    return Fraction(str(c))
+
+
 def _parse_vec(text):
     try:
         pairs = json.loads(text)
-        return FsVector.from_pairs((int(i), Fraction(str(c))) for i, c in pairs)
-    except (ValueError, TypeError) as exc:
+        return FsVector.from_pairs((_index(i), _coefficient(c)) for i, c in pairs)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise _UsageError("bad vector JSON %r: %s" % (text, exc))
 
 
@@ -80,8 +97,12 @@ def _parse_blocks(text):
         if tok.startswith("e") and tok[1:].isdigit():
             out.append(FsVector.basis(int(tok[1:])))
         elif tok.startswith("avg"):
-            a, b = tok[3:].split("-")
-            out.append(FsVector.average(range(int(a), int(b) + 1)))
+            try:
+                a, b = tok[3:].split("-")
+                lo, hi = int(a), int(b)
+            except ValueError:
+                raise _UsageError("bad block token %r: expected avgA-B" % tok)
+            out.append(FsVector.average(range(lo, hi + 1)))
         else:
             raise _UsageError("bad block token %r" % tok)
     return out

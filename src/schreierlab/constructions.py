@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .families import _cursor_step, schreier
 from .ordinal import Ordinal, fundamental_sequence
@@ -463,7 +464,10 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
 
     Only the all-ones combination is evaluated: every built-in norm is
     1-unconditional and the blocks have disjoint supports, so every sign
-    pattern gives the same value."""
+    pattern gives the same value.  Members are visited in lexicographic
+    order and the first failing one is the witness.  Since the blocks
+    are successive, x_F is built once per F by concatenating the blocks'
+    entries."""
     alpha = _as_ordinal(alpha)
     C = Fraction(C) if not isinstance(C, float) else C
     if len(blocks) < universe_max:
@@ -473,7 +477,8 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     for F in schreier(alpha).enumerate(universe_max):
         if not F:
             continue
-        v = norm(space, sum((blocks[i - 1] for i in F), FsVector()))
+        v = norm(space, FsVector(tuple(chain.from_iterable(
+            blocks[i - 1].entries for i in F))))
         if C * v < len(F):
             return SpreadingReport(False, alpha, C, universe_max,
                                    witness=(F, (1,) * len(F), v))

@@ -27,6 +27,7 @@ singletons.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,9 +74,9 @@ class SupportBoundError(ResourceBoundError, SpaceError):
 
 
 def _coerce(v):
-    if isinstance(v, (Fraction, int)):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, (int, str)):
         return Fraction(v)
     if isinstance(v, float):
         return v
@@ -84,21 +85,27 @@ def _coerce(v):
 
 @dataclass(frozen=True)
 class FsVector:
-    """Finitely supported vector: sorted (index, value) pairs, no zeros."""
+    """Finitely supported vector: sorted (index, value) pairs, no zeros.
+
+    :meth:`from_pairs` coerces each value once (int and str to Fraction;
+    Fraction and float are kept).  ``+`` merges the entries without
+    coercing them again and drops zeros.  Every result is validated."""
 
     entries: tuple = ()
 
     def __post_init__(self):
-        idx = [i for i, _ in self.entries]
-        if idx != sorted(set(idx)) or any(i < 1 for i in idx):
+        if not self.entries:
+            return
+        idx, vals = zip(*self.entries)
+        if idx[0] < 1 or not all(map(operator.lt, idx, idx[1:])):
             raise SpaceError("indices must be strictly increasing positive naturals")
-        if any(v == 0 for _, v in self.entries):
+        if not all(vals):
             raise SpaceError("zero coefficients must not be stored")
 
     @classmethod
     def from_pairs(cls, pairs):
-        cleaned = sorted((i, _coerce(v)) for i, v in pairs if _coerce(v) != 0)
-        return cls(tuple(cleaned))
+        coerced = ((i, _coerce(v)) for i, v in pairs)
+        return cls(tuple(sorted(p for p in coerced if p[1])))
 
     @classmethod
     def basis(cls, i):
@@ -112,6 +119,8 @@ class FsVector:
     @classmethod
     def average(cls, indices):
         indices = sorted(indices)
+        if not indices:
+            raise SpaceError("the average of an empty index set is undefined")
         return cls.indicator(indices, Fraction(1, len(indices)))
 
     # -- views ----------------------------------------------------------
@@ -156,7 +165,7 @@ class FsVector:
         acc = dict(self.entries)
         for i, v in other.entries:
             acc[i] = acc.get(i, 0) + v
-        return FsVector.from_pairs(acc.items())
+        return FsVector(tuple(sorted(p for p in acc.items() if p[1])))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -461,7 +470,8 @@ def norm(space, x):
     if x.is_zero():
         return Fraction(0) if space_mode(space) == "exact" else 0.0
     if isinstance(space, C0):
-        return max(abs(v) for v in x.values)
+        vals = x.values
+        return max(max(vals), -min(vals))
     if isinstance(space, L1):
         return sum(abs(v) for v in x.values)
     ev = _Evaluator(space, x)

@@ -53,6 +53,20 @@ class TestExitCodes:
                          "--vec", "not json")
         assert code == 64
 
+    @pytest.mark.parametrize("vec", ['[[1,"1/0"]]', '[[1.7,"1"]]',
+                                     '[["1e99999999999",1]]',
+                                     '[[1,"1e-99999999999"]]'])
+    def test_bad_vector_values_are_usage_errors(self, capsys, vec):
+        code, _, err = run(capsys, "norm", "eval", "--space", "T(S(1),1/2)",
+                           "--vec", vec)
+        assert code == 64 and "bad vector" in err
+
+    @pytest.mark.parametrize("blocks", ["avg5-3", "avg3"])
+    def test_bad_average_blocks_are_usage_errors(self, capsys, blocks):
+        code, _, err = run(capsys, "lemma1", "--space", "T(S(1),1/2)",
+                           "--n", "2", "--blocks", blocks)
+        assert code == 64 and err.startswith("error:")
+
     def test_resource_bound(self, capsys):
         code, _, err = run(capsys, "fam", "enumerate", "--family", "S(1)",
                            "--universe", "99")

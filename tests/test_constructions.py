@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+
+from conftest import brute_s1, brute_schreier, implicit_norm_oracle
 
 from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        build_scc, check_spreading_model,
@@ -169,6 +172,69 @@ class TestSpreadingModel:
         fail = check_spreading_model(C0(), basis, 1, Fraction(2), 8)
         ok = check_spreading_model(C0(), basis, 1, Fraction(4), 8)
         assert not fail.passed and ok.passed
+
+
+def _oracle_blocks(kind, universe):
+    """Successive basis blocks, two-point averages, or ("mixed") basis
+    blocks for the first half and two-point averages after it, where a
+    failure comes later in lexicographic order than a smaller one."""
+    widths = {"basis": [1] * universe, "avg": [2] * universe,
+              "mixed": [1] * (universe // 2) + [2] * (universe - universe // 2)}
+    blocks, start = [], 1
+    for w in widths[kind]:
+        blocks.append(FsVector.average(range(start, start + w)))
+        start += w
+    return blocks
+
+
+ORACLE_NORMS = {
+    "c0": (C0(), lambda pairs: max(abs(v) for _, v in pairs)),
+    "l1": (L1(), lambda pairs: sum(abs(v) for _, v in pairs)),
+    "T": (T12, lambda pairs: implicit_norm_oracle(
+        pairs, [(brute_s1, Fraction(1, 2))])),
+}
+
+
+def spreading_oracle(name, alpha, blocks, C, universe):
+    """(passed, witness) by brute force: the members of S_alpha among all
+    subsets of {1..universe} in lexicographic order, each block sum built
+    as a plain list of pairs and normed by the oracle."""
+    oracle = ORACLE_NORMS[name][1]
+    members = sorted(
+        F for r in range(1, universe + 1)
+        for F in itertools.combinations(range(1, universe + 1), r)
+        if brute_schreier(Ordinal.from_int(alpha), F))
+    for F in members:
+        value = oracle([p for i in F for p in blocks[i - 1].entries])
+        if C * value < len(F):
+            return False, (F, (1,) * len(F), value)
+    return True, ()
+
+
+class TestSpreadingOracle:
+    @pytest.mark.parametrize("name,alpha,kind,universe,C,passes", [
+        ("c0", 1, "basis", 10, 5, True),
+        ("c0", 1, "basis", 10, 4, False),
+        ("c0", 1, "mixed", 10, 10, True),
+        ("c0", 1, "mixed", 10, 4, False),
+        ("c0", 2, "avg", 10, 16, True),
+        ("c0", 2, "avg", 10, 15, False),
+        ("l1", 1, "avg", 10, 1, True),
+        ("l1", 2, "basis", 10, 1, True),
+        ("l1", 2, "basis", 10, Fraction(9, 10), False),
+        ("T", 1, "basis", 10, 2, True),
+        ("T", 1, "avg", 6, Fraction(8, 3), True),
+        ("T", 1, "avg", 6, Fraction(5, 2), False),
+        ("T", 2, "basis", 8, Fraction(10, 3), True),
+        ("T", 2, "basis", 8, 3, False),
+    ])
+    def test_against_brute_force(self, name, alpha, kind, universe, C, passes):
+        blocks = _oracle_blocks(kind, universe)
+        rep = check_spreading_model(ORACLE_NORMS[name][0], blocks, alpha,
+                                    Fraction(C), universe)
+        want = spreading_oracle(name, alpha, blocks, Fraction(C), universe)
+        assert want[0] is passes
+        assert (rep.passed, rep.witness) == want
 
 
 class TestAsymptoticity:

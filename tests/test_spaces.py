@@ -67,6 +67,50 @@ def small_vectors():
         lambda pairs: FsVector.from_pairs(dict(pairs).items()))
 
 
+# exact and float coefficients, zero included, for the vector-algebra oracle
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.floats(min_value=-3, max_value=3, allow_nan=False, width=32))
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two coefficient dicts whose supports are successive, interleaved,
+    overlapping or partly cancelling; either may be empty."""
+    layout = draw(st.sampled_from(
+        ["successive", "interleaved", "overlapping", "cancelling"]))
+    x = draw(st.dictionaries(st.integers(1, 8), COEFFS, max_size=6))
+    if layout == "successive":
+        shift = max(x, default=0) + draw(st.integers(0, 3))
+        y = {i + shift: v for i, v in draw(st.dictionaries(
+            st.integers(1, 8), COEFFS, max_size=6)).items()}
+    elif layout == "interleaved":
+        x = {2 * i - 1: v for i, v in x.items()}
+        y = {2 * i: v for i, v in draw(st.dictionaries(
+            st.integers(1, 8), COEFFS, max_size=6)).items()}
+    elif layout == "overlapping":
+        y = draw(st.dictionaries(st.integers(1, 8), COEFFS, max_size=6))
+    else:
+        y = {i: -v for i, v in x.items() if draw(st.booleans())}
+        y.update(draw(st.dictionaries(st.integers(9, 12), COEFFS, max_size=2)))
+    return x, y
+
+
+def dict_oracle(pairs):
+    """The vector a coefficient dict stands for: ints become Fractions,
+    zeros are dropped."""
+    exact = {i: Fraction(v) if isinstance(v, int) else v for i, v in pairs}
+    return {i: v for i, v in exact.items() if v != 0}
+
+
+def merge_oracle(x, y):
+    out = dict(x)
+    for i, v in y.items():
+        out[i] = out.get(i, 0) + v
+    return {i: v for i, v in out.items() if v != 0}
+
+
 class TestFsVector:
     def test_validation(self):
         with pytest.raises(SpaceError):
@@ -97,6 +141,34 @@ class TestFsVector:
     def test_pair_symmetric(self, x, y):
         assert x.pair(y) == y.pair(x)
 
+    @given(vector_pairs())
+    def test_algebra_against_dict_oracle(self, xy):
+        px, py = xy
+        x, y = FsVector.from_pairs(px.items()), FsVector.from_pairs(py.items())
+        ox, oy = dict_oracle(px.items()), dict_oracle(py.items())
+        minus_oy = {i: -v for i, v in oy.items()}
+        for vec, want in ((x, ox), (y, oy), (x + y, merge_oracle(ox, oy)),
+                          (x - y, merge_oracle(ox, minus_oy))):
+            assert vec.support == tuple(sorted(want))
+            assert dict(vec.entries) == want
+            # exact values stay Fraction; a float anywhere makes a float
+            assert [type(v) for _, v in vec.entries] == [
+                type(want[i]) for i in vec.support]
+            assert norm(C0(), vec) == max(map(abs, want.values()), default=0)
+        if x.entries and y.entries and x.max_support() >= y.min_support():
+            with pytest.raises(SpaceError):
+                FsVector(x.entries + y.entries)
+
+    def test_invalid_vectors_raise(self):
+        with pytest.raises(SpaceError):
+            FsVector.from_pairs([(2, 1), (2, "1/2")])
+        with pytest.raises(SpaceError):
+            FsVector.from_pairs([(1, 1j)])
+        with pytest.raises(SpaceError):
+            FsVector(((1, 0.0),))
+        with pytest.raises(SpaceError):
+            FsVector.average([])
+
 
 class TestDescriptorParsing:
     @pytest.mark.parametrize("text", [
@@ -126,6 +198,14 @@ class TestBaseNorms:
         assert norm(C0(), x) == 2
         assert norm(L1(), x) == Fraction(5, 2)
         assert norm(C0(), FsVector()) == 0
+
+    def test_c0_signs(self):
+        negative = FsVector.from_pairs([(1, "-1/2"), (3, -3), (4, "-5/2")])
+        mixed = FsVector.from_pairs([(2, "7/3"), (5, "-3"), (6, 1)])
+        assert norm(C0(), negative) == 3
+        assert norm(C0(), negative.scale(-1)) == 3
+        assert norm(C0(), mixed) == 3
+        assert norm(C0(), FsVector.from_pairs([(1, "-1/4")])) == Fraction(1, 4)
 
 
 class TestTsirelsonNorm:
