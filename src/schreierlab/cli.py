@@ -111,7 +111,10 @@ def _parse_blocks(text):
 def _parse_set(text):
     if not text.strip():
         return ()
-    return tuple(sorted(int(t) for t in text.split(",")))
+    try:
+        return tuple(sorted(int(t) for t in text.split(",")))
+    except ValueError:
+        raise _UsageError("bad set %r: expected comma-separated integers" % text)
 
 
 def _write_report(report, args):

@@ -218,8 +218,9 @@ class GluingReport:
 
 
 def _is_block_sequence(blocks):
-    return all(blocks[i].max_support() < blocks[i + 1].min_support()
-               for i in range(len(blocks) - 1))
+    """Nonzero blocks with strictly increasing supports."""
+    return not any(b.is_zero() for b in blocks) and all(
+        a.max_support() < b.min_support() for a, b in zip(blocks, blocks[1:]))
 
 
 def gluing_lemma1(space, n, blocks, skip_certification=False):
@@ -228,7 +229,7 @@ def gluing_lemma1(space, n, blocks, skip_certification=False):
     if len(blocks) != n * n:
         raise ConstructionError("need n^2 = %d blocks, got %d" % (n * n, len(blocks)))
     if not _is_block_sequence(blocks):
-        raise ConstructionError("blocks must have strictly increasing supports")
+        raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
     notes = []
     if skip_certification:
         notes.append("2-equivalence certification skipped on request")
@@ -337,7 +338,7 @@ def gluing_lemma3(space, n, blocks, functionals, skip_certification=False):
     if len(blocks) != n * n:
         raise ConstructionError("need n^2 = %d blocks, got %d" % (n * n, len(blocks)))
     if not _is_block_sequence(blocks):
-        raise ConstructionError("blocks must have strictly increasing supports")
+        raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
     _check_biorthogonal(space, blocks, functionals)
     notes = []
     if skip_certification:
@@ -473,7 +474,7 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     if len(blocks) < universe_max:
         raise ConstructionError("need a block for every index up to %d" % universe_max)
     if not _is_block_sequence(blocks):
-        raise ConstructionError("blocks must have strictly increasing supports")
+        raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
     for F in schreier(alpha).enumerate(universe_max):
         if not F:
             continue

@@ -5,23 +5,25 @@ S_0 is the singletons (plus the empty set); for a = b+1 a member is a
 union of m successive S_b-blocks with m <= its first element; for limit
 a membership defers to S_{a_n} for some n <= min F, with a_n taken from
 the fundamental-sequence convention fixed in :mod:`schreierlab.ordinal`.
+The bracket M[N] holds the unions of successive N-runs F_1 < ... < F_k
+with a witness (m_i) in M, max F_{i-1} < m_i <= min F_i; POW(M,1) is M
+and POW(M,k) is M[POW(M,k-1)].  M and N must be regular (not explicit).
 
-Membership, enumeration and every admissibility check run one
-nondeterministic left-to-right "cursor" automaton over the sorted
-elements.  Its states record the remaining block budget at each
-recursion level; it also drives the admissible-partition dynamic
-programs in :mod:`schreierlab.spaces`, the interval corpus of the
-asymptoticity measurement and the subset-mass maximization used by the
-convex-combination checks.  Every cursor step is told how many elements
-can still follow (`remaining`) and returns canonical states for that
-count: a state with a level whose fresh blocks can take all of them is
-the accept-all state FREE, and a level with no blocks left is replaced
-by its inner state.  Both rewrites keep what a state accepts from the
-next `remaining` elements, and they keep the state sets of limit
-ordinals small, where the raw automaton's start sets explode.  The
-states are interned as ints; no other module sees their format.
-Derivatives ride on membership through probe elements above the
-universe.
+Membership, enumeration, derivatives, subset-mass maximization, the
+admissible-partition DPs of :mod:`schreierlab.spaces` and the
+asymptoticity corpus all run one nondeterministic left-to-right
+"cursor" automaton over the sorted elements.  Its S_a states record the
+remaining block budget at each level; a bracket state pairs the outer
+cursor's states after the run minima with the inner cursor's states in
+the current run, which the next element extends whenever it can.
+Every step is told how many elements can still follow (`remaining`)
+and returns canonical states for that count: a level whose fresh
+blocks can take all of them makes the accept-all state FREE, and a
+level with no blocks left is replaced by its inner state.  Both keep
+what a state accepts from the next `remaining` elements and keep the
+state sets of limit ordinals small.  The states are interned as ints;
+no other module sees their format.  Derivatives ride on membership
+through probes above the universe.
 """
 
 from __future__ import annotations
@@ -74,20 +76,34 @@ def _finset(elements):
 # ---------------------------------------------------------------------------
 # Schreier cursor: nondeterministic automaton over increasing elements.
 #
+# A cursor is keyed by the ordinal alpha for S_alpha, by ("br", M, N) for
+# M[N] and by ("pow", M, k) for POW(M,k), k >= 2; M and N are keys again.
 # States (hashable tuples):
 #   FREE                      -- accepts every continuation
 #   ("one",)                  -- S_0 after consuming its single element
 #   ("blk", alpha_b, left, s) -- inside S_{b+1}: current S_b block in state
 #                                s, `left` further blocks may be opened
+#   ("br", M, N, outer, inner) -- inside M[N]: ids of the M cursor after
+#                                the run minima and of the N cursor inside
+#                                the current run
 # The fresh state is represented implicitly by _start(alpha, n, remaining).
 # States are canonical for the `remaining` elements that may still come
 # after the element n just read:
 #   - a level whose `left` fresh blocks, opened after n, can take any
 #     `remaining` elements makes the whole state FREE;
 #   - a level with left == 0 is replaced by its inner state s;
-#   - a level around a FREE inner state is FREE, and a state set that
-#     contains FREE is (FREE,).
-# So every "blk" level has 1 <= left < remaining, and only ("one",) rejects.
+#   - a level around a FREE inner state, or a bracket with a FREE side,
+#     is FREE, and a state set that contains FREE is (FREE,).
+# Both sides of a bracket get `remaining` as an upper bound, which is sound.
+#
+# A bracket splits greedily: n extends the current run when the inner
+# cursor can read it, else opens a run whose minimum the outer cursor
+# reads.  This is exact for N hereditary and M hereditary and spreading:
+# against any split F_1 < ... < F_k with witness (m_i) in M, the i-th greedy
+# run ends no earlier than F_i (induction, by heredity of N), so there are
+# j <= k greedy runs with i-th minimum >= min F_i >= m_i, and (m_1..m_j)
+# in M spreads to the greedy minima.
+#
 # Callers outside the tuple-level functions step through _cursor_step,
 # which works on sets of interned state ids; None is the fresh cursor.
 # ---------------------------------------------------------------------------
@@ -143,10 +159,30 @@ def _blocks(beta, left, inner, n, remaining):
     return tuple(("blk", beta, left, s) for s in inner)
 
 
+def _bracket(outer_key, inner_key, outer, inner):
+    """Canonical states of M[N] from the outer and inner id sets."""
+    if not outer or not inner:
+        return ()
+    if outer == (_FREE_ID,) or inner == (_FREE_ID,):
+        return (FREE,)
+    return (("br", outer_key, inner_key, tuple(sorted(outer)),
+             tuple(sorted(inner))),)
+
+
 @lru_cache(maxsize=None)
 def _start(alpha, n, remaining):
-    """States after feeding first element n to a fresh S_alpha cursor,
-    with at most `remaining` elements to follow."""
+    """States after feeding first element n to a fresh cursor of key
+    alpha, with at most `remaining` elements to follow."""
+    if not isinstance(alpha, Ordinal):
+        kind, outer, inner = alpha
+        if kind == "pow":
+            # POW(M,k) and POW(M,L), L <= k, agree on sets of <= L points
+            k = min(inner, remaining + 1)
+            if k == 1:
+                return _start(outer, n, remaining)
+            inner = outer if k == 2 else ("pow", outer, k - 1)
+        return _bracket(outer, inner, _cursor_step(outer, None, n, remaining),
+                        _cursor_step(inner, None, n, remaining))
     if alpha.is_zero():
         return (("one",),)
     if alpha.is_successor():
@@ -171,6 +207,13 @@ def _advance(state, n, remaining):
         return (FREE,)
     if state[0] == "one":
         return ()
+    if state[0] == "br":
+        _, M, N, outer, inner = state
+        run = _cursor_step(N, inner, n, remaining)
+        if run:
+            return _bracket(M, N, outer, run)
+        return _bracket(M, N, _cursor_step(M, outer, n, remaining),
+                        _cursor_step(N, None, n, remaining))
     _, beta, left, inner = state
     # opening a fresh block at n leaves left - 1 fresh blocks after it
     if _absorbs(beta, left - 1, n, remaining):
@@ -204,24 +247,27 @@ def _intern(states):
 
 @lru_cache(maxsize=None)
 def _cursor_start(alpha, n, remaining):
-    """Ids of the cursor states after a fresh S_alpha reads n, with at most
-    `remaining` elements to follow."""
+    """Ids of the cursor states after a fresh cursor of key alpha reads n,
+    with at most `remaining` elements to follow."""
     return _intern(_start(alpha, n, remaining))
 
 
 @lru_cache(maxsize=None)
 def _cursor_advance(state, n, remaining):
-    """Ids of the successors of state id `state` on reading n."""
-    return _intern(_advance(_STATES[state], n, remaining))
+    """Ids of the successors of state id `state` on reading n.  Bypasses
+    _advance's cache, which would only repeat this one."""
+    return _intern(_advance.__wrapped__(_STATES[state], n, remaining))
 
 
 def _cursor_step(alpha, states, n, remaining):
     """Ids of the states after reading n, with at most `remaining` elements
-    to follow: from a fresh S_alpha cursor when states is None, else from
+    to follow: from a fresh cursor of key alpha when states is None, else from
     any of the ids in states.  Empty when n cannot be read; a set that
     contains FREE is (FREE,)."""
     if states is None:
         return _cursor_start(alpha, n, remaining)
+    if len(states) == 1:  # a single state's successors are canonical
+        return _cursor_advance(states[0], n, remaining)
     out = set()
     for s in states:
         out.update(_cursor_advance(s, n, remaining))
@@ -230,8 +276,9 @@ def _cursor_step(alpha, states, n, remaining):
 
 @lru_cache(maxsize=None)
 def schreier_member(alpha, F):
-    """Decide F in S_alpha by feeding F to the cursor, told at each element
-    how many elements are left."""
+    """Decide F in the family of cursor key alpha (S_alpha for an ordinal)
+    by feeding F to the cursor, told at each element how many elements
+    are left."""
     states = None
     for i, n in enumerate(F):
         states = _cursor_step(alpha, states, n, len(F) - 1 - i)
@@ -265,6 +312,9 @@ class Bracket(FamilyExpr):
     outer: FamilyExpr
     inner: FamilyExpr
 
+    def __post_init__(self):
+        _refuse_explicit(self.outer, self.inner)
+
     def __str__(self):
         return "BR(%s,%s)" % (self.outer, self.inner)
 
@@ -277,6 +327,7 @@ class Power(FamilyExpr):
     def __post_init__(self):
         if self.n < 1:
             raise FamilyError("power must be >= 1")
+        _refuse_explicit(self.base)
 
     def __str__(self):
         return "POW(%s,%d)" % (self.base, self.n)
@@ -291,10 +342,27 @@ class Explicit(FamilyExpr):
         return "EXPL[%s]" % body
 
 
+def _refuse_explicit(*operands):
+    """Brackets need regular operands, which explicit families need not be."""
+    if any(isinstance(expr, Explicit) for expr in operands):
+        raise FamilyError("brackets and powers need regular (non-explicit) families")
+
+
+def _cursor_key(expr):
+    """The cursor key of a non-explicit family expression."""
+    if isinstance(expr, Schreier):
+        return expr.alpha
+    if isinstance(expr, Bracket):
+        return ("br", _cursor_key(expr.outer), _cursor_key(expr.inner))
+    if isinstance(expr, Power):
+        base = _cursor_key(expr.base)
+        return base if expr.n == 1 else ("pow", base, expr.n)
+    raise FamilyError("unknown family expression %r" % (expr,))
+
+
 def hereditary_closure(sets):
-    out = set()
+    out = {()}
     stack = [_finset(s) for s in sets]
-    out.add(())
     while stack:
         s = stack.pop()
         if s in out:
@@ -332,6 +400,8 @@ class Family:
 
     def __init__(self, expr):
         self.expr = expr
+        # explicit families are plain lists of sets; the rest are cursors
+        self._key = None if isinstance(expr, Explicit) else _cursor_key(expr)
 
     def __str__(self):
         return str(self.expr)
@@ -349,51 +419,11 @@ class Family:
 
     def member(self, F):
         F = _finset(F)
-        return self._member(self.expr, F)
+        if self._key is None:
+            return F in self.expr.sets
+        return not F or schreier_member(self._key, F)
 
     __contains__ = member
-
-    def _member(self, expr, F):
-        if isinstance(expr, Explicit):
-            return F in expr.sets
-        if not F:
-            return True
-        if isinstance(expr, Schreier):
-            return schreier_member(expr.alpha, F)
-        if isinstance(expr, Power):
-            if expr.n == 1:
-                return self._member(expr.base, F)
-            return self._bracket_member(expr.base, Power(expr.base, expr.n - 1), F)
-        if isinstance(expr, Bracket):
-            return self._bracket_member(expr.outer, expr.inner, F)
-        raise FamilyError("unknown family expression %r" % (expr,))
-
-    def _bracket_member(self, outer_expr, inner_expr, F):
-        """F in M[N]: split F into successive runs F_1 < ... < F_k, each in
-        the inner family, with a witness (m_1,...,m_k) in the outer family
-        satisfying max F_{i-1} < m_i <= min F_i.  Since the outer family is
-        hereditary and spreading, (min F_i)_i is a witness whenever any
-        witness exists, so only run boundaries are searched."""
-        if not F:
-            return True
-        outer = Family(outer_expr)
-        inner = Family(inner_expr)
-
-        def rec(start, minima):
-            if start == len(F):
-                return outer.member(minima)
-            # heredity of the outer family makes prefixes of witnesses
-            # witnesses, so prune on the minima chosen so far
-            for end in range(start + 1, len(F) + 1):
-                run = F[start:end]
-                if not inner.member(run):
-                    # inner family hereditary: longer runs contain this one
-                    break
-                if outer.member(minima + (run[0],)) and rec(end, minima + (run[0],)):
-                    return True
-            return False
-
-        return rec(0, ())
 
     # -- enumeration ----------------------------------------------------
 
@@ -401,23 +431,19 @@ class Family:
         """All members contained in {1..universe_max}, lexicographic."""
         if universe_max > bound:
             raise ResourceBoundError("universe %d exceeds bound %d" % (universe_max, bound))
-        if isinstance(self.expr, Explicit):
+        if self._key is None:
             # explicit families need not be hereditary; list directly
             return sorted(F for F in self.expr.sets
                           if all(e <= universe_max for e in F))
-        # a Schreier family carries its cursor states down the search
-        alpha = self.expr.alpha if isinstance(self.expr, Schreier) else None
+        key = self._key
         out = [()]
 
         # depth first with increasing elements: lexicographic order
         def extend(F, states):
             for n in range((F[-1] if F else 0) + 1, universe_max + 1):
-                G = F + (n,)
-                if alpha is None:
-                    nxt = self.member(G)
-                else:
-                    nxt = _cursor_step(alpha, states, n, universe_max - n)
+                nxt = _cursor_step(key, states, n, universe_max - n)
                 if nxt:
+                    G = F + (n,)
                     out.append(G)
                     extend(G, nxt)
 
@@ -426,14 +452,16 @@ class Family:
 
     # -- maximality and derivatives ------------------------------------
 
-    def _has_right_extension(self, F, universe_max, probe_bound=None):
-        if isinstance(self.expr, Schreier):
-            return self._has_k_right_extensions(F, 1, universe_max)
-        last = F[-1] if F else 0
-        hi = last + (probe_bound if probe_bound is not None else universe_max)
-        # spreading families: membership of right extensions is monotone
-        # in the added element, but stay conservative and scan the range
-        return any(self.member(F + (n,)) for n in range(last + 1, hi + 1))
+    def _extends(self, F, k, universe_max):
+        """True when a member extends F by k elements on the right.  Exact
+        for a cursor family through k probes far above the universe: it is
+        spreading, and heredity collapses a k-step chain to one k-element
+        extension.  An explicit family has only its listed sets."""
+        if self._key is None:
+            return any(len(G) == len(F) + k and G[:len(F)] == F
+                       for G in self.expr.sets)
+        probe = (F[-1] if F else 0) + max(universe_max, 64) + 1
+        return schreier_member(self._key, F + tuple(range(probe, probe + k)))
 
     def is_maximal(self, F, universe_max):
         F = _finset(F)
@@ -445,107 +473,74 @@ class Family:
             G = tuple(sorted(F + (n,)))
             if self.member(G):
                 return False
-        return not self._has_right_extension(F, universe_max)
+        return not self._extends(F, 1, universe_max)
 
     def derivative(self, universe_max, bound=ENUMERATION_BOUND):
         """Combinatorial Cantor-Bendixson derivative on the truncation:
         members admitting a right extension inside the family."""
-        members = self.enumerate(universe_max, bound)
-        kept = [F for F in members if self._has_right_extension(F, universe_max)]
-        return explicit_family(kept, close=False)
-
-    def _has_k_right_extensions(self, F, k, universe_max):
-        """True when F extends to a member by k further elements beyond
-        the universe; exact for cursor-backed families since block
-        budgets are set from the (arbitrarily large) probe values."""
-        if not isinstance(self.expr, Schreier):
-            raise FamilyError("chained extension probe needs a Schreier family")
-        # heredity collapses the k-step chain to one k-element extension,
-        # and any strictly increasing probes above max F are exact
-        probe = (F[-1] if F else 0) + max(universe_max, 64) + 1
-        return schreier_member(self.expr.alpha,
-                               F + tuple(range(probe, probe + k)))
+        return self.iterated_derivative(1, universe_max, bound)
 
     def iterated_derivative(self, k, universe_max, bound=ENUMERATION_BOUND, k_bound=64):
         if k > k_bound:
             raise ResourceBoundError("derivative depth %d exceeds bound %d" % (k, k_bound))
-        if k == 0:
-            return explicit_family(self.enumerate(universe_max, bound), close=False)
-        if isinstance(self.expr, Schreier):
-            # compute on the original family: iterating on truncated
-            # snapshots loses extensions beyond the universe edge
-            kept = [F for F in self.enumerate(universe_max, bound)
-                    if self._has_k_right_extensions(F, k, universe_max)]
-            return explicit_family(kept, close=False)
-        fam = self
-        for _ in range(k):
-            fam = fam.derivative(universe_max, bound)
-        return fam
+        if self._key is None and k > 1:
+            # an explicit family is its own truncation: one step at a time
+            return self.derivative(universe_max, bound).iterated_derivative(
+                k - 1, universe_max, bound)
+        kept = [F for F in self.enumerate(universe_max, bound)
+                if self._extends(F, k, universe_max)]
+        return explicit_family(kept, close=False)
 
     # -- maximum coefficient mass over members (used by SCC checks) -----
 
     def max_mass(self, F, weights):
-        """Exact max of sum(weights[m] for m in G) over members G <= F.
-
-        Equivalent to exhausting all members (mass is monotone under
-        adding elements) but runs as a DP over cursor states; only
-        Schreier/bracket-free families supported via cursor, explicit
-        families by enumeration of their sets.
-        """
+        """Exact max of sum(weights[m] for m in G) over members G <= F: a DP
+        over the cursor states, or over the listed sets if explicit."""
         F = _finset(F)
-        if isinstance(self.expr, Schreier):
-            alpha = self.expr.alpha
+        if self._key is None:
+            inside = set(F)
+            return max((sum(weights[g] for g in G) for G in self.expr.sets
+                        if inside.issuperset(G)), default=0)
+        key = self._key
 
-            @lru_cache(maxsize=None)
-            def best(i, state):
-                if i == len(F):
-                    return 0
-                r = best(i + 1, state)  # skip F[i]
-                rest = len(F) - 1 - i
-                nexts = (_start(alpha, F[i], rest) if state is None
-                         else _advance(state, F[i], rest))
-                for s in nexts:
-                    v = weights[F[i]] + best(i + 1, s)
-                    if v > r:
-                        r = v
-                return r
+        # state None = fresh, else a state id
+        @lru_cache(maxsize=None)
+        def best(i, state):
+            if i == len(F):
+                return 0
+            r = best(i + 1, state)  # skip F[i]
+            states = None if state is None else (state,)
+            for s in _cursor_step(key, states, F[i], len(F) - 1 - i):
+                v = weights[F[i]] + best(i + 1, s)
+                if v > r:
+                    r = v
+            return r
 
-            # state None = fresh; encode as a sentinel usable in lru_cache
+        try:
             return best(0, None)
-        # generic fallback: exhaustive over members within max F
-        total = 0
-        for G in self.enumerate(F[-1] if F else 0):
-            if all(g in F for g in G):
-                total = max(total, sum(weights[g] for g in G))
-        return total
+        finally:
+            best.cache_clear()  # the memo sits in a reference cycle
 
     # -- regularity report ---------------------------------------------
 
     def check_regular(self, universe_max, bound=ENUMERATION_BOUND):
         members = set(self.enumerate(universe_max, bound))
-        hereditary = True
-        spreading = True
         counterexamples = {"hereditary": [], "spreading": []}
         for F in sorted(members):
             for i in range(len(F)):
                 sub = F[:i] + F[i + 1:]
                 if sub not in members:
-                    hereditary = False
                     counterexamples["hereditary"].append((F, sub))
-            for i in range(len(F)):
                 hi = F[i + 1] - 1 if i + 1 < len(F) else universe_max
                 for v in range(F[i] + 1, hi + 1):
                     G = F[:i] + (v,) + F[i + 1:]
                     if G not in members:
-                        spreading = False
                         counterexamples["spreading"].append((F, G))
         return RegularityReport(
-            hereditary=hereditary,
-            spreading=spreading,
-            counterexamples=counterexamples,
-            compactness="not evaluated",
-            universe_max=universe_max,
-        )
+            hereditary=not counterexamples["hereditary"],
+            spreading=not counterexamples["spreading"],
+            counterexamples=counterexamples, compactness="not evaluated",
+            universe_max=universe_max)
 
 
 @dataclass

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from hypothesis import settings
 
+from schreierlab.families import Bracket, Power, Schreier
 from schreierlab.ordinal import fundamental_sequence
 
 settings.register_profile("ci", deadline=None, derandomize=True,
@@ -67,6 +68,43 @@ def brute_schreier(alpha, F):
             for j in range(i + 1, len(F) + 1))
 
     return split(0, F[0])
+
+
+@lru_cache(maxsize=None)
+def brute_bracket(expr, F):
+    """Membership of the sorted tuple F in a family expression built from
+    S(a), BR(M,N) and POW(M,k), straight from the definition: F lies in
+    M[N] when some split of F into successive nonempty runs
+    F_1 < ... < F_k, each in N, has a witness (m_1, ..., m_k) in M with
+    max F_{i-1} < m_i <= min F_i.  Every split and every witness is
+    tried; POW(M,1) is M and POW(M,k) is M[POW(M,k-1)].  Uses neither the
+    library's cursor nor Family.member."""
+    if isinstance(expr, Schreier):
+        return brute_schreier(expr.alpha, F)
+    if isinstance(expr, Power):
+        if expr.n == 1:
+            return brute_bracket(expr.base, F)
+        outer, inner = expr.base, Power(expr.base, expr.n - 1)
+    else:
+        assert isinstance(expr, Bracket), expr
+        outer, inner = expr.outer, expr.inner
+    if not F:
+        return True
+    for cuts in itertools.product((0, 1), repeat=len(F) - 1):
+        runs = [[F[0]]]
+        for e, c in zip(F[1:], cuts):
+            if c:
+                runs.append([e])
+            else:
+                runs[-1].append(e)
+        runs = [tuple(r) for r in runs]
+        if not all(brute_bracket(inner, r) for r in runs):
+            continue
+        gaps = [range((runs[i - 1][-1] if i else 0) + 1, runs[i][0] + 1)
+                for i in range(len(runs))]
+        if any(brute_bracket(outer, w) for w in itertools.product(*gaps)):
+            return True
+    return False
 
 
 def successive_partitions(elems):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -27,6 +28,28 @@ class TestExitCodes:
         code, out, _ = run(capsys, "fam", "member", "--family", "S(1)",
                            "--set", "1,2")
         assert code == 1 and out.strip() == "false"
+
+    @pytest.mark.parametrize("family", ["POW(S(1),3)", "BR(S(1),S(2))"])
+    def test_fam_member_bracket_long_set(self, capsys, family):
+        # 1,495 points: the bracket cursor reads them in one pass
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "fam", "member", "--family", family,
+                           "--set", ",".join(map(str, range(5, 1500))))
+        assert code == 0 and out.strip() == "true"
+        assert time.perf_counter() - t0 < 2
+
+    @pytest.mark.parametrize("family", ["BR(EXPL[{2,3}],S(1))",
+                                        "BR(S(1),EXPL[{2}])",
+                                        "POW(EXPL[{1}],2)"])
+    def test_explicit_inside_bracket_is_usage_error(self, capsys, family):
+        code, _, err = run(capsys, "fam", "member", "--family", family,
+                           "--set", "2,3,5")
+        assert code == 64 and "regular" in err
+
+    def test_bad_set_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "fam", "member", "--family", "S(1)",
+                           "--set", "1,x")
+        assert code == 64 and "bad set" in err
 
     def test_norm_eval(self, capsys):
         code, out, _ = run(capsys, "norm", "eval", "--space", "T(S(1),1/2)",

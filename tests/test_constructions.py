@@ -173,6 +173,12 @@ class TestSpreadingModel:
         ok = check_spreading_model(C0(), basis, 1, Fraction(4), 8)
         assert not fail.passed and ok.passed
 
+    def test_zero_block_is_refused(self):
+        with pytest.raises(ConstructionError):
+            check_spreading_model(C0(), [FsVector.basis(1), FsVector()], 1, 2, 2)
+        with pytest.raises(ConstructionError):
+            check_spreading_model(C0(), [FsVector(), FsVector.basis(2)], 1, 2, 2)
+
 
 def _oracle_blocks(kind, universe):
     """Successive basis blocks, two-point averages, or ("mixed") basis

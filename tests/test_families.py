@@ -1,10 +1,12 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_s1, brute_s2, brute_schreier
+from conftest import brute_bracket, brute_s1, brute_s2, brute_schreier
 from schreierlab.families import (Family, FamilyError, ResourceBoundError,
                                   bracket, bracket_member, explicit_family,
                                   index_symbolic, parse_family, power,
@@ -116,6 +118,70 @@ class TestBracketAndPower:
         p1 = power(schreier(2), 1)
         for F in subsets(7, 5):
             assert p1.member(F) == schreier(2).member(F)
+
+
+class TestBracketOracle:
+    """The bracket cursor against conftest.brute_bracket, which tries every
+    split into runs and every witness."""
+
+    DESCRIPTORS = ["BR(S(1),S(1))", "BR(S(1),S(2))", "BR(S(2),S(1))",
+                   "BR(S(0),S(1))", "POW(S(1),2)", "POW(S(1),3)",
+                   "POW(S(2),2)", "POW(S(0),3)", "BR(S(2),POW(S(1),2))",
+                   "BR(S(w+1),S(w))"]
+    ALL = list(subsets(10))
+
+    @pytest.mark.parametrize("text", DESCRIPTORS)
+    def test_member_and_enumerate(self, text):
+        fam = parse_family(text)
+        want = [F for F in self.ALL if brute_bracket(fam.expr, F)]
+        assert [F for F in self.ALL if fam.member(F)] == want
+        assert sorted(fam.enumerate(10)) == sorted(want)
+
+    @pytest.mark.parametrize("text", ["POW(S(1),2)", "BR(S(1),S(2))",
+                                      "BR(S(w+1),S(w))"])
+    def test_max_mass(self, text):
+        fam = parse_family(text)
+        rng = random.Random(text)
+        for _ in range(12):
+            F = tuple(sorted(rng.sample(range(1, 11), rng.randint(1, 8))))
+            weights = {m: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                       for m in F}
+            want = max(sum(weights[m] for m in G) for G in subsets(10)
+                       if set(G) <= set(F) and brute_bracket(fam.expr, G))
+            assert fam.max_mass(F, weights) == want, F
+
+    @pytest.mark.parametrize("text, k", [("POW(S(1),2)", 1), ("POW(S(1),2)", 2),
+                                         ("POW(S(1),2)", 3), ("BR(S(1),S(2))", 2),
+                                         ("BR(S(w+1),S(w))", 2)])
+    def test_iterated_derivative(self, text, k):
+        # a member survives k steps when k points far above the universe
+        # extend it; the family is spreading, so farther points do no worse
+        fam = parse_family(text)
+        probe = tuple(range(20, 20 + k))
+        got = fam.iterated_derivative(k, 8).enumerate(8)
+        want = [F for F in subsets(8) if brute_bracket(fam.expr, F + probe)]
+        assert sorted(got) == sorted(want)
+
+    def test_power_two_derivative_keeps_late_sets(self):
+        got = set(power(schreier(1), 2).iterated_derivative(2, 10).enumerate(10))
+        assert len(got) == 420 and (2, 3, 4, 10) in got
+
+    def test_high_powers_on_short_sets(self):
+        # levels beyond the set size change nothing, so the cursor keeps
+        # at most |F| of the 500 and stays inside the recursion limit
+        high = parse_family("POW(S(1),40)")
+        for F in subsets(8, 5):
+            want = brute_bracket(high.expr, F)
+            assert high.member(F) == power(schreier(1), 500).member(F) == want, F
+
+    def test_explicit_operands_refused(self):
+        expl = explicit_family([(2, 3)])
+        with pytest.raises(FamilyError):
+            bracket(expl, schreier(1))
+        with pytest.raises(FamilyError):
+            bracket(schreier(1), expl)
+        with pytest.raises(FamilyError):
+            power(expl, 2)
 
 
 class TestIndex:
