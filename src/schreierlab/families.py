@@ -266,8 +266,6 @@ def _cursor_step(alpha, states, n, remaining):
     contains FREE is (FREE,)."""
     if states is None:
         return _cursor_start(alpha, n, remaining)
-    if len(states) == 1:  # a single state's successors are canonical
-        return _cursor_advance(states[0], n, remaining)
     out = set()
     for s in states:
         out.update(_cursor_advance(s, n, remaining))
@@ -361,8 +359,9 @@ def _cursor_key(expr):
 
 
 def hereditary_closure(sets):
-    out = {()}
+    out = set()
     stack = [_finset(s) for s in sets]
+    out.add(())
     while stack:
         s = stack.pop()
         if s in out:
@@ -509,8 +508,9 @@ class Family:
             if i == len(F):
                 return 0
             r = best(i + 1, state)  # skip F[i]
-            states = None if state is None else (state,)
-            for s in _cursor_step(key, states, F[i], len(F) - 1 - i):
+            rest = len(F) - 1 - i
+            for s in (_cursor_start(key, F[i], rest) if state is None
+                      else _cursor_advance(state, F[i], rest)):
                 v = weights[F[i]] + best(i + 1, s)
                 if v > r:
                     r = v
@@ -525,22 +525,29 @@ class Family:
 
     def check_regular(self, universe_max, bound=ENUMERATION_BOUND):
         members = set(self.enumerate(universe_max, bound))
+        hereditary = True
+        spreading = True
         counterexamples = {"hereditary": [], "spreading": []}
         for F in sorted(members):
             for i in range(len(F)):
                 sub = F[:i] + F[i + 1:]
                 if sub not in members:
+                    hereditary = False
                     counterexamples["hereditary"].append((F, sub))
+            for i in range(len(F)):
                 hi = F[i + 1] - 1 if i + 1 < len(F) else universe_max
                 for v in range(F[i] + 1, hi + 1):
                     G = F[:i] + (v,) + F[i + 1:]
                     if G not in members:
+                        spreading = False
                         counterexamples["spreading"].append((F, G))
         return RegularityReport(
-            hereditary=not counterexamples["hereditary"],
-            spreading=not counterexamples["spreading"],
-            counterexamples=counterexamples, compactness="not evaluated",
-            universe_max=universe_max)
+            hereditary=hereditary,
+            spreading=spreading,
+            counterexamples=counterexamples,
+            compactness="not evaluated",
+            universe_max=universe_max,
+        )
 
 
 @dataclass

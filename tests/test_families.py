@@ -100,6 +100,29 @@ class TestDerivative:
         assert not empty.member(())
         assert empty.derivative(5).enumerate(5) == []
 
+    def test_explicit_extension_beyond_universe_counts(self):
+        # the listed set (30,) extends () although 30 lies far outside
+        # the universe, so () is neither maximal nor dropped
+        far = explicit_family([(30,)])
+        assert not far.is_maximal((), 10)
+        assert far.derivative(10).enumerate(10) == [()]
+        assert far.iterated_derivative(2, 10).enumerate(10) == []
+        near = explicit_family([(3,)])
+        assert near.is_maximal((3,), 10)
+        assert near.derivative(10).enumerate(10) == [()]
+
+
+class TestMaxMass:
+    def test_explicit_beyond_enumeration_bound(self):
+        # the listed sets are searched directly, so max F may exceed the
+        # enumeration bound
+        fam = explicit_family([(3, 30), (40,)])
+        weights = {3: Fraction(1, 2), 30: Fraction(1, 3), 40: Fraction(2, 3),
+                   50: Fraction(1)}
+        assert fam.max_mass((3, 30, 40, 50), weights) == Fraction(5, 6)
+        assert fam.max_mass((3, 40, 50), weights) == Fraction(2, 3)
+        assert fam.max_mass((50,), weights) == 0
+
 
 class TestBracketAndPower:
     def test_bracket_definition_small(self):
