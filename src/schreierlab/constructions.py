@@ -223,33 +223,38 @@ def _is_block_sequence(blocks):
         a.max_support() < b.min_support() for a, b in zip(blocks, blocks[1:]))
 
 
-def gluing_lemma1(space, n, blocks, skip_certification=False):
-    """Average of n^2 certified l1-blocks: x = (1/n^2) sum x_i must satisfy
-    1/2 <= ||x|| <= ||x||_n <= 2."""
+def _check_n2_blocks(n, blocks):
+    """Lemmas 1 and 3 take n^2 nonzero successive blocks."""
     if len(blocks) != n * n:
         raise ConstructionError("need n^2 = %d blocks, got %d" % (n * n, len(blocks)))
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
-    notes = []
-    if skip_certification:
-        notes.append("2-equivalence certification skipped on request")
-    else:
-        bt = BlockTree.from_branches([tuple(blocks)], "l1", Fraction(2))
-        cert = certify_block_tree(bt, space)
-        if not cert.ok:
-            return GluingReport(1, "precondition-failed", FsVector(),
-                                {"reason": cert.reason},
-                                {"n": n}, ("blocks are not 2-equivalent to l1",))
-    x = blocks[0]
-    for b in blocks[1:]:
-        x = x + b
-    x = x.scale(Fraction(1, n * n))
+
+
+def _certify(lemma, tree, space, parameters, notes=()):
+    """The precondition-failed report when the block tree does not
+    certify in the space, else None."""
+    cert = certify_block_tree(tree, space)
+    if cert.ok:
+        return None
+    return GluingReport(lemma, "precondition-failed", FsVector(),
+                        {"reason": cert.reason}, parameters, notes)
+
+
+def gluing_lemma1(space, n, blocks):
+    """Average of n^2 certified l1-blocks: x = (1/n^2) sum x_i must satisfy
+    1/2 <= ||x|| <= ||x||_n <= 2."""
+    _check_n2_blocks(n, blocks)
+    failed = _certify(1, BlockTree.from_branches([tuple(blocks)], "l1", Fraction(2)),
+                      space, {"n": n}, ("blocks are not 2-equivalent to l1",))
+    if failed:
+        return failed
+    x = sum(blocks, FsVector()).scale(Fraction(1, n * n))
     nx = norm(space, x)
     nxn = norm_n(space, n, x)
     ok = Fraction(1, 2) <= nx <= nxn <= 2
     return GluingReport(1, "verified" if ok else "refuted", x,
-                        {"norm": nx, "norm_n": nxn},
-                        {"n": n}, tuple(notes))
+                        {"norm": nx, "norm_n": nxn}, {"n": n})
 
 
 def _longest_branch(tree):
@@ -279,39 +284,41 @@ def _fit_scc(xi, eta, epsilon, branch, start):
     raise ConstructionError("SCC infeasible at available indices: %s" % last_err)
 
 
-def gluing_lemma2(space, eta, tree, C1, C2, xi, start=1,
-                  skip_certification=False):
+def _weighted_branch(lemma, mode, space, eta, tree, C1, C2, xi, start):
+    """Shared front of lemmas 2 and 4: certify the l1-K or c0-K tree and
+    fit an S_xi special convex combination (S_eta mass below 1/C2) under
+    its longest branch.  Returns the precondition-failed report, or the
+    report parameters, the SCC and the branch."""
+    eta, xi = _as_ordinal(eta), _as_ordinal(xi)
+    params = {"eta": eta, "xi": xi, "K": tree.K, "C1": Fraction(C1),
+              "C2": Fraction(C2)}
+    if tree.mode != mode:
+        raise ConstructionError("lemma %d needs a %s-mode tree" % (lemma, mode))
+    failed = _certify(lemma, tree, space, params)
+    if failed:
+        return failed
+    branch = _longest_branch(tree)
+    scc = _fit_scc(xi, eta, Fraction(1) / params["C2"], branch, start)
+    params["scc_start"] = scc.start
+    return params, scc, branch
+
+
+def gluing_lemma2(space, eta, tree, C1, C2, xi, start=1):
     """l1-side gluing: weight a certified l1-K branch by a special convex
     combination; check 1/K <= ||x|| <= |x|_eta <= 2*C1."""
-    eta, xi = _as_ordinal(eta), _as_ordinal(xi)
-    C1, C2 = Fraction(C1), Fraction(C2)
-    K = tree.K
-    notes = []
-    if skip_certification:
-        notes.append("l1-K certification skipped on request")
-    else:
-        if tree.mode != "l1":
-            raise ConstructionError("lemma 2 needs an l1-mode tree")
-        cert = certify_block_tree(tree, space)
-        if not cert.ok:
-            return GluingReport(2, "precondition-failed", FsVector(),
-                                {"reason": cert.reason},
-                                {"eta": eta, "xi": xi, "K": K,
-                                 "C1": C1, "C2": C2}, ())
-    branch = _longest_branch(tree)
-    scc = _fit_scc(xi, eta, Fraction(1) / C2, branch, start)
-    x = FsVector()
-    for m, xi_blk in zip(scc.F, branch):
-        x = x + xi_blk.scale(scc.coefficients[m])
+    front = _weighted_branch(2, "l1", space, eta, tree, C1, C2, xi, start)
+    if isinstance(front, GluingReport):
+        return front
+    params, scc, branch = front
+    x = sum((b.scale(scc.coefficients[m]) for m, b in zip(scc.F, branch)),
+            FsVector())
     nx = norm(space, x)
-    ax = assoc_norm(space, eta, x)
-    ok = Fraction(1) / K <= nx <= ax <= 2 * C1
-    notes.append("scc start %d, |F|=%d, max S_%s mass %s"
-                 % (scc.start, len(scc.F), eta, scc.max_eta_mass))
+    ax = assoc_norm(space, scc.eta, x)
+    ok = Fraction(1) / tree.K <= nx <= ax <= 2 * params["C1"]
     return GluingReport(2, "verified" if ok else "refuted", x,
-                        {"norm": nx, "assoc_norm": ax},
-                        {"eta": eta, "xi": xi, "K": K, "C1": C1, "C2": C2,
-                         "scc_start": scc.start}, tuple(notes))
+                        {"norm": nx, "assoc_norm": ax}, params,
+                        ("scc start %d, |F|=%d, max S_%s mass %s"
+                         % (scc.start, len(scc.F), scc.eta, scc.max_eta_mass),))
 
 
 def _check_biorthogonal(space, blocks, functionals):
@@ -331,109 +338,69 @@ def _check_biorthogonal(space, blocks, functionals):
             raise ConstructionError("functional %d is not normalized" % i)
 
 
-def gluing_lemma3(space, n, blocks, functionals, skip_certification=False):
+def _dual_status(space, bounds, nx, lower_min, upper_max):
+    """Status and notes of a c0-side lemma whose claim is
+    lower_min <= derived norm <= ||x|| <= upper_max, from two-sided
+    bounds on the derived norm; float mode never verifies."""
+    if space_mode(space) == "float":
+        return "inconclusive", ("float mode: verified status withheld",)
+    if bounds.lower >= lower_min and bounds.upper <= nx <= upper_max:
+        return "verified", ()
+    if bounds.exact and (bounds.lower < lower_min or nx > upper_max):
+        return "refuted", ()
+    return "inconclusive", ("dual bounds too loose to decide",)
+
+
+def gluing_lemma3(space, n, blocks, functionals):
     """c0-side gluing: x = sum of n^2 certified c0-blocks, normed from
     below by the averaged biorthogonal functional; check
     1/2 <= ||x||_n <= ||x|| <= 2 via dual bounds."""
-    if len(blocks) != n * n:
-        raise ConstructionError("need n^2 = %d blocks, got %d" % (n * n, len(blocks)))
-    if not _is_block_sequence(blocks):
-        raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
+    _check_n2_blocks(n, blocks)
     _check_biorthogonal(space, blocks, functionals)
-    notes = []
-    if skip_certification:
-        notes.append("c0 2-equivalence certification skipped on request")
-    else:
-        bt = BlockTree.from_branches([tuple(blocks)], "c0", Fraction(2))
-        cert = certify_block_tree(bt, space)
-        if not cert.ok:
-            return GluingReport(3, "precondition-failed", FsVector(),
-                                {"reason": cert.reason}, {"n": n},
-                                ("blocks are not 2-equivalent to c0",))
-    x = blocks[0]
-    for b in blocks[1:]:
-        x = x + b
-    phi = functionals[0]
-    for f in functionals[1:]:
-        phi = phi + f
-    phi = phi.scale(Fraction(1, n * n))
+    failed = _certify(3, BlockTree.from_branches([tuple(blocks)], "c0", Fraction(2)),
+                      space, {"n": n}, ("blocks are not 2-equivalent to c0",))
+    if failed:
+        return failed
+    x = sum(blocks, FsVector())
+    phi = sum(functionals, FsVector()).scale(Fraction(1, n * n))
     bounds = primal_from_dual(space, x, n=n, candidates=[phi])
     nx = norm(space, x)
-    values = {"norm": nx, "norm_n_lower": bounds.lower,
-              "norm_n_upper": bounds.upper}
-    if space_mode(space) == "float":
-        status = "inconclusive"
-        notes.append("float mode: verified status withheld")
-    elif bounds.lower >= Fraction(1, 2) and bounds.upper <= nx and nx <= 2:
-        status = "verified"
-    elif bounds.exact and (bounds.lower < Fraction(1, 2) or nx > 2):
-        status = "refuted"
-    else:
-        status = "inconclusive"
-        notes.append("dual bounds too loose to decide")
-    return GluingReport(3, status, x, values, {"n": n}, tuple(notes))
+    status, notes = _dual_status(space, bounds, nx, Fraction(1, 2), 2)
+    return GluingReport(3, status, x,
+                        {"norm": nx, "norm_n_lower": bounds.lower,
+                         "norm_n_upper": bounds.upper}, {"n": n}, notes)
 
 
-def gluing_lemma4(space, eta, tree, C1, C2, xi, functionals=None, start=1,
-                  skip_certification=False):
+def gluing_lemma4(space, eta, tree, C1, C2, xi, functionals=None, start=1):
     """c0-side analog of the weighted gluing: x = sum of certified
     c0-K-blocks along a branch, normed from below by the SCC-weighted
     biorthogonal functional; check 1/(2*C1) <= |x|_eta <= ||x|| <= K."""
-    eta, xi = _as_ordinal(eta), _as_ordinal(xi)
-    C1, C2 = Fraction(C1), Fraction(C2)
-    K = tree.K
-    notes = []
-    if skip_certification:
-        notes.append("c0-K certification skipped on request")
-    else:
-        if tree.mode != "c0":
-            raise ConstructionError("lemma 4 needs a c0-mode tree")
-        cert = certify_block_tree(tree, space)
-        if not cert.ok:
-            return GluingReport(4, "precondition-failed", FsVector(),
-                                {"reason": cert.reason},
-                                {"eta": eta, "xi": xi, "K": K,
-                                 "C1": C1, "C2": C2}, ())
-    branch = _longest_branch(tree)
-    scc = _fit_scc(xi, eta, Fraction(1) / C2, branch, start)
+    front = _weighted_branch(4, "c0", space, eta, tree, C1, C2, xi, start)
+    if isinstance(front, GluingReport):
+        return front
+    params, scc, branch = front
     blocks = list(branch[:len(scc.F)])
     if functionals is None:
         # basis labels carry canonical biorthogonals; anything else must
         # be supplied by the caller
-        functionals = []
-        for b in blocks:
-            if len(b.entries) == 1 and b.entries[0][1] == 1:
-                functionals.append(FsVector.basis(b.entries[0][0]))
-            else:
-                raise ConstructionError(
-                    "non-basis blocks need explicit biorthogonal functionals")
+        if not all(len(b.entries) == 1 and b.entries[0][1] == 1 for b in blocks):
+            raise ConstructionError(
+                "non-basis blocks need explicit biorthogonal functionals")
+        functionals = [FsVector.basis(b.min_support()) for b in blocks]
     else:
         functionals = list(functionals[:len(blocks)])
     _check_biorthogonal(space, blocks, functionals)
-    x = blocks[0]
-    for b in blocks[1:]:
-        x = x + b
-    phi = FsVector()
-    for m, f in zip(scc.F, functionals):
-        phi = phi + f.scale(scc.coefficients[m])
-    bounds = primal_from_dual(space, x, alpha=eta, candidates=[phi])
+    x = sum(blocks, FsVector())
+    phi = sum((f.scale(scc.coefficients[m]) for m, f in zip(scc.F, functionals)),
+              FsVector())
+    bounds = primal_from_dual(space, x, alpha=scc.eta, candidates=[phi])
     nx = norm(space, x)
-    values = {"norm": nx, "assoc_lower": bounds.lower,
-              "assoc_upper": bounds.upper}
-    notes.append("scc start %d, |F|=%d" % (scc.start, len(scc.F)))
-    if space_mode(space) == "float":
-        status = "inconclusive"
-        notes.append("float mode: verified status withheld")
-    elif bounds.lower >= Fraction(1, 2 * C1) and bounds.upper <= nx and nx <= K:
-        status = "verified"
-    elif bounds.exact and (bounds.lower < Fraction(1, 2 * C1) or nx > K):
-        status = "refuted"
-    else:
-        status = "inconclusive"
-        notes.append("dual bounds too loose to decide")
-    return GluingReport(4, status, x, values,
-                        {"eta": eta, "xi": xi, "K": K, "C1": C1, "C2": C2,
-                         "scc_start": scc.start}, tuple(notes))
+    status, notes = _dual_status(space, bounds, nx,
+                                 Fraction(1, 2 * params["C1"]), tree.K)
+    return GluingReport(4, status, x,
+                        {"norm": nx, "assoc_lower": bounds.lower,
+                         "assoc_upper": bounds.upper}, params,
+                        ("scc start %d, |F|=%d" % (scc.start, len(scc.F)),) + notes)
 
 
 # ---------------------------------------------------------------------------
@@ -558,38 +525,25 @@ class DistortionReport:
             "note": self.universe_note or "section measurement, not a distortion proof",
         }
 
-    def csv_rows(self):
-        return [("witness_min", _fmt(self.ratio_min)),
-                ("witness_max", _fmt(self.ratio_max))]
 
-
-def distortion_scan(space, derived, corpus, block_basis=None):
+def distortion_scan(space, derived, corpus):
     """Normalize each corpus vector in the base norm, evaluate the
     derived norm, and report the ratio extremes with lexicographically
-    least witnesses.  With block_basis given, corpus entries are
-    coefficient vectors in its span."""
+    least witnesses."""
     corpus = list(corpus)
     if not corpus:
         raise ConstructionError("empty corpus")
-    if block_basis is not None:
-        real = []
-        for c in corpus:
-            y = FsVector()
-            for i, v in c.entries:
-                y = y + block_basis[i - 1].scale(v)
-            real.append(y)
-        corpus = real
     corpus = sorted(set(corpus), key=lambda v: v.entries)
     lo = hi = None
     wlo = whi = None
-    rows = []
+    count = 0
     for v in corpus:
         b = norm(space, v)
         if b == 0:
             continue
         xhat = v.scale(Fraction(1) / b) if not isinstance(b, float) else v.scale(1 / b)
         r = norm(derived, xhat)
-        rows.append((v, b, r))
+        count += 1
         if lo is None or r < lo:
             lo, wlo = r, xhat
         if hi is None or r > hi:
@@ -598,4 +552,4 @@ def distortion_scan(space, derived, corpus, block_basis=None):
         raise ConstructionError("corpus contains only zero vectors")
     lam = hi / lo
     return DistortionReport(str(space), str(derived), lo, hi, wlo, whi, lam,
-                            len(rows))
+                            count)

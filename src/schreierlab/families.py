@@ -56,6 +56,8 @@ __all__ = [
 ]
 
 ENUMERATION_BOUND = 24
+DERIVATIVE_BOUND = 64
+POWER_BOUND = 100  # POW levels one cursor may nest, each a few stack frames deep
 
 
 class FamilyError(ValueError):
@@ -178,6 +180,9 @@ def _start(alpha, n, remaining):
         if kind == "pow":
             # POW(M,k) and POW(M,L), L <= k, agree on sets of <= L points
             k = min(inner, remaining + 1)
+            if k > POWER_BOUND:
+                raise ResourceBoundError("power levels %d exceed bound %d"
+                                         % (k, POWER_BOUND))
             if k == 1:
                 return _start(outer, n, remaining)
             inner = outer if k == 2 else ("pow", outer, k - 1)
@@ -426,10 +431,11 @@ class Family:
 
     # -- enumeration ----------------------------------------------------
 
-    def enumerate(self, universe_max, bound=ENUMERATION_BOUND):
+    def enumerate(self, universe_max):
         """All members contained in {1..universe_max}, lexicographic."""
-        if universe_max > bound:
-            raise ResourceBoundError("universe %d exceeds bound %d" % (universe_max, bound))
+        if universe_max > ENUMERATION_BOUND:
+            raise ResourceBoundError("universe %d exceeds bound %d"
+                                     % (universe_max, ENUMERATION_BOUND))
         if self._key is None:
             # explicit families need not be hereditary; list directly
             return sorted(F for F in self.expr.sets
@@ -474,19 +480,20 @@ class Family:
                 return False
         return not self._extends(F, 1, universe_max)
 
-    def derivative(self, universe_max, bound=ENUMERATION_BOUND):
+    def derivative(self, universe_max):
         """Combinatorial Cantor-Bendixson derivative on the truncation:
         members admitting a right extension inside the family."""
-        return self.iterated_derivative(1, universe_max, bound)
+        return self.iterated_derivative(1, universe_max)
 
-    def iterated_derivative(self, k, universe_max, bound=ENUMERATION_BOUND, k_bound=64):
-        if k > k_bound:
-            raise ResourceBoundError("derivative depth %d exceeds bound %d" % (k, k_bound))
+    def iterated_derivative(self, k, universe_max):
+        if k > DERIVATIVE_BOUND:
+            raise ResourceBoundError("derivative depth %d exceeds bound %d"
+                                     % (k, DERIVATIVE_BOUND))
         if self._key is None and k > 1:
             # an explicit family is its own truncation: one step at a time
-            return self.derivative(universe_max, bound).iterated_derivative(
-                k - 1, universe_max, bound)
-        kept = [F for F in self.enumerate(universe_max, bound)
+            return self.derivative(universe_max).iterated_derivative(
+                k - 1, universe_max)
+        kept = [F for F in self.enumerate(universe_max)
                 if self._extends(F, k, universe_max)]
         return explicit_family(kept, close=False)
 
@@ -523,8 +530,8 @@ class Family:
 
     # -- regularity report ---------------------------------------------
 
-    def check_regular(self, universe_max, bound=ENUMERATION_BOUND):
-        members = set(self.enumerate(universe_max, bound))
+    def check_regular(self, universe_max):
+        members = set(self.enumerate(universe_max))
         hereditary = True
         spreading = True
         counterexamples = {"hereditary": [], "spreading": []}
@@ -599,36 +606,32 @@ def bracket_member(M, N, F):
     return Family(Bracket(M.expr, N.expr)).member(F)
 
 
-def index_symbolic(expr, notes=None):
+def index_symbolic(expr):
     """Symbolic index iota of a constructor-built family expression.
 
     Uses iota(S_a) = w^a and iota of the n-fold bracket power = w^(a*n).
-    A general Bracket node is folded with the product rule, which is an
-    oracle assumption beyond the power identity; a note is recorded.
+    A general Bracket node is folded with the product rule
+    iota(N)*iota(M), which is an oracle assumption beyond the power
+    identity.
     """
     if isinstance(expr, Family):
         expr = expr.expr
     if isinstance(expr, Schreier):
         return symbolic_omega_pow(expr.alpha)
     if isinstance(expr, Power):
-        base = index_symbolic(expr.base, notes)
-        return base.pow_natural(expr.n)
+        return index_symbolic(expr.base).pow_natural(expr.n)
     if isinstance(expr, Bracket):
-        if notes is not None:
-            notes.append("bracket index uses the product rule iota(N)*iota(M); "
-                         "only the power identity is certified")
-        return index_symbolic(expr.inner, notes) * index_symbolic(expr.outer, notes)
+        return index_symbolic(expr.inner) * index_symbolic(expr.outer)
     raise FamilyError("symbolic index undefined for %r; use brute force" % (expr,))
 
 
-def tail_domination(A, B, universe_max, bound=ENUMERATION_BOUND):
+def tail_domination(A, B, universe_max):
     """Least n0 <= universe_max with every member of B starting at or
-    after n0 (within the universe) lying in A; None if there is none."""
-    members = [F for F in B.enumerate(universe_max, bound) if F]
-    for n0 in range(1, universe_max + 1):
-        if all(A.member(F) for F in members if F[0] >= n0):
-            return n0
-    return None
+    after n0 (within the universe) lying in A; None if there is none.
+    That is one past the largest minimum of a member of B outside A."""
+    n0 = 1 + max((F[0] for F in B.enumerate(universe_max)
+                  if F and not A.member(F)), default=0)
+    return n0 if n0 <= universe_max else None
 
 
 # ---------------------------------------------------------------------------

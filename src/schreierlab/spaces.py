@@ -591,16 +591,8 @@ class Bounds:
         return {"lower": fmt(self.lower), "upper": fmt(self.upper), "exact": self.exact}
 
 
-def _section_of(phi, section):
-    if section is not None:
-        return section
-    if phi.is_zero():
-        return (1, 1)
-    return phi.interval_support()
-
-
-def dual_norm(space, phi, section=None):
-    """Bounds on the dual norm of phi over a finite section.
+def dual_norm(space, phi):
+    """Bounds on the dual norm of phi.
 
     Exact for c0 (dual l1) and l1 (dual linf).  Otherwise: certified
     lower bound from witness vectors (sign patterns over subsets of the
@@ -616,33 +608,27 @@ def dual_norm(space, phi, section=None):
     if isinstance(space, L1):
         v = max(abs(c) for c in phi.values)
         return Bounds(v, v)
-    lo, hi = _section_of(phi, section)
-    sub = phi.restrict((lo, hi))
-    if sub.is_zero():
-        z = Fraction(0)
-        return Bounds(z, z)
-    upper = sum(abs(c) for c in sub.values)
+    upper = sum(abs(c) for c in phi.values)
     lower = Fraction(0)
-    supp = sub.support
+    supp = phi.support
     if len(supp) <= PATTERN_BOUND:
         import itertools
         for r in range(1, len(supp) + 1):
             for S in itertools.combinations(supp, r):
                 xw = FsVector.from_pairs(
-                    (i, 1 if sub[i] >= 0 else -1) for i in S)
-                ratio = sub.pair(xw) / norm(space, xw)
+                    (i, 1 if phi[i] >= 0 else -1) for i in S)
+                ratio = phi.pair(xw) / norm(space, xw)
                 if ratio > lower:
                     lower = ratio
     else:
         for i in supp:
-            v = abs(sub[i])
+            v = abs(phi[i])
             if v > lower:
                 lower = v
     return Bounds(lower, upper)
 
 
-def dual_assoc_norm(space, phi, n=None, alpha=None, variant="admissible",
-                    section=None):
+def dual_assoc_norm(space, phi, n=None, alpha=None):
     """Bounds on the derived dual norm: outer sup over interval partitions
     (count-limited for the n-variant, admissible for the alpha-variant)
     of sums of per-piece dual norms."""
@@ -653,25 +639,18 @@ def dual_assoc_norm(space, phi, n=None, alpha=None, variant="admissible",
     if phi.is_zero():
         z = Fraction(0)
         return Bounds(z, z)
-    lo, hi = _section_of(phi, section)
-    sub = phi.restrict((lo, hi))
-    if sub.is_zero():
-        z = Fraction(0)
-        return Bounds(z, z)
-    sp = sub.support
+    sp = phi.support
     piece_bounds = {}
 
     def piece(i, j):
         if (i, j) not in piece_bounds:
-            piece_bounds[(i, j)] = dual_norm(space, sub.restrict((sp[i], sp[j])))
+            piece_bounds[(i, j)] = dual_norm(space, phi.restrict((sp[i], sp[j])))
         return piece_bounds[(i, j)]
 
     def run(side):
         dp = _Partitions(sp, lambda i, j: getattr(piece(i, j), side))
         return dp.at_most(n) if n is not None else dp.admissible(alpha)
 
-    if variant == "allowable":
-        raise SpaceError("allowable dual bounds are not implemented")
     return Bounds(run("lower"), run("upper"))
 
 
@@ -707,8 +686,7 @@ def minimax_admissible_cover(space, x, alpha):
     return out
 
 
-def primal_from_dual(space, x, n=None, alpha=None, variant="admissible",
-                     candidates=None, section=None):
+def primal_from_dual(space, x, n=None, alpha=None, candidates=None):
     """Bounds on the dual-derived primal norm sup{phi(x): derived dual
     norm of phi <= 1}.
 
@@ -737,8 +715,7 @@ def primal_from_dual(space, x, n=None, alpha=None, variant="admissible",
         v = phi.pair(x)
         if v <= 0:
             continue
-        db = dual_assoc_norm(space, phi, n=n, alpha=alpha, variant=variant,
-                             section=section)
+        db = dual_assoc_norm(space, phi, n=n, alpha=alpha)
         if db.upper > 0:
             r = v / db.upper
             if r > lower:

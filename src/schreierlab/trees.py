@@ -8,7 +8,6 @@ as the root and is not counted by the order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,6 +28,8 @@ __all__ = [
     "tree_to_family",
     "index_lower_bound_search",
 ]
+
+FLOAT_TOL = 1e-9  # normalization and estimate slack for float-mode norms
 
 
 class TreeError(ValueError):
@@ -172,7 +173,7 @@ class TreeViolation:
         }
 
 
-def certify_block_tree(block_tree, space, float_tol=1e-9):
+def certify_block_tree(block_tree, space):
     """Verify a block tree's invariants by exact norm evaluation.
 
     Each label must be normalized and supports must strictly increase
@@ -186,7 +187,7 @@ def certify_block_tree(block_tree, space, float_tol=1e-9):
     supports, so one evaluation is exact.
     """
     tree, mode, K = block_tree.tree, block_tree.mode, block_tree.K
-    tol = float_tol if space_mode(space) == "float" else 0
+    tol = FLOAT_TOL if space_mode(space) == "float" else 0
     for t in sorted(tree.nodes, key=lambda u: (len(u), repr(u))):
         x = t[-1]
         if x.is_zero():
@@ -210,19 +211,13 @@ def certify_block_tree(block_tree, space, float_tol=1e-9):
     return TreeCertificate(mode, K, tuple(branch_values))
 
 
-def tree_to_family(block_tree, universe_max, close_subsequences=False):
+def tree_to_family(block_tree, universe_max):
     """Family of all (m_1 < ... < m_l) with m_i >= max supp x_i for some
     branch (x_1, ..., x_l), within {1..universe_max}; hereditary and
     spreading closure are applied."""
     caps = set()
     for t in block_tree.tree.nodes:
         caps.add(tuple(x.max_support() for x in t))
-    if close_subsequences:
-        extra = set()
-        for c in caps:
-            for r in range(1, len(c) + 1):
-                extra.update(itertools.combinations(c, r))
-        caps |= extra
     sets = set()
 
     def grow(cap, prefix, lo):
@@ -271,15 +266,13 @@ def _average_branch(member, space):
     return tuple(out)
 
 
-def index_lower_bound_search(space, fam, K, universe_max, mode="l1",
-                             candidates=None):
+def index_lower_bound_search(space, fam, K, universe_max, mode="l1"):
     """Try to build a K-certified block tree with one branch per maximal
     member of the family's truncation.
 
     Candidate strategies, in order: basis vectors at the member elements,
-    normalized averages over maximal min-bounded sets, then any
-    caller-supplied strategies (member -> branch).  Returns the first
-    (BlockTree, TreeCertificate) pair that certifies, else a
+    then normalized averages over maximal min-bounded sets.  Returns the
+    first (BlockTree, TreeCertificate) pair that certifies, else a
     SearchFailure with statistics; failure is not a proof of absence.
     """
     K = Fraction(K) if not isinstance(K, float) else K
@@ -291,8 +284,6 @@ def index_lower_bound_search(space, fam, K, universe_max, mode="l1",
         bt = BlockTree(FiniteTree(), mode, K)
         return bt, TreeCertificate(mode, K, ())
     strategies = [("basis", _basis_branch), ("averages", _average_branch)]
-    if candidates:
-        strategies += [("user%d" % i, c) for i, c in enumerate(candidates)]
     tried = []
     for name, strat in strategies:
         try:

@@ -95,6 +95,13 @@ class TestExitCodes:
                            "--universe", "99")
         assert code == 65 and "resource bound" in err
 
+    def test_power_levels_past_bound(self, capsys):
+        code, out, err = run(capsys, "fam", "member", "--family",
+                             "POW(S(1),100000)", "--set",
+                             ",".join(map(str, range(5, 210))))
+        assert code == 65 and out == ""
+        assert err == "resource bound: power levels 205 exceed bound 100\n"
+
     @pytest.mark.parametrize("space,size", [
         ("ASSOC(T(S(1),1/2),S(1),allow)", 21), ("T(S(1),1/2)", 257)],
         ids=["allowable", "support"])

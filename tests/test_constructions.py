@@ -148,6 +148,137 @@ class TestLemma4:
         assert rep.status == "verified"
 
 
+def _basis_tree(points, mode, K):
+    return BlockTree.from_branches(
+        [tuple(FsVector.basis(m) for m in points)], mode, Fraction(K))
+
+
+S2_SCC = tuple(range(3, 24))  # the set of build_scc(2, 1, 1/2, 3)
+T2_PARAMS = {"C1": "2", "C2": "2", "eta": "1", "xi": "2"}
+
+
+def _json_vector(*runs):
+    return [[m, v] for points, v in runs for m in points]
+
+
+# The full reports of the lemma tests above, pinned: status, vector,
+# values, parameters and notes, in order.
+PINNED_REPORTS = {
+    "lemma1 T n=2": (
+        lambda: gluing_lemma1(T12, 2, [FsVector.basis(i) for i in (4, 5, 6, 7)]),
+        {"lemma": 1, "status": "verified",
+         "vector": _json_vector(((4, 5, 6, 7), "1/4")),
+         "values": {"norm": "1/2", "norm_n": "5/8"},
+         "parameters": {"n": "2"}, "notes": []}),
+    "lemma1 T n=3": (
+        lambda: gluing_lemma1(T12, 3, [FsVector.basis(i) for i in range(9, 18)]),
+        {"lemma": 1, "status": "verified",
+         "vector": _json_vector((range(9, 18), "1/9")),
+         "values": {"norm": "1/2", "norm_n": "11/18"},
+         "parameters": {"n": "3"}, "notes": []}),
+    "lemma1 L1": (
+        lambda: gluing_lemma1(L1(), 2, [FsVector.basis(i) for i in (1, 2, 3, 4)]),
+        {"lemma": 1, "status": "verified",
+         "vector": _json_vector(((1, 2, 3, 4), "1/4")),
+         "values": {"norm": "1", "norm_n": "1"},
+         "parameters": {"n": "2"}, "notes": []}),
+    "lemma1 C0 uncertifiable": (
+        lambda: gluing_lemma1(C0(), 2, [FsVector.basis(i) for i in (1, 2, 3, 4)]),
+        {"lemma": 1, "status": "precondition-failed", "vector": [],
+         "values": {"reason": "l1 lower estimate fails"},
+         "parameters": {"n": "2"},
+         "notes": ["blocks are not 2-equivalent to l1"]}),
+    "lemma2 T K=2": (
+        lambda: gluing_lemma2(T12, 1, _basis_tree(S2_SCC, "l1", 2), 2, 2, 2,
+                              start=3),
+        {"lemma": 2, "status": "precondition-failed", "vector": [],
+         "values": {"reason": "l1 lower estimate fails"},
+         "parameters": dict(T2_PARAMS, K="2"), "notes": []}),
+    "lemma2 T K=4": (
+        lambda: gluing_lemma2(T12, 1, _basis_tree(S2_SCC, "l1", 4), 2, 2, 2,
+                              start=3),
+        {"lemma": 2, "status": "verified",
+         "vector": _json_vector(((3, 4, 5), "1/9"), (range(6, 12), "1/18"),
+                                (range(12, 24), "1/36")),
+         "values": {"assoc_norm": "5/9", "norm": "5/18"},
+         "parameters": dict(T2_PARAMS, K="4", scc_start="3"),
+         "notes": ["scc start 3, |F|=21, max S_1 mass 1/3"]}),
+    "lemma2 L1": (
+        lambda: gluing_lemma2(L1(), 0, _basis_tree((3, 4, 5), "l1", 1), 1, 2, 1,
+                              start=3),
+        {"lemma": 2, "status": "verified",
+         "vector": _json_vector(((3, 4, 5), "1/3")),
+         "values": {"assoc_norm": "1", "norm": "1"},
+         "parameters": {"C1": "1", "C2": "2", "K": "1", "eta": "0",
+                        "scc_start": "3", "xi": "1"},
+         "notes": ["scc start 3, |F|=3, max S_0 mass 1/3"]}),
+    "lemma3 C0": (
+        lambda: gluing_lemma3(C0(), 2, [FsVector.basis(i) for i in (1, 2, 3, 4)],
+                              [FsVector.basis(i) for i in (1, 2, 3, 4)]),
+        {"lemma": 3, "status": "verified",
+         "vector": _json_vector(((1, 2, 3, 4), "1")),
+         "values": {"norm": "1", "norm_n_lower": "1", "norm_n_upper": "1"},
+         "parameters": {"n": "2"}, "notes": []}),
+    "lemma3 T uncertifiable": (
+        lambda: gluing_lemma3(
+            T12, 2, [FsVector.indicator([2 * i, 2 * i + 1]) for i in (1, 2, 3, 4)],
+            [FsVector.basis(2 * i) for i in (1, 2, 3, 4)]),
+        {"lemma": 3, "status": "precondition-failed", "vector": [],
+         "values": {"reason": "c0 upper estimate fails"},
+         "parameters": {"n": "2"},
+         "notes": ["blocks are not 2-equivalent to c0"]}),
+    "lemma4 C0 eta=1": (
+        lambda: gluing_lemma4(C0(), 1, _basis_tree(S2_SCC, "c0", 1), 2, 2, 2,
+                              start=3),
+        {"lemma": 4, "status": "verified",
+         "vector": _json_vector((range(3, 24), "1")),
+         "values": {"assoc_lower": "1", "assoc_upper": "1", "norm": "1"},
+         "parameters": dict(T2_PARAMS, K="1", scc_start="3"),
+         "notes": ["scc start 3, |F|=21"]}),
+    "lemma4 C0 eta=0": (
+        lambda: gluing_lemma4(C0(), 0, _basis_tree((3, 4, 5), "c0", 1), 1, 2, 1,
+                              start=3),
+        {"lemma": 4, "status": "verified",
+         "vector": _json_vector(((3, 4, 5), "1")),
+         "values": {"assoc_lower": "1", "assoc_upper": "1", "norm": "1"},
+         "parameters": {"C1": "1", "C2": "2", "K": "1", "eta": "0",
+                        "scc_start": "3", "xi": "1"},
+         "notes": ["scc start 3, |F|=3"]}),
+}
+
+
+class TestGluingReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_full_report(self, name):
+        call, want = PINNED_REPORTS[name]
+        assert call().to_json() == want
+
+    def test_lemma2_refuses_c0_tree(self):
+        with pytest.raises(ConstructionError, match="l1-mode"):
+            gluing_lemma2(T12, 1, _basis_tree(S2_SCC, "c0", 4), 2, 2, 2, start=3)
+
+    def test_lemma4_refuses_l1_tree(self):
+        with pytest.raises(ConstructionError, match="c0-mode"):
+            gluing_lemma4(C0(), 0, _basis_tree((3, 4, 5), "l1", 1), 1, 2, 1,
+                          start=3)
+
+    def test_lemma3_float_mode_inconclusive(self):
+        blocks = [FsVector.basis(i) for i in (1, 2, 3, 4)]
+        rep = gluing_lemma3(Schlumprecht(), 2, blocks, blocks)
+        assert rep.status == "inconclusive"
+        assert rep.notes == ("float mode: verified status withheld",)
+        assert rep.values["norm_n_lower"] == 1
+        assert isinstance(rep.values["norm"], float)
+
+    def test_lemma4_non_basis_blocks_need_functionals(self):
+        # certifies, and the SCC on (3, 4, 5) fits under the caps (2, 3, 4)
+        branch = (FsVector.indicator([1, 2]),) + tuple(
+            FsVector.basis(m) for m in (3, 4, 5))
+        tree = BlockTree.from_branches([branch], "c0", Fraction(1))
+        with pytest.raises(ConstructionError, match="non-basis"):
+            gluing_lemma4(C0(), 0, tree, 1, 2, 1, start=3)
+
+
 class TestSpreadingModel:
     def test_tsirelson_passes(self):
         basis = [FsVector.basis(i) for i in range(1, 13)]

@@ -197,6 +197,17 @@ class TestBracketOracle:
             want = brute_bracket(high.expr, F)
             assert high.member(F) == power(schreier(1), 500).member(F) == want, F
 
+    def test_power_levels_past_bound_are_a_resource_bound(self):
+        # each power level the cursor keeps nests its recursion once more
+        with pytest.raises(ResourceBoundError,
+                           match="power levels 205 exceed bound 100"):
+            parse_family("POW(S(1),100000)").member(tuple(range(5, 210)))
+
+    def test_power_levels_at_bound_answer(self):
+        fam = parse_family("POW(S(1),100)")
+        assert fam.member(tuple(range(5, 105)))
+        assert not fam.member(tuple(range(1, 101)))
+
     def test_explicit_operands_refused(self):
         expl = explicit_family([(2, 3)])
         with pytest.raises(FamilyError):
@@ -222,6 +233,17 @@ class TestIndex:
             index_symbolic(explicit_family([(1,)]).expr)
 
 
+def tail_oracle(in_A, in_B, universe):
+    """Least n0 <= universe with every member of B inside {1..universe}
+    whose minimum is >= n0 lying in A, checked n0 by n0 over all
+    subsets; None if there is none."""
+    members = [F for F in subsets(universe) if F and in_B(F)]
+    for n0 in range(1, universe + 1):
+        if all(in_A(F) for F in members if F[0] >= n0):
+            return n0
+    return None
+
+
 class TestTailDomination:
     def test_subfamily_dominated_everywhere(self):
         assert tail_domination(schreier(2), schreier(1), 12) == 1
@@ -237,6 +259,24 @@ class TestTailDomination:
         for F in s2.enumerate(12):
             if F and F[0] >= 7:
                 assert s1.member(F)
+
+    @pytest.mark.parametrize("a,b", [("0", "1"), ("1", "0"), ("1", "2"),
+                                     ("2", "1"), ("0", "2"), ("1", "w"),
+                                     ("w", "1"), ("2", "w"), ("w", "2")])
+    @pytest.mark.parametrize("universe", [6, 8, 10])
+    def test_against_definition(self, a, b, universe):
+        A, B = parse_ordinal(a), parse_ordinal(b)
+        want = tail_oracle(lambda F: brute_schreier(A, F),
+                           lambda F: brute_schreier(B, F), universe)
+        assert tail_domination(schreier(A), schreier(B), universe) == want
+
+    def test_none_when_the_last_singleton_escapes(self):
+        # every singleton is in S_0, but only subsets of {1,2,3} are in A
+        A = explicit_family([(1, 2, 3)])
+        want = tail_oracle(lambda F: set(F) <= {1, 2, 3},
+                           lambda F: brute_schreier(parse_ordinal("0"), F), 5)
+        assert want is None
+        assert tail_domination(A, schreier(0), 5) is None
 
 
 class TestRegularity:
