@@ -11,6 +11,7 @@ finite universe, never claims about infinite-dimensional objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -123,7 +124,11 @@ def _eta_masses(eta, F, coeffs):
     dp = schreier(eta).max_mass(F, weights)
     literal = None
     if len(F) <= EXHAUSTIVE_SCC_BOUND:
-        best = Fraction(0)
+        # int masses over the common denominator D, one Fraction at the end
+        D = math.lcm(*(w.denominator for w in weights.values()))
+        scaled = {m: w.numerator * (D // w.denominator)
+                  for m, w in weights.items()}
+        best = 0
         elems = sorted(F)
 
         def rec(states, mass, i):
@@ -135,10 +140,10 @@ def _eta_masses(eta, F, coeffs):
                 # cannot revive
                 nxt = _cursor_step(eta, states, elems[j], len(elems) - 1 - j)
                 if nxt:
-                    rec(nxt, mass + weights[elems[j]], j + 1)
+                    rec(nxt, mass + scaled[elems[j]], j + 1)
 
-        rec(None, Fraction(0), 0)
-        literal = best
+        rec(None, 0, 0)
+        literal = Fraction(best, D)
         if literal != dp:
             raise ConstructionError(
                 "mass DP disagrees with literal enumeration: %s vs %s"

@@ -28,7 +28,9 @@ through probes above the universe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 from .ordinal import Ordinal, fundamental_sequence, symbolic_omega_pow
@@ -57,7 +59,7 @@ __all__ = [
 
 ENUMERATION_BOUND = 24
 DERIVATIVE_BOUND = 64
-POWER_BOUND = 100  # POW levels one cursor may nest, each a few stack frames deep
+POWER_BOUND = 100  # POW levels one cursor may nest in all, each a few stack frames deep
 
 
 class FamilyError(ValueError):
@@ -171,6 +173,19 @@ def _bracket(outer_key, inner_key, outer, inner):
              tuple(sorted(inner))),)
 
 
+def _power_levels(key, remaining):
+    """The power levels a cursor of this key nests when at most
+    `remaining` elements follow: the effective levels min(k, remaining + 1)
+    of nested powers add up, and a bracket nests as deep as its deeper
+    side."""
+    if isinstance(key, Ordinal):
+        return 0
+    kind, outer, inner = key
+    if kind == "pow":
+        return min(inner, remaining + 1) + _power_levels(outer, remaining)
+    return max(_power_levels(outer, remaining), _power_levels(inner, remaining))
+
+
 @lru_cache(maxsize=None)
 def _start(alpha, n, remaining):
     """States after feeding first element n to a fresh cursor of key
@@ -180,9 +195,10 @@ def _start(alpha, n, remaining):
         if kind == "pow":
             # POW(M,k) and POW(M,L), L <= k, agree on sets of <= L points
             k = min(inner, remaining + 1)
-            if k > POWER_BOUND:
+            levels = _power_levels(alpha, remaining)
+            if levels > POWER_BOUND:
                 raise ResourceBoundError("power levels %d exceed bound %d"
-                                         % (k, POWER_BOUND))
+                                         % (levels, POWER_BOUND))
             if k == 1:
                 return _start(outer, n, remaining)
             inner = outer if k == 2 else ("pow", outer, k - 1)
@@ -500,13 +516,17 @@ class Family:
     # -- maximum coefficient mass over members (used by SCC checks) -----
 
     def max_mass(self, F, weights):
-        """Exact max of sum(weights[m] for m in G) over members G <= F: a DP
-        over the cursor states, or over the listed sets if explicit."""
+        """Exact max of sum(weights[m] for m in G) over members G <= F, as a
+        Fraction: a DP over the cursor states, or over the listed sets if
+        explicit.  Both run on the int weights weights[m] * D, D the lcm
+        of the denominators of the (rational) weights on F."""
         F = _finset(F)
+        D = math.lcm(*(weights[m].denominator for m in F))
+        w = {m: weights[m].numerator * (D // weights[m].denominator) for m in F}
         if self._key is None:
             inside = set(F)
-            return max((sum(weights[g] for g in G) for G in self.expr.sets
-                        if inside.issuperset(G)), default=0)
+            return Fraction(max((sum(w[g] for g in G) for G in self.expr.sets
+                                 if inside.issuperset(G)), default=0), D)
         key = self._key
 
         # state None = fresh, else a state id
@@ -518,13 +538,13 @@ class Family:
             rest = len(F) - 1 - i
             for s in (_cursor_start(key, F[i], rest) if state is None
                       else _cursor_advance(state, F[i], rest)):
-                v = weights[F[i]] + best(i + 1, s)
+                v = w[F[i]] + best(i + 1, s)
                 if v > r:
                     r = v
             return r
 
         try:
-            return best(0, None)
+            return Fraction(best(0, None), D)
         finally:
             best.cache_clear()  # the memo sits in a reference cycle
 

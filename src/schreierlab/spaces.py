@@ -4,8 +4,16 @@ Base norms (l1, c0), Tsirelson-type implicit norms T(S_a, theta), mixed
 Tsirelson and Schlumprecht norms, the derived interval-count norms and
 associated admissible/allowable norms, and two-sided dual-norm bounds.
 
-Everything runs in exact rational arithmetic except the Schlumprecht
-norm, whose 1/log2(k+1) weights force floats.
+Every answer is exact (a Fraction) except in float mode: the
+Schlumprecht norm, whose 1/log2(k+1) weights force floats, and vectors
+with a float coefficient.  Inside, the implicit norms run on Python ints
+over one common denominator per vector, Q = D * L**(k-1), where D is the
+lcm of the denominators of the vector's k values and L that of the
+space's theta denominators.  A theta step p/q is ``p * v // q``, exact
+because every piece of a split is strictly shorter than the segment it
+splits: a segment of m points nests at most m - 1 theta steps, so its
+scaled value stays a multiple of L**(k-m).  One Fraction(v, Q) is built
+where a value leaves the evaluator (``unscale``).
 
 The partition suprema (the implicit norms, the derived norms and the
 dual bounds) all run on one max-plus dynamic program over cut points,
@@ -26,6 +34,7 @@ singletons.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -339,6 +348,11 @@ class _Partitions:
         self.piece = piece
         self._chain = {}
 
+    def unscale(self, v):
+        """The value of a result of the program (identity for generic
+        pieces)."""
+        return v
+
     def chain(self, l, state, j):
         """Best piece-sum over chains of [l..j] (one piece or more)."""
         key = (l, state, j)
@@ -381,45 +395,69 @@ class _Partitions:
 
 class _Evaluator(_Partitions):
     """Per-vector memoized evaluator for one implicit-norm space; its
-    pieces are its own segment norms."""
+    pieces are its own segment norms.
+
+    In exact mode every value is an int, the true value times
+    Q = D * L**(k-1) (module docstring).  The theta step ``p * v // q``
+    is exact: by induction on m, the value of a segment of m points is
+    a multiple of L**(k-m), since its peak |x_t| * Q is a multiple of
+    L**(k-1), a split sums segments of at most m - 1 points (multiples
+    of L**(k-m+1)) and q divides L; and m <= k.  Float mode (the
+    Schlumprecht space or a float coefficient) keeps scale 1 and
+    multiplies by theta."""
 
     def __init__(self, space, x):
-        if len(x.entries) > SUPPORT_BOUND:
+        k = len(x.entries)
+        if k > SUPPORT_BOUND:
             raise SupportBoundError("support %d exceeds bound %d"
-                                    % (len(x.entries), SUPPORT_BOUND))
+                                    % (k, SUPPORT_BOUND))
         self.space = space
         self.sp = x.support
-        self.vals = x.values
-        self.float_mode = space_mode(space) == "float"
+        vals = x.values
+        if isinstance(space, Tsirelson):
+            levels = ((space.alpha, space.theta),)
+        elif isinstance(space, MixedTsirelson):
+            levels = space.levels
+        else:
+            levels = ()
+        self.float_mode = (space_mode(space) == "float"
+                           or any(isinstance(v, float) for v in vals))
+        if self.float_mode:
+            self.mags = [abs(v) for v in vals]
+            # (alpha, p, q) with theta = p / q; q is None when p is theta
+            self.levels = [(alpha, theta, None) for alpha, theta in levels]
+        else:
+            L = math.lcm(*(theta.denominator for _, theta in levels))
+            self.Q = Q = math.lcm(*(v.denominator for v in vals)) * L ** (k - 1)
+            self.mags = [abs(v.numerator) * (Q // v.denominator) for v in vals]
+            self.levels = [(alpha, theta.numerator, theta.denominator)
+                           for alpha, theta in levels]
         self._seg = {}
         self._chain = {}
         self._count = {}
+
+    def unscale(self, v):
+        return v if self.float_mode else Fraction(v, self.Q)
 
     # segment [i..j] in support-point positions, inclusive
     def seg_norm(self, i, j):
         key = (i, j)
         if key in self._seg:
             return self._seg[key]
-        peak = max(abs(self.vals[t]) for t in range(i, j + 1))
-        best = peak
-        space = self.space
-        if isinstance(space, Tsirelson):
-            v = space.theta * self.split_admissible(i, j, space.alpha)
-            if v > best:
-                best = v
-        elif isinstance(space, MixedTsirelson):
-            for alpha, theta in space.levels:
-                v = theta * self.split_admissible(i, j, alpha)
-                if v > best:
-                    best = v
-        elif isinstance(space, Schlumprecht):
+        best = max(self.mags[i:j + 1])
+        if isinstance(self.space, Schlumprecht):
             best = float(best)
             for k in range(2, j - i + 2):
                 v = self.split_exact_count(i, j, k) / math.log2(k + 1)
                 if v > best:
                     best = v
-        else:
+        elif not self.levels:
             raise SpaceError("seg_norm only for implicit-norm spaces")
+        for alpha, p, q in self.levels:
+            v = self.split_admissible(i, j, alpha)
+            v = p * v if q is None else p * v // q
+            if v > best:
+                best = v
         self._seg[key] = best
         return best
 
@@ -430,32 +468,22 @@ class _Evaluator(_Partitions):
     # best sum over >= 2 admissible pieces inside [i..j]; first piece may
     # start after i (dropped prefix), pieces are gap-free afterwards
     def split_admissible(self, i, j, alpha):
-        best = Fraction(0) if not self.float_mode else 0.0
+        best = 0
         for l in range(i, j):  # second cut must exist, so l < j
             for s in _cursor_start(alpha, self.sp[l], j - l):
                 best = self.cut(l, s, j, best)
         return best
 
-    # best sum over exactly k successive pieces covering [i..j]
+    # best sum over exactly k <= j - i + 1 successive pieces covering [i..j]
     def split_exact_count(self, i, j, k):
         key = (i, j, k)
         if key in self._count:
             return self._count[key]
         if k == 1:
             r = self.seg_norm(i, j)
-        elif k > j - i + 1:
-            r = -math.inf if self.float_mode else None
-        else:
-            r = None
-            for m in range(i + 1, j + 1):
-                tail = self.split_exact_count(m, j, k - 1)
-                if tail is None:
-                    continue
-                v = self.seg_norm(i, m - 1) + tail
-                if r is None or v > r:
-                    r = v
-            if r is None and self.float_mode:
-                r = -math.inf
+        else:  # the first piece leaves k - 1 points or more to the rest
+            r = max(self.seg_norm(i, m - 1) + self.split_exact_count(m, j, k - 1)
+                    for m in range(i + 1, j + 3 - k))
         self._count[key] = r
         return r
 
@@ -475,7 +503,7 @@ def norm(space, x):
     if isinstance(space, L1):
         return sum(abs(v) for v in x.values)
     ev = _Evaluator(space, x)
-    return ev.seg_norm(0, len(x.entries) - 1)
+    return ev.unscale(ev.seg_norm(0, len(x.entries) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +539,8 @@ def norm_n(space, n, y):
     if y.is_zero():
         return norm(space, y)
     # dropping never helps for bimonotone norms, so pieces tile the support
-    return _partitions(space, y).at_most(n)
+    dp = _partitions(space, y)
+    return dp.unscale(dp.at_most(n))
 
 
 def assoc_norm(space, alpha, x, variant="admissible"):
@@ -525,7 +554,8 @@ def assoc_norm(space, alpha, x, variant="admissible"):
         return _assoc_allowable(space, alpha, x)
     if variant != "admissible":
         raise SpaceError("variant must be admissible or allowable")
-    return _partitions(space, x).admissible(alpha)
+    dp = _partitions(space, x)
+    return dp.unscale(dp.admissible(alpha))
 
 
 def _assoc_allowable(space, alpha, x):
@@ -591,6 +621,16 @@ class Bounds:
         return {"lower": fmt(self.lower), "upper": fmt(self.upper), "exact": self.exact}
 
 
+def _sign_patterns(x):
+    """The vectors sum of sign(x_i) e_i over i in S, for the nonempty
+    subsets S of supp x: smaller sets first, each size in combinations
+    order."""
+    sign = {i: Fraction(1 if v >= 0 else -1) for i, v in x.entries}
+    for r in range(1, len(sign) + 1):
+        for S in itertools.combinations(sign, r):
+            yield FsVector(tuple((i, sign[i]) for i in S))
+
+
 def dual_norm(space, phi):
     """Bounds on the dual norm of phi.
 
@@ -612,14 +652,10 @@ def dual_norm(space, phi):
     lower = Fraction(0)
     supp = phi.support
     if len(supp) <= PATTERN_BOUND:
-        import itertools
-        for r in range(1, len(supp) + 1):
-            for S in itertools.combinations(supp, r):
-                xw = FsVector.from_pairs(
-                    (i, 1 if phi[i] >= 0 else -1) for i in S)
-                ratio = phi.pair(xw) / norm(space, xw)
-                if ratio > lower:
-                    lower = ratio
+        for xw in _sign_patterns(phi):
+            ratio = phi.pair(xw) / norm(space, xw)
+            if ratio > lower:
+                lower = ratio
     else:
         for i in supp:
             v = abs(phi[i])
@@ -662,7 +698,8 @@ def minimax_admissible_cover(space, x, alpha):
         alpha = Ordinal.from_int(alpha)
     sp = x.support
     P = len(sp)
-    piece = _partitions(space, x).piece
+    dp = _partitions(space, x)
+    piece = dp.piece
     memo = {}
 
     def cover(l, state):
@@ -683,7 +720,7 @@ def minimax_admissible_cover(space, x, alpha):
         v = cover(0, s)
         if out is None or v < out:
             out = v
-    return out
+    return dp.unscale(out)
 
 
 def primal_from_dual(space, x, n=None, alpha=None, candidates=None):
@@ -701,11 +738,7 @@ def primal_from_dual(space, x, n=None, alpha=None, candidates=None):
     cands = []
     supp = x.support
     if len(supp) <= PATTERN_BOUND:
-        import itertools
-        for r in range(1, len(supp) + 1):
-            for S in itertools.combinations(supp, r):
-                cands.append(FsVector.from_pairs(
-                    (i, 1 if x[i] >= 0 else -1) for i in S))
+        cands.extend(_sign_patterns(x))
     else:
         cands.extend(FsVector.basis(i) for i in supp)
     if candidates:

@@ -102,6 +102,13 @@ class TestExitCodes:
         assert code == 65 and out == ""
         assert err == "resource bound: power levels 205 exceed bound 100\n"
 
+    def test_nested_power_levels_past_bound(self, capsys):
+        code, out, err = run(capsys, "fam", "member", "--family",
+                             "POW(POW(POW(S(1),100),100),100)", "--set",
+                             ",".join(map(str, range(1, 200))))
+        assert code == 65 and out == ""
+        assert err == "resource bound: power levels 300 exceed bound 100\n"
+
     @pytest.mark.parametrize("space,size", [
         ("ASSOC(T(S(1),1/2),S(1),allow)", 21), ("T(S(1),1/2)", 257)],
         ids=["allowable", "support"])

@@ -10,7 +10,7 @@ from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        distortion_scan, gluing_lemma1,
                                        gluing_lemma2, gluing_lemma3,
                                        gluing_lemma4, measure_asymptoticity)
-from schreierlab.families import schreier, schreier_member
+from schreierlab.families import Family, schreier, schreier_member
 from schreierlab.ordinal import Ordinal
 from schreierlab.spaces import (C0, L1, Derived, FsVector, Schlumprecht,
                                 Tsirelson, norm)
@@ -50,6 +50,17 @@ class TestSCC:
         s = build_scc(2, 1, Fraction(1, 2), 3)
         assert len(s.F) == 21 and s.exhaustive
         assert s.max_eta_mass == Fraction(1, 3)
+
+    def test_literal_check_catches_a_wrong_dp(self, monkeypatch):
+        # the literal enumeration is independent of Family.max_mass: a DP
+        # off by the smallest step is refused, not reported
+        dp = Family.max_mass
+        monkeypatch.setattr(Family, "max_mass", lambda fam, F, weights:
+                            dp(fam, F, weights) + Fraction(1, 10 ** 9))
+        with pytest.raises(ConstructionError,
+                           match="mass DP disagrees with literal enumeration: "
+                                 "1000000003/3000000000 vs 1/3"):
+            build_scc(2, 1, Fraction(1, 2), 3)
 
     def test_preconditions(self):
         with pytest.raises(ConstructionError):

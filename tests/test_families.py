@@ -160,8 +160,10 @@ class TestBracketOracle:
         assert [F for F in self.ALL if fam.member(F)] == want
         assert sorted(fam.enumerate(10)) == sorted(want)
 
+    # brute_bracket reads S(a) through conftest.brute_schreier
     @pytest.mark.parametrize("text", ["POW(S(1),2)", "BR(S(1),S(2))",
-                                      "BR(S(w+1),S(w))"])
+                                      "BR(S(w+1),S(w))", "S(1)", "S(2)",
+                                      "S(w)"])
     def test_max_mass(self, text):
         fam = parse_family(text)
         rng = random.Random(text)
@@ -207,6 +209,24 @@ class TestBracketOracle:
         fam = parse_family("POW(S(1),100)")
         assert fam.member(tuple(range(5, 105)))
         assert not fam.member(tuple(range(1, 101)))
+
+    def test_nested_power_levels_add_up(self):
+        # nested powers nest their levels one inside the other, so the
+        # bound applies to their sum
+        with pytest.raises(ResourceBoundError,
+                           match="power levels 300 exceed bound 100"):
+            parse_family("POW(POW(POW(S(1),100),100),100)").member(
+                tuple(range(1, 200)))
+
+    def test_nested_powers_on_short_sets_answer(self):
+        nested = parse_family("POW(POW(S(1),100),100)")
+        for F in subsets(7, 4):
+            assert nested.member(F) == brute_bracket(nested.expr, F), F
+        # 40 + 40 levels on 40 points
+        assert nested.member(tuple(range(5, 45)))
+        high = parse_family("POW(S(1),100000)")
+        assert high.member(tuple(range(5, 45)))
+        assert not high.member(tuple(range(1, 40)))
 
     def test_explicit_operands_refused(self):
         expl = explicit_family([(2, 3)])

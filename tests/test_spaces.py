@@ -349,6 +349,98 @@ class TestDerivedNorms:
             assoc_norm(T12, 1, x, "allowable")
 
 
+T1_23 = Tsirelson(Ordinal.from_int(1), Fraction(2, 3))
+T1_37 = Tsirelson(Ordinal.from_int(1), Fraction(3, 7))
+MT_COPRIME = MixedTsirelson(((Ordinal.from_int(1), Fraction(1, 2)),
+                             (Ordinal.from_int(2), Fraction(1, 3))))
+# signed vectors for the integer scaling: the first three have large,
+# pairwise coprime prime denominators, the last powers of 3 and 7, the
+# theta denominators of T1_23 and T1_37
+COPRIME_VECTORS = [
+    FsVector.from_pairs([(2, "5/7"), (3, "-11/13"), (4, "3/17"), (6, "19/23"),
+                         (7, "-29/31")]),
+    FsVector.from_pairs([(1, "-7/11"), (3, "13/19"), (4, "1/29"), (5, "-37/41"),
+                         (8, "43/47"), (9, "2/53")]),
+    FsVector.from_pairs([(3, "59/61"), (4, "-5/67"), (5, "71/73"),
+                         (6, "-79/83"), (7, "89/97"), (8, "1/101"),
+                         (10, "-103/107")]),
+    FsVector.from_pairs([(2, "1/3"), (3, "2/7"), (4, "4/9"), (5, "8/49"),
+                         (6, "16/27")]),
+]
+
+
+class TestScaledArithmetic:
+    """The implicit norms run on ints over one common denominator; these
+    cases have thetas with numerators above 1, coprime theta denominators
+    and coefficients with large coprime denominators."""
+
+    @pytest.mark.parametrize("space,levels", [
+        (T1_23, [(brute_s1, Fraction(2, 3))]),
+        (T1_37, [(brute_s1, Fraction(3, 7))]),
+        (MT_COPRIME, [(brute_s1, Fraction(1, 2)), (brute_s2, Fraction(1, 3))]),
+    ], ids=["T(S_1,2/3)", "T(S_1,3/7)", "MT(1/2,1/3)"])
+    def test_norm_against_subset_oracle(self, space, levels):
+        for x in COPRIME_VECTORS:
+            assert norm(space, x) == implicit_norm_oracle(x.entries, levels), x
+
+    def test_derived_norms_against_subset_oracle(self):
+        # the sups over families of successive subsets of supp x, each
+        # piece normed by the subset oracle
+        levels = [(brute_s1, Fraction(2, 3))]
+        for x in COPRIME_VECTORS:
+            values = [(pieces, sum(implicit_norm_oracle(
+                x.restrict(list(p)).entries, levels) for p in pieces))
+                for pieces in successive_partitions(x.support)]
+            for n in (1, 2, 3):
+                want = max(v for pieces, v in values if len(pieces) <= n)
+                assert norm_n(T1_23, n, x) == want, (x, n)
+            for alpha, member in MEMBER.items():
+                want = max(v for pieces, v in values
+                           if member(tuple(p[0] for p in pieces)))
+                assert assoc_norm(T1_23, alpha, x) == want, (x, alpha)
+
+    def test_minimax_cover_against_subset_oracle(self):
+        levels = [(brute_s1, Fraction(2, 3))]
+        for x in COPRIME_VECTORS:
+            sp = x.support
+            P = len(sp)
+            piece = {(i, j): implicit_norm_oracle(
+                x.restrict((sp[i], sp[j])).entries, levels)
+                for i in range(P) for j in range(i, P)}
+            want = min(max(piece[p] for p in ps)
+                       for ps in interval_partitions(0, P - 1)
+                       if brute_s1(tuple(sp[i] for i, _ in ps)))
+            assert minimax_admissible_cover(T1_23, x, 1) == want, x
+
+    @pytest.mark.parametrize("space", [
+        T12, T22, MT12, T1_37, Derived(T12, ("nn", 2)),
+        Derived(T1_23, ("assoc", Ordinal.from_int(1), "admissible"))], ids=str)
+    def test_exact_spaces_return_fractions(self, space):
+        # int coefficients too: the answer leaves as one Fraction
+        for x in COPRIME_VECTORS + [FsVector(((1, 1), (2, 2), (3, 3)))]:
+            assert type(norm(space, x)) is Fraction, (space, x)
+
+    def test_minimax_cover_returns_a_fraction(self):
+        x = FsVector(((1, 1), (2, 2), (3, 3)))
+        assert type(minimax_admissible_cover(T1_37, x, 1)) is Fraction
+
+    def test_schlumprecht_returns_floats(self):
+        for x in COPRIME_VECTORS + [FsVector.basis(3)]:
+            assert type(norm(Schlumprecht(), x)) is float, x
+
+    def test_float_coefficients_keep_float_arithmetic(self):
+        # pinned values from before the integer scaling; a float
+        # coefficient keeps theta * v and the mixed result types
+        x = FsVector.from_pairs([(2, 0.3), (3, 0.7), (4, 0.9), (5, 0.1),
+                                 (6, 0.6)])
+        assert [norm(T12, x), norm_n(T12, 2, x), assoc_norm(T12, 1, x),
+                minimax_admissible_cover(T12, x, 1)] == [1.1, 1.6, 2.2, 0.9]
+        y = FsVector.from_pairs([(2, 0.5), (3, "1/3"), (4, 0.25), (5, 1)])
+        got = [norm(T12, y), norm_n(T12, 2, y), assoc_norm(T12, 1, y)]
+        assert got == [1, 1.5, 1.5833333333333333]
+        assert [type(v) for v in got] == [Fraction, float, float]
+
+
 class TestCursor:
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "3", "w", "w+1", "w*2",
                                        "w^2", "w^2*2", "w^3"])
