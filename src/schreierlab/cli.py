@@ -32,7 +32,7 @@ from .ordinal import (NotALimitError, OrdinalError, ParseError,
 from .ordinal import compare as ordinal_compare
 from .ordinal import parse as parse_ordinal
 from .spaces import (Derived, FsVector, SpaceError, dual_norm, norm,
-                     parse_space, space_mode)
+                     parse_rational, parse_space, space_mode)
 from .trees import (BlockTree, SearchFailure, TreeError, family_as_tree,
                     index_lower_bound_search, order)
 
@@ -73,19 +73,11 @@ def _index(i):
     raise ValueError("index %r is not an integer" % (i,))
 
 
-def _coefficient(c):
-    """An exact coefficient.  Exponent strings are refused: Fraction
-    would expand "1e-99999999999" into a power of ten digit by digit."""
-    if isinstance(c, str) and "e" in c.lower():
-        raise ValueError("coefficient %r: exponent notation is not accepted" % c)
-    return Fraction(str(c))
-
-
 def _parse_vec(text):
     try:
         pairs = json.loads(text)
-        return FsVector.from_pairs((_index(i), _coefficient(c)) for i, c in pairs)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return FsVector.from_pairs((_index(i), parse_rational(c)) for i, c in pairs)
+    except (ValueError, TypeError) as exc:
         raise _UsageError("bad vector JSON %r: %s" % (text, exc))
 
 
@@ -219,7 +211,7 @@ def _cmd_tree(args):
         return _emit(args, {"order": o, "nodes": len(t)}, str(o), EXIT_PASS)
     space = parse_space(args.space)
     fam = parse_family(args.family)
-    res = index_lower_bound_search(space, fam, Fraction(args.K),
+    res = index_lower_bound_search(space, fam, parse_rational(args.K),
                                    args.universe, mode=args.tree_mode)
     mode = space_mode(space)
     if isinstance(res, SearchFailure):
@@ -247,7 +239,7 @@ def _cmd_norm(args):
 def _cmd_scc(args):
     try:
         scc = build_scc(parse_ordinal(args.xi), parse_ordinal(args.eta),
-                        Fraction(args.epsilon), args.start)
+                        parse_rational(args.epsilon), args.start)
     except SCCInfeasibleError as exc:
         result = {"status": "infeasible", "message": str(exc),
                   "minimal_start": exc.minimal_start}
@@ -275,18 +267,19 @@ def _cmd_lemma1(args):
     return _emit_gluing(args, rep, space_mode(space))
 
 
-def _basis_tree_for(xi, eta, C2, start, mode, K):
-    scc = build_scc(xi, eta, Fraction(1) / Fraction(C2), start)
-    return BlockTree.from_branches(
-        [tuple(FsVector.basis(m) for m in scc.F)], mode, Fraction(K))
-
-
-def _cmd_lemma2(args):
+def _cmd_weighted_gluing(args):
+    """Lemma 2 or 4 on the basis tree of the S_xi SCC at --start."""
+    lemma, mode = {"lemma2": (gluing_lemma2, "l1"),
+                   "lemma4": (gluing_lemma4, "c0")}[args.command]
     space = parse_space(args.space)
     xi, eta = parse_ordinal(args.xi), parse_ordinal(args.eta)
-    tree = _basis_tree_for(xi, eta, args.C2, args.start, "l1", args.K)
-    rep = gluing_lemma2(space, eta, tree, Fraction(args.C1), Fraction(args.C2),
-                        xi, start=args.start)
+    K, C1, C2 = (parse_rational(v) for v in (args.K, args.C1, args.C2))
+    if not C2:
+        raise _UsageError("--C2 must not be 0")
+    scc = build_scc(xi, eta, Fraction(1) / C2, args.start)
+    tree = BlockTree.from_branches(
+        [tuple(FsVector.basis(m) for m in scc.F)], mode, K)
+    rep = lemma(space, eta, tree, C1, C2, xi, start=args.start)
     return _emit_gluing(args, rep, space_mode(space))
 
 
@@ -303,20 +296,11 @@ def _cmd_lemma3(args):
     return _emit_gluing(args, rep, space_mode(space))
 
 
-def _cmd_lemma4(args):
-    space = parse_space(args.space)
-    xi, eta = parse_ordinal(args.xi), parse_ordinal(args.eta)
-    tree = _basis_tree_for(xi, eta, args.C2, args.start, "c0", args.K)
-    rep = gluing_lemma4(space, eta, tree, Fraction(args.C1), Fraction(args.C2),
-                        xi, start=args.start)
-    return _emit_gluing(args, rep, space_mode(space))
-
-
 def _cmd_spreading(args):
     space = parse_space(args.space)
     blocks = [FsVector.basis(i) for i in range(1, args.universe + 1)]
     rep = check_spreading_model(space, blocks, parse_ordinal(args.alpha),
-                                Fraction(args.C), args.universe)
+                                parse_rational(args.C), args.universe)
     return _emit(args, rep.to_json(), "pass" if rep.passed else "fail",
                  EXIT_PASS if rep.passed else EXIT_FAIL,
                  mode=space_mode(space))
@@ -458,7 +442,7 @@ def build_parser():
     sp.add_argument("--blocks", required=True)
     sp.set_defaults(func=_cmd_lemma1)
 
-    for name, fn in (("lemma2", _cmd_lemma2), ("lemma4", _cmd_lemma4)):
+    for name in ("lemma2", "lemma4"):
         sp = sub.add_parser(name)
         sp.add_argument("--space", required=True)
         sp.add_argument("--eta", required=True)
@@ -467,7 +451,7 @@ def build_parser():
         sp.add_argument("--C1", default="2")
         sp.add_argument("--C2", default="2")
         sp.add_argument("--start", type=int, default=1)
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=_cmd_weighted_gluing)
 
     sp = sub.add_parser("lemma3")
     sp.add_argument("--space", required=True)

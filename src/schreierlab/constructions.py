@@ -11,12 +11,12 @@ finite universe, never claims about infinite-dimensional objects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .families import _cursor_step, schreier
+from .families import (ResourceBoundError, _cursor_step, _int_weights, _longest,
+                       schreier)
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (FsVector, norm, norm_n, assoc_norm, primal_from_dual,
                      dual_norm, space_mode)
@@ -41,6 +41,7 @@ __all__ = [
 
 START_SEARCH_BOUND = 64
 EXHAUSTIVE_SCC_BOUND = 24
+SCC_SIZE_BOUND = 1024  # points of F; the mass fold takes about 2 s at 889
 
 
 class ConstructionError(ValueError):
@@ -125,9 +126,7 @@ def _eta_masses(eta, F, coeffs):
     literal = None
     if len(F) <= EXHAUSTIVE_SCC_BOUND:
         # int masses over the common denominator D, one Fraction at the end
-        D = math.lcm(*(w.denominator for w in weights.values()))
-        scaled = {m: w.numerator * (D // w.denominator)
-                  for m, w in weights.items()}
+        D, scaled = _int_weights(F, weights)
         best = 0
         elems = sorted(F)
 
@@ -169,6 +168,10 @@ def build_scc(xi, eta, epsilon, start_index):
         raise ConstructionError("start index must be >= 1")
 
     def attempt(s):
+        # sized before it is built: _longest follows the same block recursion
+        if _longest(xi, s, SCC_SIZE_BOUND + 1) > SCC_SIZE_BOUND:
+            raise ResourceBoundError("SCC set at start %d exceeds size bound %d"
+                                     % (s, SCC_SIZE_BOUND))
         pairs = _repeated_average(xi, s)
         F = tuple(m for m, _ in pairs)
         coeffs = {m: w for m, w in pairs}
@@ -274,11 +277,13 @@ def _fit_scc(xi, eta, epsilon, branch, start):
     m_i >= max supp x_i pointwise."""
     caps = [x.max_support() for x in branch]
     last_err = None
-    for s in range(start, START_SEARCH_BOUND + 1):
+    s = start
+    while s is not None and s <= START_SEARCH_BOUND:
         try:
             scc = build_scc(xi, eta, epsilon, s)
         except SCCInfeasibleError as exc:
-            last_err = exc
+            # build_scc has searched the starts up to its minimal one
+            last_err, s = exc, exc.minimal_start
             continue
         if len(scc.F) > len(branch):
             raise ConstructionError(
@@ -286,6 +291,7 @@ def _fit_scc(xi, eta, epsilon, branch, start):
                 % (len(scc.F), len(branch)))
         if all(m >= c for m, c in zip(scc.F, caps)):
             return scc
+        s += 1
     raise ConstructionError("SCC infeasible at available indices: %s" % last_err)
 
 

@@ -77,6 +77,14 @@ def _finset(elements):
     return t
 
 
+def _int_weights(F, weights):
+    """(D, {m: weights[m] * D}) for D the lcm of the denominators of the
+    rational weights on F: masses add up as ints over one denominator."""
+    D = math.lcm(*(weights[m].denominator for m in F))
+    return D, {m: weights[m].numerator * (D // weights[m].denominator)
+               for m in F}
+
+
 # ---------------------------------------------------------------------------
 # Schreier cursor: nondeterministic automaton over increasing elements.
 #
@@ -517,36 +525,30 @@ class Family:
 
     def max_mass(self, F, weights):
         """Exact max of sum(weights[m] for m in G) over members G <= F, as a
-        Fraction: a DP over the cursor states, or over the listed sets if
-        explicit.  Both run on the int weights weights[m] * D, D the lcm
-        of the denominators of the (rational) weights on F."""
+        Fraction, on the int weights of _int_weights.  A cursor family is
+        folded left to right over F, keeping the best mass of a member read
+        so far in each cursor state: skipping a point keeps every state,
+        reading it steps each state (and the fresh cursor) through
+        _cursor_start/_cursor_advance.  An explicit family's listed sets
+        are summed directly."""
         F = _finset(F)
-        D = math.lcm(*(weights[m].denominator for m in F))
-        w = {m: weights[m].numerator * (D // weights[m].denominator) for m in F}
+        D, w = _int_weights(F, weights)
         if self._key is None:
             inside = set(F)
             return Fraction(max((sum(w[g] for g in G) for G in self.expr.sets
                                  if inside.issuperset(G)), default=0), D)
-        key = self._key
-
-        # state None = fresh, else a state id
-        @lru_cache(maxsize=None)
-        def best(i, state):
-            if i == len(F):
-                return 0
-            r = best(i + 1, state)  # skip F[i]
+        front = {}  # state id -> best mass of a member read so far
+        for i, n in enumerate(F):
             rest = len(F) - 1 - i
-            for s in (_cursor_start(key, F[i], rest) if state is None
-                      else _cursor_advance(state, F[i], rest)):
-                v = w[F[i]] + best(i + 1, s)
-                if v > r:
-                    r = v
-            return r
-
-        try:
-            return Fraction(best(0, None), D)
-        finally:
-            best.cache_clear()  # the memo sits in a reference cycle
+            nxt = dict(front)
+            for state, mass in [(None, 0), *front.items()]:
+                mass += w[n]
+                for s in (_cursor_start(self._key, n, rest) if state is None
+                          else _cursor_advance(state, n, rest)):
+                    if s not in nxt or mass > nxt[s]:
+                        nxt[s] = mass
+            front = nxt
+        return Fraction(max([0, *front.values()]), D)
 
     # -- regularity report ---------------------------------------------
 

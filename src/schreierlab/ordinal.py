@@ -77,10 +77,6 @@ class Ordinal:
         return cls(() if n == 0 else ((0, n),))
 
     @classmethod
-    def omega(cls):
-        return cls(((1, 1),))
-
-    @classmethod
     def omega_pow_times(cls, exponent, coefficient=1):
         """w^exponent * coefficient for a natural exponent."""
         if exponent == 0:
@@ -104,14 +100,6 @@ class Ordinal:
 
     def is_limit(self):
         return bool(self.terms) and self.terms[-1][0] > 0
-
-    def is_natural(self):
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
-
-    def as_natural(self):
-        if not self.is_natural():
-            raise OrdinalError("%s is not a natural number" % self)
-        return self.terms[0][1] if self.terms else 0
 
     def classify(self):
         """Return 'zero', 'successor' or 'limit'."""
@@ -176,6 +164,15 @@ class Ordinal:
         return "Ordinal(%s)" % self
 
 
+def _natural(digits):
+    """int(digits), with int's refusals (a digit string past its
+    conversion limit, a digit such as '2' in superscript) as ParseError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError("bad natural number in ordinal: %s" % exc) from None
+
+
 _TERM_RE = re.compile(r"^(?:(\d+)|w(?:\^(\w+))?(?:\*(\d+))?)$")
 
 
@@ -197,15 +194,15 @@ def parse(text):
             raise ParseError("bad ordinal term %r" % chunk)
         num, exp, coef = m.groups()
         if num is not None:
-            terms.append((0, int(num)))
+            terms.append((0, _natural(num)))
             continue
         if exp is None:
             e = 1
         elif exp.isdigit():
-            e = int(exp)
+            e = _natural(exp)
         else:
             raise UnsupportedOrdinalError("exponent %r is not a natural; only ordinals below w^w are concrete" % exp)
-        c = 1 if coef is None else int(coef)
+        c = 1 if coef is None else _natural(coef)
         if c < 1:
             raise ParseError("coefficient must be >= 1 in %r" % chunk)
         terms.append((e, c))

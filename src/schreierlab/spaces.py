@@ -53,6 +53,7 @@ __all__ = [
     "MixedTsirelson",
     "Schlumprecht",
     "Derived",
+    "parse_rational",
     "parse_space",
     "norm",
     "norm_n",
@@ -63,8 +64,8 @@ __all__ = [
     "Bounds",
 ]
 
-SUPPORT_BOUND = 256
-ALLOWABLE_SUPPORT_BOUND = 20
+SUPPORT_BOUND = 72  # every built-in space answers within about 10 s (CHANGES.md)
+ALLOWABLE_SUPPORT_BOUND = 8  # likewise; 9 points can take 21 s
 PATTERN_BOUND = 12  # largest support whose sign patterns the dual bounds try
 
 
@@ -266,6 +267,19 @@ def space_mode(space):
     return "exact"
 
 
+def parse_rational(text):
+    """The exact rational a text ("3", "-2/7", "0.25") or a JSON number
+    denotes.  Exponent notation is refused: Fraction would expand
+    "1e-99999999999" into a power of ten digit by digit."""
+    text = str(text)
+    if "e" in text.lower():
+        raise SpaceError("%r: exponent notation is not accepted" % text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SpaceError("bad rational %r" % text) from None
+
+
 def parse_space(text):
     from .ordinal import parse as parse_ordinal
 
@@ -282,7 +296,7 @@ def parse_space(text):
             j = s.index(")", i + 4)
             alpha = parse_ordinal(s[i + 4:j])
             k = s.index(")", j + 1)
-            theta = Fraction(s[j + 2:k])
+            theta = parse_rational(s[j + 2:k])
             return Tsirelson(alpha, theta), k + 1
         if s.startswith("MT[", i):
             j = s.index("]", i)
@@ -292,7 +306,7 @@ def parse_space(text):
                 part = part.strip("()")
                 fam_part, theta_part = part.rsplit(",", 1)
                 alpha = parse_ordinal(fam_part[2:-1])
-                levels.append((alpha, Fraction(theta_part)))
+                levels.append((alpha, parse_rational(theta_part)))
             return MixedTsirelson(tuple(levels)), j + 1
         if s.startswith("NN(", i):
             base, i2 = expr(s, i + 3)
@@ -612,9 +626,6 @@ class Bounds:
 
     def __add__(self, other):
         return Bounds(self.lower + other.lower, self.upper + other.upper)
-
-    def scale(self, c):
-        return Bounds(self.lower * c, self.upper * c)
 
     def to_json(self):
         fmt = lambda v: str(v) if isinstance(v, Fraction) else v

@@ -118,6 +118,57 @@ class TestExitCodes:
                            "--vec", vec)
         assert code == 65 and "resource bound" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("scc", "--xi", "2", "--eta", "1", "--epsilon", "abc"),
+        ("scc", "--xi", "2", "--eta", "1", "--epsilon", "1/0"),
+        ("scc", "--xi", "2", "--eta", "1", "--epsilon", "1e-99999999999"),
+        ("spreading", "--space", "C0", "--alpha", "1", "--C", "x"),
+        ("spreading", "--space", "C0", "--alpha", "1", "--C", "1e99999999999"),
+        ("lemma2", "--space", "C0", "--eta", "1", "--xi", "2", "--C2", "x"),
+        ("lemma4", "--space", "C0", "--eta", "1", "--xi", "2", "--C2", "0"),
+        ("tree", "search", "--family", "S(1)", "--K", "x"),
+        ("norm", "eval", "--space", "T(S(1),1e-99999999999)", "--vec",
+         '[[1,"1"]]'),
+        ("ord", "parse", "--expr", "9" * 5000),
+        ("ord", "fundseq", "--expr", "w^" + "9" * 5000),
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_bad_numbers_are_usage_errors(self, capsys, argv):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and err.startswith("error:")
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("xi,eta,epsilon,start,code,want", [
+        ("2", "1", "1/6", "1", 1, "infeasible (minimal start 7)\n"),
+        ("2", "1", "1/8", "1", 65, "start 8"),
+        ("3", "2", "1/2", "2", 65, "start 2"),
+        ("w*3", "1", "1/2", "2", 65, "start 2"),
+    ], ids=["minimal-start-7", "search-past-bound", "xi-3", "xi-w*3"])
+    def test_scc_search_is_bounded(self, capsys, xi, eta, epsilon, start,
+                                   code, want):
+        t0 = time.perf_counter()
+        got, out, err = run(capsys, "scc", "--xi", xi, "--eta", eta,
+                            "--epsilon", epsilon, "--start", start)
+        assert got == code
+        if code == 1:
+            assert out == want
+        else:
+            assert out == "" and err == ("resource bound: SCC set at %s "
+                                         "exceeds size bound 1024\n" % want)
+        if xi == "w*3":  # sized in closed form, never built
+            assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("space,size", [
+        ("ASSOC(T(S(1),1/2),S(1),allow)", 9), ("MT[(S(1),1/2),(S(2),1/4)]", 73)],
+        ids=["allowable", "support"])
+    def test_one_point_past_the_support_bounds(self, space, size, capsys):
+        vec = json.dumps([[i, "1"] for i in range(1, size + 1)])
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "norm", "eval", "--space", space,
+                             "--vec", vec)
+        assert code == 65 and out == "" and err.startswith("resource bound:")
+        assert time.perf_counter() - t0 < 1
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "suite", "nope")
         assert code == 64

@@ -10,7 +10,9 @@ from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        distortion_scan, gluing_lemma1,
                                        gluing_lemma2, gluing_lemma3,
                                        gluing_lemma4, measure_asymptoticity)
-from schreierlab.families import Family, schreier, schreier_member
+from schreierlab import constructions
+from schreierlab.families import (Family, ResourceBoundError, schreier,
+                                  schreier_member)
 from schreierlab.ordinal import Ordinal
 from schreierlab.spaces import (C0, L1, Derived, FsVector, Schlumprecht,
                                 Tsirelson, norm)
@@ -62,6 +64,17 @@ class TestSCC:
                                  "1000000003/3000000000 vs 1/3"):
             build_scc(2, 1, Fraction(1, 2), 3)
 
+    def test_set_size_checked_before_it_is_built(self):
+        # |F| = 2046 at start 2; its S_2 prefix {2,...,7} already has mass 1/2
+        with pytest.raises(ResourceBoundError,
+                           match="SCC set at start 2 exceeds size bound 1024"):
+            build_scc(3, 2, Fraction(1, 2), 2)
+
+    def test_minimal_start_search_stops_at_the_size_bound(self):
+        # the S_1 mass at start s is 1/s, and |F| = 2040 at start 8
+        with pytest.raises(ResourceBoundError, match="start 8 .* 1024"):
+            build_scc(2, 1, Fraction(1, 8), 1)
+
     def test_preconditions(self):
         with pytest.raises(ConstructionError):
             build_scc(1, 1, Fraction(1, 2), 2)
@@ -110,6 +123,18 @@ class TestLemma2:
         assert rep.status == "verified"
         assert rep.values["norm"] == Fraction(5, 18)
         assert rep.values["assoc_norm"] == Fraction(5, 9)
+
+    def test_one_start_search(self, monkeypatch):
+        # start 1 is infeasible and its search finds 3 (starts 1, 2, 3);
+        # the fit jumps there and checks it once more
+        tree = self._tree(4)
+        calls = []
+        masses = constructions._eta_masses
+        monkeypatch.setattr(constructions, "_eta_masses",
+                            lambda *a: calls.append(a[1]) or masses(*a))
+        rep = gluing_lemma2(T12, 1, tree, 2, 2, 2, start=1)
+        assert rep.status == "verified" and rep.parameters["scc_start"] == 3
+        assert [F[0] for F in calls] == [1, 2, 3, 3]
 
     def test_l1_base_trivial(self):
         scc = build_scc(1, 0, Fraction(1, 2), 3)

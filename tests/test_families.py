@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_bracket, brute_s1, brute_s2, brute_schreier
+from schreierlab.constructions import _repeated_average
 from schreierlab.families import (Family, FamilyError, ResourceBoundError,
-                                  bracket, bracket_member, explicit_family,
-                                  index_symbolic, parse_family, power,
-                                  schreier, schreier_member, tail_domination)
+                                  _longest, bracket, bracket_member,
+                                  explicit_family, index_symbolic,
+                                  parse_family, power, schreier,
+                                  schreier_member, tail_domination)
 from schreierlab.ordinal import parse as parse_ordinal
 
 
@@ -122,6 +124,40 @@ class TestMaxMass:
         assert fam.max_mass((3, 30, 40, 50), weights) == Fraction(5, 6)
         assert fam.max_mass((3, 40, 50), weights) == Fraction(2, 3)
         assert fam.max_mass((50,), weights) == 0
+
+    def test_fold_past_the_recursion_limit(self):
+        # the 889 points of the S_2 repeated averages from 7 overflowed the
+        # recursive DP; the largest S_1 mass is one block's 1/7
+        pairs = _repeated_average(parse_ordinal("2"), 7)
+        F = tuple(m for m, _ in pairs)
+        assert len(F) == 889
+        assert schreier(1).max_mass(F, dict(pairs)) == Fraction(1, 7)
+
+    @pytest.mark.parametrize("text", ["S(1)", "S(2)", "POW(S(1),2)"])
+    def test_signed_weights(self, text):
+        # a negative weight is skipped, and the empty member carries 0
+        fam = parse_family(text)
+        rng = random.Random(text)
+        for _ in range(12):
+            F = tuple(sorted(rng.sample(range(1, 10), rng.randint(1, 7))))
+            weights = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for m in F}
+            want = max(sum(weights[m] for m in G) for G in subsets(9)
+                       if set(G) <= set(F) and brute_bracket(fam.expr, G))
+            assert fam.max_mass(F, weights) == want, (F, weights)
+
+
+class TestSetSize:
+    @pytest.mark.parametrize("text", ["1", "2", "3", "w", "w+1", "w*2"])
+    def test_longest_is_the_repeated_average_length(self, text):
+        # both follow the one block recursion; compared wherever the set
+        # is small enough to build
+        xi = parse_ordinal(text)
+        sizes = [_longest(xi, s, 10 ** 6) for s in range(1, 10)]
+        built = [(s, n) for s, n in enumerate(sizes, 1) if n <= 1024]
+        assert built
+        for s, n in built:
+            assert n == len(_repeated_average(xi, s)), s
 
 
 class TestBracketAndPower:
