@@ -11,6 +11,7 @@ finite universe, never claims about infinite-dimensional objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -18,7 +19,7 @@ from itertools import chain
 from .families import (ResourceBoundError, _cursor_step, _int_weights, _longest,
                        schreier)
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (FsVector, norm, norm_n, assoc_norm, primal_from_dual,
+from .spaces import (C0, L1, FsVector, norm, norm_n, assoc_norm, primal_from_dual,
                      dual_norm, space_mode)
 from .trees import BlockTree, certify_block_tree
 
@@ -103,19 +104,26 @@ def _repeated_average(xi, s):
     """Coefficients on the maximal repeated-averages S_xi set starting at
     s: a point mass at level 0; for a successor, s successive maximal
     blocks one level down with outer weights 1/s; at a limit, descend to
-    the s-th member of the fundamental sequence."""
-    if xi.is_zero():
-        return [(s, Fraction(1))]
-    if xi.is_successor():
-        beta = xi.predecessor()
-        out = []
-        cur = s
-        for _ in range(s):
-            sub = _repeated_average(beta, cur)
-            out.extend((m, w / s) for m, w in sub)
-            cur = out[-1][0] + 1
-        return out
-    return _repeated_average(fundamental_sequence(xi, s), s)
+    the s-th member of the fundamental sequence.  One loop: `levels` holds
+    [level, blocks still to open, weight] for each successor level the
+    current point lies in."""
+    out, levels = [], []
+    beta, n, w = xi, s, Fraction(1)
+    while True:
+        while not beta.is_zero():
+            if beta.is_successor():
+                beta, w = beta.predecessor(), w / n
+                levels.append([beta, n - 1, w])
+            else:
+                beta = fundamental_sequence(beta, n)
+        out.append((n, w))
+        while levels and levels[-1][1] == 0:
+            levels.pop()
+        if not levels:
+            return out
+        levels[-1][1] -= 1
+        beta, _, w = levels[-1]
+        n = out[-1][0] + 1
 
 
 def _eta_masses(eta, F, coeffs):
@@ -444,16 +452,41 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     Only the all-ones combination is evaluated: every built-in norm is
     1-unconditional and the blocks have disjoint supports, so every sign
     pattern gives the same value.  Members are visited in lexicographic
-    order and the first failing one is the witness.  Since the blocks
-    are successive, x_F is built once per F by concatenating the blocks'
-    entries."""
+    order and the first failing one is the witness.
+
+    In C0 and L1, with C and every block value exact (Fraction or int),
+    no x_F is built.  The blocks have disjoint supports, so ||x_F|| is the
+    max (c0) or the sum (l1) of the block norms, exactly.  Each block norm
+    is taken once, as an int over the lcm D of the block values'
+    denominators, and each F costs one max or sum of those ints and one
+    int comparison; the witness value is a Fraction.  Every other space,
+    and float values or a float C, norm x_F itself, built once per F by
+    concatenating the blocks' entries (the blocks are successive)."""
     alpha = _as_ordinal(alpha)
     C = Fraction(C) if not isinstance(C, float) else C
     if len(blocks) < universe_max:
         raise ConstructionError("need a block for every index up to %d" % universe_max)
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
-    for F in schreier(alpha).enumerate(universe_max):
+    members = schreier(alpha).enumerate(universe_max)
+    head = blocks[:universe_max]
+    if (isinstance(space, (C0, L1)) and isinstance(C, Fraction)
+            and all(isinstance(v, (Fraction, int)) for b in head for v in b.values)):
+        fold = max if isinstance(space, C0) else sum
+        D = math.lcm(*(v.denominator for b in head for v in b.values))
+        # ||x_i|| * D for each block; index 0 is unused
+        scaled = [0] + [fold(abs(v.numerator) * (D // v.denominator)
+                             for v in b.values) for b in head]
+        lhs, rhs = C.numerator, C.denominator * D
+        for F in members:
+            if F:
+                v = fold(map(scaled.__getitem__, F))
+                if lhs * v < len(F) * rhs:
+                    return SpreadingReport(
+                        False, alpha, C, universe_max,
+                        witness=(F, (1,) * len(F), Fraction(v, D)))
+        return SpreadingReport(True, alpha, C, universe_max)
+    for F in members:
         if not F:
             continue
         v = norm(space, FsVector(tuple(chain.from_iterable(

@@ -58,8 +58,10 @@ __all__ = [
 ]
 
 ENUMERATION_BOUND = 24
+MEMBER_BOUND = 2 ** 20  # members one enumeration may list; about 175 MiB at the bound
 DERIVATIVE_BOUND = 64
 POWER_BOUND = 100  # POW levels one cursor may nest in all, each a few stack frames deep
+LONGEST_WORK_BOUND = 10 ** 5  # normal-form terms one run sizing may look up
 
 
 class FamilyError(ValueError):
@@ -124,32 +126,72 @@ FREE = ("free",)
 _ONE = Ordinal.from_int(1)
 
 
-@lru_cache(maxsize=None)
+# memo of _longest, keyed (beta, m, cap)
+_LONGEST = {}
+
+
 def _longest(beta, m, cap):
     """A lower bound, capped at cap, on the length of the longest run
     m, m+1, ... in S_beta for beta >= 1: exact for successors, through the
     m-th term of the fundamental sequence for limits.  The S_1 and S_2
     runs from m, of m and m(2^m - 1) points, lie in S_beta for beta >= 1
     and beta >= 2."""
-    if m >= cap or (beta > _ONE and m * (2 ** m - 1) >= cap):
-        return cap
-    if beta.is_successor():
-        return _run(beta.predecessor(), m, m, cap)
-    return _longest(fundamental_sequence(beta, m), m, cap)
+    return _run(beta, 1, m, cap)
 
 
 def _run(beta, blocks, m, cap):
     """A lower bound, capped at cap, on the longest run m, m+1, ... that
     splits into at most `blocks` successive S_beta sets (greedy blocks are
-    longest, since S_beta is hereditary)."""
+    longest, since S_beta is hereditary).
+
+    One loop with an explicit stack: each frame sums the greedy blocks of
+    one run, and a block's length _longest(b, n, cap) follows limits down
+    their fundamental sequences to a successor, whose blocks one level
+    down are the next frame.  Every _longest value is kept in _LONGEST.
+    Each (ordinal, point) looked up costs the terms of the ordinal's normal
+    form, which its hash, comparison and fundamental sequence each read;
+    more than LONGEST_WORK_BOUND in one call raise ResourceBoundError."""
     if beta.is_zero():
         return min(blocks, cap)
-    total = 0
-    for _ in range(blocks):
-        if total >= cap:
-            break
-        total += _longest(beta, m + total, cap)
-    return min(total, cap)
+    # frames: [beta, blocks left, first point, total, keys the run answers]
+    stack = [[beta, blocks, m, 0, ()]]
+    work = 0
+    while True:
+        b, left, first, total, _ = stack[-1]
+        if left and total < cap:
+            # the next block's length, _longest(b, first + total, cap)
+            n, keys = first + total, []
+            while True:
+                work += len(b.terms)
+                if work > LONGEST_WORK_BOUND:
+                    raise ResourceBoundError(
+                        "sizing a run of S_%s from %d read more than %d "
+                        "ordinal terms" % (beta, m, LONGEST_WORK_BOUND))
+                key = (b, n, cap)
+                value = _LONGEST.get(key)
+                if value is not None:
+                    break
+                keys.append(key)
+                if n >= cap or (b > _ONE and n * (2 ** n - 1) >= cap):
+                    value = cap
+                    break
+                if b.is_successor():
+                    b = b.predecessor()
+                    if b.is_zero():
+                        value = min(n, cap)
+                    break
+                b = fundamental_sequence(b, n)
+            if value is None:
+                stack.append([b, n, n, 0, keys])
+                continue
+        else:
+            value, keys = min(total, cap), stack.pop()[4]
+            if not stack:
+                return value
+        for key in keys:
+            _LONGEST[key] = value
+        stack[-1][1] -= 1
+        stack[-1][3] += value
 
 
 def _absorbs(beta, blocks, n, remaining):
@@ -472,6 +514,10 @@ class Family:
             for n in range((F[-1] if F else 0) + 1, universe_max + 1):
                 nxt = _cursor_step(key, states, n, universe_max - n)
                 if nxt:
+                    if len(out) > MEMBER_BOUND:
+                        raise ResourceBoundError(
+                            "%s has more than %d members within universe %d"
+                            % (self, MEMBER_BOUND, universe_max))
                     G = F + (n,)
                     out.append(G)
                     extend(G, nxt)

@@ -158,6 +158,32 @@ class TestExitCodes:
         if xi == "w*3":  # sized in closed form, never built
             assert time.perf_counter() - t0 < 1
 
+    @pytest.mark.parametrize("xi,start", [
+        ("w^3", "7"), ("w^4", "7"), ("w^6", "3"), ("w^7*2", "2"), ("w^8", "2"),
+        ("w^400", "2")])
+    def test_scc_sizing_of_deep_ordinals_is_bounded(self, capsys, xi, start):
+        # the descent through w^k runs on an explicit stack
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "scc", "--xi", xi, "--eta", "1",
+                             "--epsilon", "1/2", "--start", start)
+        want = ("sizing a run of S_w^400 from 2 read more than 100000 ordinal "
+                "terms" if xi == "w^400" else
+                "SCC set at start %s exceeds size bound 1024" % start)
+        assert code == 65 and out == "" and err == "resource bound: %s\n" % want
+        assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("argv", [
+        ("fam", "tail", "--family", "S(w)", "--other", "S(w+1)"),
+        ("fam", "enumerate", "--family", "S(w+1)")], ids=["tail", "enumerate"])
+    def test_enumeration_past_member_bound(self, capsys, argv):
+        # S(w+1) has about 8.4M members within {1..24}
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--universe", "24")
+        assert code == 65 and out == ""
+        assert err == ("resource bound: S(w+1) has more than 1048576 members "
+                       "within universe 24\n")
+        assert time.perf_counter() - t0 < 10
+
     @pytest.mark.parametrize("space,size", [
         ("ASSOC(T(S(1),1/2),S(1),allow)", 9), ("MT[(S(1),1/2),(S(2),1/4)]", 73)],
         ids=["allowable", "support"])
@@ -256,6 +282,27 @@ class TestSubcommands:
         code, out, _ = run(capsys, "spreading", "--space", "C0",
                            "--alpha", "1", "--C", "2", "--universe", "8")
         assert code == 1 and out.strip() == "fail"
+
+    @pytest.mark.parametrize("space,alpha,C,code,witness", [
+        ("C0", "1", "4", 1, ([5, 6, 7, 8, 9], "1")),
+        ("L1", "1", "4", 0, None),
+        ("L1", "2", "9/10", 1, ([1], "1")),
+    ])
+    def test_spreading_json(self, capsys, space, alpha, C, code, witness):
+        got, out, _ = run(capsys, "spreading", "--space", space, "--alpha",
+                          alpha, "--C", C, "--universe", "10", "--json")
+        result = {"C": C, "alpha": alpha, "passed": witness is None,
+                  "universe_max": 10}
+        if witness:
+            F, value = witness
+            result["witness"] = {"F": F, "coefficients": [1] * len(F),
+                                 "value": value}
+        report = {"config": {"C": C, "alpha": alpha, "command": "spreading",
+                             "json": True, "space": space, "universe": 10},
+                  "fundamental_sequence_convention": CONVENTION,
+                  "mode": "exact", "result": result, "version": "0.1.0"}
+        assert got == code
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     def test_asymp(self, capsys):
         code, out, _ = run(capsys, "asymp", "--space", "T(S(1),1/2)",

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import brute_s1, brute_schreier, implicit_norm_oracle
 
@@ -360,6 +362,20 @@ def _oracle_blocks(kind, universe):
     return blocks
 
 
+@st.composite
+def signed_blocks(draw, count):
+    """`count` successive blocks of width 1-3 with nonzero signed values of
+    mixed denominators, so a block's largest |value| may be negative."""
+    blocks, start = [], 1
+    for _ in range(count):
+        values = draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+            min_size=1, max_size=3))
+        blocks.append(FsVector.from_pairs(zip(itertools.count(start), values)))
+        start += len(values) + draw(st.integers(0, 1))
+    return blocks
+
+
 ORACLE_NORMS = {
     "c0": (C0(), lambda pairs: max(abs(v) for _, v in pairs)),
     "l1": (L1(), lambda pairs: sum(abs(v) for _, v in pairs)),
@@ -408,6 +424,63 @@ class TestSpreadingOracle:
         want = spreading_oracle(name, alpha, blocks, Fraction(C), universe)
         assert want[0] is passes
         assert (rep.passed, rep.witness) == want
+
+    @given(st.sampled_from(["c0", "l1"]), st.integers(0, 2),
+           st.integers(1, 9), st.data())
+    def test_block_norms_against_brute_force(self, name, alpha, universe, data):
+        # c0 and l1 with exact values take the int block-norm path
+        blocks = data.draw(signed_blocks(universe))
+        C = data.draw(st.fractions(min_value=-1, max_value=4,
+                                   max_denominator=7))
+        rep = check_spreading_model(ORACLE_NORMS[name][0], blocks, alpha, C,
+                                    universe)
+        want = spreading_oracle(name, alpha, blocks, C, universe)
+        assert (rep.passed, rep.witness) == want
+        if not rep.passed:
+            assert type(rep.witness[2]) is Fraction
+
+    @pytest.mark.parametrize("space,value", [(C0(), 5), (L1(), 7)],
+                             ids=["c0", "l1"])
+    def test_raw_int_entries_give_a_fraction_witness(self, space, value):
+        blocks = [FsVector(((1, 2), (3, -5))), FsVector(((4, 1),))]
+        assert check_spreading_model(space, blocks, 1, 1, 2).passed
+        rep = check_spreading_model(space, blocks, 1, Fraction(1, 10), 2)
+        assert rep.witness == ((1,), (1,), value)
+        assert type(rep.witness[2]) is Fraction
+        assert rep.to_json()["witness"]["value"] == str(value)
+
+    @pytest.mark.parametrize("space,C,want", [
+        (C0(), Fraction(2), ((2,), (1,), 0.25)),
+        (C0(), 5.0, ((2, 3), (1, 1), Fraction(1, 3))),
+        (L1(), 2.0, ((2,), (1,), 0.25)),
+        (L1(), Fraction(5), ()),
+    ])
+    def test_float_values_or_C_keep_the_norm_path(self, space, C, want):
+        # the reports of the vector-and-norm scan, value types included
+        blocks = [FsVector.from_pairs([(1, 0.5), (2, Fraction(-3, 4))]),
+                  FsVector.from_pairs([(3, 0.25)]),
+                  FsVector.from_pairs([(4, Fraction(1, 3))])]
+        rep = check_spreading_model(space, blocks, 1, C, 3)
+        assert rep.passed is (want == ()) and rep.witness == want
+        assert [type(v) for v in rep.witness[2:]] == [type(v) for v in want[2:]]
+
+    @pytest.mark.parametrize("space,C,universe", [
+        (C0(), 10, 24), (L1(), 1, 24), (T12, 2, 8)], ids=["c0", "l1", "T"])
+    def test_norm_calls(self, monkeypatch, space, C, universe):
+        # c0 and l1 norm each block at most once; other spaces norm each x_F
+        seen = []
+
+        def counted(sp, x):
+            seen.append(x)
+            return norm(sp, x)
+
+        monkeypatch.setattr(constructions, "norm", counted)
+        check_spreading_model(space, [FsVector.basis(i) for i in range(1, 25)],
+                              1, Fraction(C), universe)
+        if space == T12:
+            assert len(seen) == len(schreier(1).enumerate(universe)) - 1
+        else:
+            assert len(seen) <= universe
 
 
 class TestAsymptoticity:

@@ -159,6 +159,17 @@ class TestSetSize:
         for s, n in built:
             assert n == len(_repeated_average(xi, s)), s
 
+    def test_deep_descents_run_on_a_stack(self):
+        # w^1000 at 1 descends a thousand limits to the point mass {1}
+        deep = parse_ordinal("w^1000")
+        assert _longest(deep, 1, 1025) == 1
+        assert _repeated_average(deep, 1) == [(1, Fraction(1))]
+        for text, m in [("w^3", 7), ("w^3*2", 6), ("w^4", 5), ("w^5", 4),
+                        ("w^6", 3), ("w^8", 2)]:
+            assert _longest(parse_ordinal(text), m, 1025) == 1025, text
+        with pytest.raises(ResourceBoundError, match="ordinal terms"):
+            _longest(parse_ordinal("w^400"), 2, 1025)
+
 
 class TestBracketAndPower:
     def test_bracket_definition_small(self):
