@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .families import (ResourceBoundError, _cursor_step, _int_weights, _longest,
-                       schreier)
+                       _walk, schreier)
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (C0, L1, FsVector, norm, norm_n, assoc_norm, primal_from_dual,
                      dual_norm, space_mode)
@@ -128,29 +128,22 @@ def _repeated_average(xi, s):
 
 def _eta_masses(eta, F, coeffs):
     """(DP maximum, literal maximum or None) of subset mass over members
-    of S_eta contained in F."""
+    of S_eta contained in F.
+
+    The DP is the left-to-right fold of Family.max_mass.  For |F| up to
+    EXHAUSTIVE_SCC_BOUND the literal maximum visits every member of S_eta
+    inside F through families._walk, with the int masses of _int_weights
+    added along each path; its transition table only saves repeating a
+    cursor step, so the check shares nothing with the fold and a wrong
+    fold is refused."""
     weights = dict(coeffs)
     dp = schreier(eta).max_mass(F, weights)
     literal = None
     if len(F) <= EXHAUSTIVE_SCC_BOUND:
-        # int masses over the common denominator D, one Fraction at the end
         D, scaled = _int_weights(F, weights)
-        best = 0
         elems = sorted(F)
-
-        def rec(states, mass, i):
-            nonlocal best
-            if mass > best:
-                best = mass
-            for j in range(i, len(elems)):
-                # Schreier families are hereditary, so dead prefixes
-                # cannot revive
-                nxt = _cursor_step(eta, states, elems[j], len(elems) - 1 - j)
-                if nxt:
-                    rec(nxt, mass + scaled[elems[j]], j + 1)
-
-        rec(None, 0, 0)
-        literal = Fraction(best, D)
+        literal = Fraction(max(_walk(eta, elems, [scaled[m] for m in elems], 0),
+                               default=0), D)
         if literal != dp:
             raise ConstructionError(
                 "mass DP disagrees with literal enumeration: %s vs %s"
@@ -451,8 +444,11 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
 
     Only the all-ones combination is evaluated: every built-in norm is
     1-unconditional and the blocks have disjoint supports, so every sign
-    pattern gives the same value.  Members are visited in lexicographic
-    order and the first failing one is the witness.
+    pattern gives the same value.  Members are read lazily from
+    Family.members in lexicographic order and the first failing one is
+    the witness, so the scan stops there: a witness found before the
+    MEMBER_BOUND-th member is reported, and only a scan that reads past
+    it raises ResourceBoundError.
 
     In C0 and L1, with C and every block value exact (Fraction or int),
     no x_F is built.  The blocks have disjoint supports, so ||x_F|| is the
@@ -468,7 +464,7 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
         raise ConstructionError("need a block for every index up to %d" % universe_max)
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
-    members = schreier(alpha).enumerate(universe_max)
+    members = schreier(alpha).members(universe_max)
     head = blocks[:universe_max]
     if (isinstance(space, (C0, L1)) and isinstance(C, Fraction)
             and all(isinstance(v, (Fraction, int)) for b in head for v in b.values)):

@@ -62,6 +62,7 @@ MEMBER_BOUND = 2 ** 20  # members one enumeration may list; about 175 MiB at the
 DERIVATIVE_BOUND = 64
 POWER_BOUND = 100  # POW levels one cursor may nest in all, each a few stack frames deep
 LONGEST_WORK_BOUND = 10 ** 5  # normal-form terms one run sizing may look up
+DESCENT_BOUND = 350  # nested ordinal descents of one cursor start, two interpreter frames each
 
 
 class FamilyError(ValueError):
@@ -236,6 +237,11 @@ def _power_levels(key, remaining):
     return max(_power_levels(outer, remaining), _power_levels(inner, remaining))
 
 
+# the ordinals whose _start is being computed, outermost first: each one
+# recurses once into its predecessor or a fundamental-sequence term
+_DESCENT = []
+
+
 @lru_cache(maxsize=None)
 def _start(alpha, n, remaining):
     """States after feeding first element n to a fresh cursor of key
@@ -256,18 +262,27 @@ def _start(alpha, n, remaining):
                         _cursor_step(inner, None, n, remaining))
     if alpha.is_zero():
         return (("one",),)
-    if alpha.is_successor():
-        beta = alpha.predecessor()
-        if _absorbs(beta, n - 1, n, remaining):
-            return (FREE,)
-        return _blocks(beta, n - 1, _start(beta, n, remaining), n, remaining)
-    out = []
-    for k in range(1, n + 1):
-        states = _start(fundamental_sequence(alpha, k), n, remaining)
-        if states == (FREE,):
-            return states
-        out.extend(states)
-    return tuple(dict.fromkeys(out))
+    if len(_DESCENT) >= DESCENT_BOUND:
+        raise ResourceBoundError(
+            "the cursor of S_%s descends through more than %d ordinals"
+            % (_DESCENT[0], DESCENT_BOUND))
+    _DESCENT.append(alpha)
+    try:
+        if alpha.is_successor():
+            beta = alpha.predecessor()
+            if _absorbs(beta, n - 1, n, remaining):
+                return (FREE,)
+            return _blocks(beta, n - 1, _start(beta, n, remaining), n,
+                           remaining)
+        out = []
+        for k in range(1, n + 1):
+            states = _start(fundamental_sequence(alpha, k), n, remaining)
+            if states == (FREE,):
+                return states
+            out.extend(states)
+        return tuple(dict.fromkeys(out))
+    finally:
+        _DESCENT.pop()
 
 
 @lru_cache(maxsize=None)
@@ -356,6 +371,39 @@ def schreier_member(alpha, F):
         if states == (_FREE_ID,):
             return True
     return True
+
+
+def _walk(key, points, values, zero):
+    """Every nonempty member G of the family of cursor key `key` inside the
+    increasing `points`, in lexicographic order, as zero plus the values[j]
+    of the positions j that G takes, added left to right: one-point tuples
+    of the points give the members, ints give their masses.
+
+    A depth-first walk on an explicit stack of (state ids, next position,
+    value so far); popping an entry reads off its member.  The walk's
+    transition table, which lives only as long as the walk, maps
+    (state ids, next position i) to the entries of every position j >= i
+    whose point those states can read: the ids after reading points[j]
+    with len(points) - 1 - j points left to follow (one _cursor_step),
+    j + 1 and values[j].  A pair met again costs one dict lookup, not one
+    state-set union per point.  The families are hereditary, so a
+    member's extensions are read from its own states."""
+    table = {}
+    last = len(points) - 1
+    stack = [(None, 0, zero)]
+    while stack:
+        states, i, acc = stack.pop()
+        if states is not None:
+            yield acc
+        row = table.get((states, i))
+        if row is None:
+            # latest position first, so that the earliest is popped first
+            row = table[states, i] = [
+                (nxt, j + 1, values[j]) for j in range(i, last + 1)
+                for nxt in [_cursor_step(key, states, points[j], last - j)]
+                if nxt][::-1]
+        for nxt, j, value in row:
+            stack.append((nxt, j, acc + value))
 
 
 # ---------------------------------------------------------------------------
@@ -499,31 +547,31 @@ class Family:
 
     def enumerate(self, universe_max):
         """All members contained in {1..universe_max}, lexicographic."""
+        return list(self.members(universe_max))
+
+    def members(self, universe_max):
+        """The members contained in {1..universe_max} one at a time, in
+        lexicographic order, the empty set first, so a caller can stop at
+        the member it looks for.  A cursor family is read by _walk over
+        1..universe_max; past MEMBER_BOUND nonempty members it raises
+        ResourceBoundError."""
         if universe_max > ENUMERATION_BOUND:
             raise ResourceBoundError("universe %d exceeds bound %d"
                                      % (universe_max, ENUMERATION_BOUND))
         if self._key is None:
             # explicit families need not be hereditary; list directly
-            return sorted(F for F in self.expr.sets
-                          if all(e <= universe_max for e in F))
-        key = self._key
-        out = [()]
-
-        # depth first with increasing elements: lexicographic order
-        def extend(F, states):
-            for n in range((F[-1] if F else 0) + 1, universe_max + 1):
-                nxt = _cursor_step(key, states, n, universe_max - n)
-                if nxt:
-                    if len(out) > MEMBER_BOUND:
-                        raise ResourceBoundError(
-                            "%s has more than %d members within universe %d"
-                            % (self, MEMBER_BOUND, universe_max))
-                    G = F + (n,)
-                    out.append(G)
-                    extend(G, nxt)
-
-        extend((), None)
-        return out
+            yield from sorted(F for F in self.expr.sets
+                              if all(e <= universe_max for e in F))
+            return
+        points = range(1, universe_max + 1)
+        yield ()
+        for count, G in enumerate(_walk(self._key, points,
+                                        [(n,) for n in points], ()), 1):
+            if count > MEMBER_BOUND:
+                raise ResourceBoundError(
+                    "%s has more than %d members within universe %d"
+                    % (self, MEMBER_BOUND, universe_max))
+            yield G
 
     # -- maximality and derivatives ------------------------------------
 

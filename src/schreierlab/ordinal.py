@@ -63,6 +63,12 @@ class Ordinal:
         for e, c in self.terms:
             if e < 0 or c < 1:
                 raise OrdinalError("bad CNF term (%r, %r)" % (e, c))
+        # ordinals key the cursor caches: hash once, to the value the
+        # generated __hash__ would give
+        object.__setattr__(self, "_hash", hash((self.terms,)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- constructors ---------------------------------------------------
 

@@ -184,6 +184,26 @@ class TestExitCodes:
                        "within universe 24\n")
         assert time.perf_counter() - t0 < 10
 
+    @pytest.mark.parametrize("argv,alpha", [
+        (("fam", "member", "--family", "S(w^500)", "--set", "2,3"), "w^500"),
+        (("norm", "eval", "--space", "T(S(w^2000),1/2)",
+          "--vec", '[[2,"1"],[3,"1"]]'), "w^2000"),
+        (("fam", "member", "--family", "S(500)", "--set", "1,2"), "500")],
+        ids=["member", "norm", "successors"])
+    def test_deep_cursor_descent_is_a_resource_bound(self, capsys, argv, alpha):
+        # each ordinal the cursor start descends through nests it once more
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 65 and out == ""
+        assert err == ("resource bound: the cursor of S_%s descends through "
+                       "more than 350 ordinals\n" % alpha)
+        assert time.perf_counter() - t0 < 1
+
+    def test_deep_cursor_descent_below_the_bound_answers(self, capsys):
+        code, out, _ = run(capsys, "fam", "member", "--family", "S(w^300)",
+                           "--set", "2,3")
+        assert code == 0 and out.strip() == "true"
+
     @pytest.mark.parametrize("space,size", [
         ("ASSOC(T(S(1),1/2),S(1),allow)", 9), ("MT[(S(1),1/2),(S(2),1/4)]", 73)],
         ids=["allowable", "support"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
 from schreierlab import constructions
 from schreierlab.families import (Family, ResourceBoundError, schreier,
                                   schreier_member)
-from schreierlab.ordinal import Ordinal
+from schreierlab.ordinal import Ordinal, parse as parse_ordinal
 from schreierlab.spaces import (C0, L1, Derived, FsVector, Schlumprecht,
                                 Tsirelson, norm)
 from schreierlab.trees import BlockTree
@@ -65,6 +66,22 @@ class TestSCC:
                            match="mass DP disagrees with literal enumeration: "
                                  "1000000003/3000000000 vs 1/3"):
             build_scc(2, 1, Fraction(1, 2), 3)
+
+    @pytest.mark.parametrize("eta", ["0", "1", "2", "w"])
+    def test_eta_masses_against_brute_force(self, eta):
+        # the literal walk against every subset of F that
+        # conftest.brute_schreier accepts, which shares nothing with the cursor
+        alpha = parse_ordinal(eta)
+        rng = random.Random(eta)
+        for _ in range(6):
+            F = tuple(sorted(rng.sample(range(1, 15), rng.randint(1, 12))))
+            coeffs = {m: Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                      for m in F}
+            want = max(sum(coeffs[m] for m in G)
+                       for r in range(len(F) + 1)
+                       for G in itertools.combinations(F, r)
+                       if brute_schreier(alpha, G))
+            assert constructions._eta_masses(alpha, F, coeffs) == (want, want), F
 
     def test_set_size_checked_before_it_is_built(self):
         # |F| = 2046 at start 2; its S_2 prefix {2,...,7} already has mass 1/2
@@ -330,6 +347,15 @@ class TestSpreadingModel:
         F, coeffs, value = rep.witness
         assert len(F) == 11 and F[0] == 11
         assert value == 1
+
+    @pytest.mark.parametrize("space", [C0(), T12], ids=["c0", "T"])
+    def test_scan_stops_at_its_witness(self, space):
+        # S(w+1) has about 8.4M members within {1..24}, past MEMBER_BOUND;
+        # the members are read lazily, so the first witness answers
+        basis = [FsVector.basis(i) for i in range(1, 25)]
+        rep = check_spreading_model(space, basis, parse_ordinal("w+1"),
+                                    Fraction(1), 24)
+        assert not rep.passed and rep.witness == ((2, 3), (1, 1), 1)
 
     def test_alpha_zero_trivial(self):
         basis = [FsVector.basis(i) for i in range(1, 11)]
