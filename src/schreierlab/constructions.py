@@ -19,8 +19,8 @@ from itertools import chain
 from .families import (ResourceBoundError, _cursor_step, _int_weights, _longest,
                        _walk, schreier)
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (C0, L1, FsVector, norm, norm_n, assoc_norm, primal_from_dual,
-                     dual_norm, space_mode)
+from .spaces import (C0, L1, FsVector, _segment_memo, norm, norm_n, assoc_norm,
+                     primal_from_dual, dual_norm, space_mode)
 from .trees import BlockTree, certify_block_tree
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
 START_SEARCH_BOUND = 64
 EXHAUSTIVE_SCC_BOUND = 24
 SCC_SIZE_BOUND = 1024  # points of F; the mass fold takes about 2 s at 889
+ASYMPTOTICITY_SYSTEM_BOUND = 2 ** 14  # block systems one measurement norms
 
 
 class ConstructionError(ValueError):
@@ -457,7 +458,14 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     denominators, and each F costs one max or sum of those ints and one
     int comparison; the witness value is a Fraction.  Every other space,
     and float values or a float C, norm x_F itself, built once per F by
-    concatenating the blocks' entries (the blocks are successive)."""
+    concatenating the blocks' entries (the blocks are successive).
+
+    In T and MT with exact values the x_F of one scan share a segment
+    memo (spaces._segment_memo), keyed by a segment's points and its
+    magnitudes scaled by the scan's Q = D * L**(K-1), K the blocks'
+    points.  A segment's norm depends on nothing else, so this is exact.
+    The memo dies with the scan and is cleared at SEGMENT_MEMO_BOUND
+    entries."""
     alpha = _as_ordinal(alpha)
     C = Fraction(C) if not isinstance(C, float) else C
     if len(blocks) < universe_max:
@@ -482,11 +490,13 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
                         False, alpha, C, universe_max,
                         witness=(F, (1,) * len(F), Fraction(v, D)))
         return SpreadingReport(True, alpha, C, universe_max)
+    memo = _segment_memo(space, [v for b in head for v in b.values],
+                         sum(len(b.entries) for b in head))
     for F in members:
         if not F:
             continue
         v = norm(space, FsVector(tuple(chain.from_iterable(
-            blocks[i - 1].entries for i in F))))
+            blocks[i - 1].entries for i in F))), memo=memo)
         if C * v < len(F):
             return SpreadingReport(False, alpha, C, universe_max,
                                    witness=(F, (1,) * len(F), v))
@@ -500,38 +510,54 @@ def measure_asymptoticity(space, alpha, universe_max):
 
     The corpus blocks are intervals, for which disjoint and successive
     coincide, so the constant is also the allowable (disjoint-block) one.
+    The systems are listed before any is normed; past
+    ASYMPTOTICITY_SYSTEM_BOUND of them the measurement raises
+    ResourceBoundError at once.
+
+    In T and MT the unit blocks share one segment memo
+    (spaces._segment_memo) and the systems another, over Q = D * L**(N-1)
+    with D the lcm of the unit values' denominators.  Both are keyed by a
+    segment's points and scaled magnitudes, on which alone its norm
+    depends, so systems that share a tail of blocks norm it once.  They
+    die with the call and are cleared at SEGMENT_MEMO_BOUND entries.
     """
     alpha = _as_ordinal(alpha)
     N = universe_max
-    cache = {}
-
-    def unit(a, b):
-        if (a, b) not in cache:
-            x = FsVector.indicator(range(a, b + 1))
-            nv = norm(space, x)
-            cache[(a, b)] = x.scale(Fraction(1) / nv) if nv != 1 else x
-        return cache[(a, b)]
-
-    best = Fraction(1)
-
-    def visit(acc, k):
-        nonlocal best
-        v = norm(space, acc)
-        ratio = Fraction(k) / v if isinstance(v, Fraction) else k / v
-        if ratio > best:
-            best = ratio
-
-    def rec(lo, states, acc, k):
+    # each system is a tuple of blocks (a, b); the stack holds a system
+    # with the least start of its next block and the cursor states
+    systems, stack = [], [((), 1, None)]
+    while stack:
+        system, lo, states = stack.pop()
         for a in range(lo, N + 1):
             nxt = _cursor_step(alpha, states, a, N - a)
             if not nxt:
                 continue
             for b in range(a, N + 1):
-                acc2 = acc + unit(a, b)
-                visit(acc2, k + 1)
-                rec(b + 1, nxt, acc2, k + 1)
-
-    rec(1, None, FsVector(), 0)
+                if len(systems) == ASYMPTOTICITY_SYSTEM_BOUND:
+                    raise ResourceBoundError(
+                        "S_%s block systems within universe %d exceed bound "
+                        "%d (%d listed, none normed)"
+                        % (alpha, N, ASYMPTOTICITY_SYSTEM_BOUND, len(systems)))
+                longer = system + ((a, b),)
+                systems.append(longer)
+                stack.append((longer, b + 1, nxt))
+    ones = _segment_memo(space, [1], N)
+    units = {}
+    for a in range(1, N + 1):
+        for b in range(a, N + 1):
+            x = FsVector.indicator(range(a, b + 1))
+            nv = norm(space, x, memo=ones)
+            units[a, b] = x.scale(Fraction(1) / nv) if nv != 1 else x
+    memo = _segment_memo(space, [v for u in units.values() for v in u.values], N)
+    best = Fraction(1)
+    for system in systems:
+        # the blocks are successive, so x is their concatenation
+        v = norm(space, FsVector(tuple(chain.from_iterable(
+            units[ab].entries for ab in system))), memo=memo)
+        k = len(system)
+        ratio = Fraction(k) / v if isinstance(v, Fraction) else k / v
+        if ratio > best:
+            best = ratio
     return best
 
 

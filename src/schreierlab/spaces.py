@@ -13,7 +13,10 @@ space's theta denominators.  A theta step p/q is ``p * v // q``, exact
 because every piece of a split is strictly shorter than the segment it
 splits: a segment of m points nests at most m - 1 theta steps, so its
 scaled value stays a multiple of L**(k-m).  One Fraction(v, Q) is built
-where a value leaves the evaluator (``unscale``).
+where a value leaves the evaluator (``unscale``).  A scan that norms many
+vectors (:func:`_segment_memo`) uses one Q per scan instead, with D the
+lcm over all the values it may meet and k the largest support, so that
+its vectors can share segment values.
 
 The partition suprema (the implicit norms, the derived norms and the
 dual bounds) all run on one max-plus dynamic program over cut points,
@@ -65,6 +68,7 @@ __all__ = [
 ]
 
 SUPPORT_BOUND = 72  # every built-in space answers within about 10 s (CHANGES.md)
+SEGMENT_MEMO_BOUND = 2 ** 15  # a scan's segment memo is cleared when this full
 ALLOWABLE_SUPPORT_BOUND = 8  # likewise; 9 points can take 21 s
 PATTERN_BOUND = 12  # largest support whose sign patterns the dual bounds try
 
@@ -407,6 +411,44 @@ class _Partitions:
         return self.chain(0, budget, last)
 
 
+def _levels(space):
+    """The (alpha, theta) levels of an implicit-norm space, () for any
+    other space."""
+    if isinstance(space, Tsirelson):
+        return ((space.alpha, space.theta),)
+    if isinstance(space, MixedTsirelson):
+        return space.levels
+    return ()
+
+
+class _SegmentMemo(dict):
+    """Segment values shared by the vectors of one scan, all over the
+    scan's Q: a segment's points followed by its scaled magnitudes, as
+    one tuple -> its scaled norm."""
+
+    def __init__(self, Q):
+        super().__init__()
+        self.Q = Q
+
+
+def _segment_memo(space, values, k):
+    """The segment memo of a scan whose vectors take their values among
+    `values` and have at most k points, or None where vectors keep their
+    own memos: spaces other than T and MT, and float values.
+
+    Its Q = D * L**(k-1), D the lcm of the values' denominators, is a
+    multiple of every such vector's own Q, so scaled values stay exact;
+    past SUPPORT_BOUND points no vector is normed.  A segment's value
+    depends only on its points and magnitudes: ``seg_norm(i, j)`` reads
+    positions i..j, and each cursor's remaining count stays inside."""
+    levels = _levels(space)
+    if not levels or any(isinstance(v, float) for v in values):
+        return None
+    L = math.lcm(*(theta.denominator for _, theta in levels))
+    D = math.lcm(*(v.denominator for v in values))
+    return _SegmentMemo(D * L ** (min(k, SUPPORT_BOUND) - 1))
+
+
 class _Evaluator(_Partitions):
     """Per-vector memoized evaluator for one implicit-norm space; its
     pieces are its own segment norms.
@@ -416,11 +458,13 @@ class _Evaluator(_Partitions):
     is exact: by induction on m, the value of a segment of m points is
     a multiple of L**(k-m), since its peak |x_t| * Q is a multiple of
     L**(k-1), a split sums segments of at most m - 1 points (multiples
-    of L**(k-m+1)) and q divides L; and m <= k.  Float mode (the
-    Schlumprecht space or a float coefficient) keeps scale 1 and
-    multiplies by theta."""
+    of L**(k-m+1)) and q divides L; and m <= k.  Given a scan's
+    :class:`_SegmentMemo`, Q is the scan's and a segment missing from
+    the evaluator's own memo is looked up there before it is computed.
+    Float mode (the Schlumprecht space or a float coefficient) keeps
+    scale 1 and multiplies by theta."""
 
-    def __init__(self, space, x):
+    def __init__(self, space, x, memo=None):
         k = len(x.entries)
         if k > SUPPORT_BOUND:
             raise SupportBoundError("support %d exceeds bound %d"
@@ -428,12 +472,7 @@ class _Evaluator(_Partitions):
         self.space = space
         self.sp = x.support
         vals = x.values
-        if isinstance(space, Tsirelson):
-            levels = ((space.alpha, space.theta),)
-        elif isinstance(space, MixedTsirelson):
-            levels = space.levels
-        else:
-            levels = ()
+        levels = _levels(space)
         self.float_mode = (space_mode(space) == "float"
                            or any(isinstance(v, float) for v in vals))
         if self.float_mode:
@@ -441,11 +480,17 @@ class _Evaluator(_Partitions):
             # (alpha, p, q) with theta = p / q; q is None when p is theta
             self.levels = [(alpha, theta, None) for alpha, theta in levels]
         else:
-            L = math.lcm(*(theta.denominator for _, theta in levels))
-            self.Q = Q = math.lcm(*(v.denominator for v in vals)) * L ** (k - 1)
-            self.mags = [abs(v.numerator) * (Q // v.denominator) for v in vals]
+            if memo is None:
+                L = math.lcm(*(theta.denominator for _, theta in levels))
+                Q = math.lcm(*(v.denominator for v in vals)) * L ** (k - 1)
+            else:
+                Q = memo.Q
+            self.Q = Q
+            self.mags = tuple(abs(v.numerator) * (Q // v.denominator)
+                              for v in vals)
             self.levels = [(alpha, theta.numerator, theta.denominator)
                            for alpha, theta in levels]
+        self._shared = memo
         self._seg = {}
         self._chain = {}
         self._count = {}
@@ -458,6 +503,13 @@ class _Evaluator(_Partitions):
         key = (i, j)
         if key in self._seg:
             return self._seg[key]
+        shared = self._shared
+        if shared is not None:
+            skey = self.sp[i:j + 1] + self.mags[i:j + 1]
+            best = shared.get(skey)
+            if best is not None:
+                self._seg[key] = best
+                return best
         best = max(self.mags[i:j + 1])
         if isinstance(self.space, Schlumprecht):
             best = float(best)
@@ -473,6 +525,10 @@ class _Evaluator(_Partitions):
             if v > best:
                 best = v
         self._seg[key] = best
+        if shared is not None:
+            if len(shared) >= SEGMENT_MEMO_BOUND:
+                shared.clear()
+            shared[skey] = best
         return best
 
     # a class attribute, not an instance one: no reference cycle keeps
@@ -502,8 +558,10 @@ class _Evaluator(_Partitions):
         return r
 
 
-def norm(space, x):
-    """Norm of x in the given space (exact Fraction unless float mode)."""
+def norm(space, x, *, memo=None):
+    """Norm of x in the given space (exact Fraction unless float mode).
+    A scan passes its :func:`_segment_memo` as `memo`; the value is the
+    same with or without it."""
     if isinstance(space, Derived):
         kind = space.kind
         if kind[0] == "nn":
@@ -516,7 +574,7 @@ def norm(space, x):
         return max(max(vals), -min(vals))
     if isinstance(space, L1):
         return sum(abs(v) for v in x.values)
-    ev = _Evaluator(space, x)
+    ev = _Evaluator(space, x, memo)
     return ev.unscale(ev.seg_norm(0, len(x.entries) - 1))
 
 

@@ -184,6 +184,16 @@ class TestExitCodes:
                        "within universe 24\n")
         assert time.perf_counter() - t0 < 10
 
+    def test_asymptoticity_corpus_past_its_bound(self, capsys):
+        # S_1 has 2**24 - 1 block systems within {1..24}
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "asymp", "--space", "T(S(1),1/2)",
+                             "--alpha", "1", "--universe", "24")
+        assert code == 65 and out == ""
+        assert err == ("resource bound: S_1 block systems within universe 24 "
+                       "exceed bound 16384 (16384 listed, none normed)\n")
+        assert time.perf_counter() - t0 < 2
+
     @pytest.mark.parametrize("argv,alpha", [
         (("fam", "member", "--family", "S(w^500)", "--set", "2,3"), "w^500"),
         (("norm", "eval", "--space", "T(S(w^2000),1/2)",

@@ -6,22 +6,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_s1, brute_schreier, implicit_norm_oracle
+from conftest import brute_s1, brute_s2, brute_schreier, implicit_norm_oracle
 
 from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        build_scc, check_spreading_model,
                                        distortion_scan, gluing_lemma1,
                                        gluing_lemma2, gluing_lemma3,
                                        gluing_lemma4, measure_asymptoticity)
-from schreierlab import constructions
+from schreierlab import constructions, spaces
 from schreierlab.families import (Family, ResourceBoundError, schreier,
                                   schreier_member)
 from schreierlab.ordinal import Ordinal, parse as parse_ordinal
-from schreierlab.spaces import (C0, L1, Derived, FsVector, Schlumprecht,
-                                Tsirelson, norm)
+from schreierlab.spaces import (C0, L1, Derived, FsVector, MixedTsirelson,
+                                Schlumprecht, Tsirelson, norm)
 from schreierlab.trees import BlockTree
 
 T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
+T13 = Tsirelson(Ordinal.from_int(1), Fraction(1, 3))
+MT = MixedTsirelson(((Ordinal.from_int(1), Fraction(1, 2)),
+                     (Ordinal.from_int(2), Fraction(1, 4))))
 
 
 class TestSCC:
@@ -407,6 +410,10 @@ ORACLE_NORMS = {
     "l1": (L1(), lambda pairs: sum(abs(v) for _, v in pairs)),
     "T": (T12, lambda pairs: implicit_norm_oracle(
         pairs, [(brute_s1, Fraction(1, 2))])),
+    "T13": (T13, lambda pairs: implicit_norm_oracle(
+        pairs, [(brute_s1, Fraction(1, 3))])),
+    "MT": (MT, lambda pairs: implicit_norm_oracle(
+        pairs, [(brute_s1, Fraction(1, 2)), (brute_s2, Fraction(1, 4))])),
 }
 
 
@@ -465,6 +472,35 @@ class TestSpreadingOracle:
         if not rep.passed:
             assert type(rep.witness[2]) is Fraction
 
+    @given(st.sampled_from(["T", "T13", "MT"]), st.integers(0, 2),
+           st.integers(1, 4), st.data())
+    def test_shared_segment_memo_against_brute_force(self, name, alpha,
+                                                     universe, data):
+        # the x_F of one scan share a segment memo over one Q; the blocks
+        # have mixed denominators and sizes, so x_F's own Q differs from
+        # the scan's (S_2 within {1..4} would give 9-point x_F, too many
+        # for the oracle)
+        universe = min(universe, 3) if alpha == 2 else universe
+        blocks = data.draw(signed_blocks(universe))
+        C = data.draw(st.fractions(min_value=-1, max_value=4,
+                                   max_denominator=7))
+        rep = check_spreading_model(ORACLE_NORMS[name][0], blocks, alpha, C,
+                                    universe)
+        want = spreading_oracle(name, alpha, blocks, C, universe)
+        assert (rep.passed, rep.witness) == want
+
+    @pytest.mark.parametrize("space,C,passes", [
+        (T12, 3, False), (T13, 6, True), (MT, 4, True)], ids=["T", "T13", "MT"])
+    def test_segment_memo_bound_keeps_the_report(self, monkeypatch, space, C,
+                                                 passes):
+        # two-point averages over the 250 members of S_2 within {1..9}; a
+        # memo of 4 entries is cleared many times in one scan
+        blocks = _oracle_blocks("avg", 9)
+        want = check_spreading_model(space, blocks, 2, Fraction(C), 9)
+        assert want.passed is passes
+        monkeypatch.setattr(spaces, "SEGMENT_MEMO_BOUND", 4)
+        assert check_spreading_model(space, blocks, 2, Fraction(C), 9) == want
+
     @pytest.mark.parametrize("space,value", [(C0(), 5), (L1(), 7)],
                              ids=["c0", "l1"])
     def test_raw_int_entries_give_a_fraction_witness(self, space, value):
@@ -496,9 +532,9 @@ class TestSpreadingOracle:
         # c0 and l1 norm each block at most once; other spaces norm each x_F
         seen = []
 
-        def counted(sp, x):
+        def counted(sp, x, **kw):
             seen.append(x)
-            return norm(sp, x)
+            return norm(sp, x, **kw)
 
         monkeypatch.setattr(constructions, "norm", counted)
         check_spreading_model(space, [FsVector.basis(i) for i in range(1, 25)],
@@ -509,10 +545,60 @@ class TestSpreadingOracle:
             assert len(seen) <= universe
 
 
+def asymptoticity_oracle(levels, alpha, N):
+    """max(1, k / ||x_1 + ... + x_k||) by brute force over every system of
+    successive intervals [a_1, b_1] < ... < [a_k, b_k] in {1..N} whose
+    minima pass brute_schreier, each x_i the indicator of its interval
+    divided by its oracle norm."""
+    alpha = Ordinal.from_int(alpha)
+
+    def systems(lo):
+        for a in range(lo, N + 1):
+            for b in range(a, N + 1):
+                yield ((a, b),)
+                for rest in systems(b + 1):
+                    yield ((a, b),) + rest
+
+    unit = {}
+    best = Fraction(1)
+    for system in systems(1):
+        if not brute_schreier(alpha, tuple(a for a, _ in system)):
+            continue
+        pairs = []
+        for a, b in system:
+            if (a, b) not in unit:
+                unit[a, b] = 1 / implicit_norm_oracle(
+                    [(i, Fraction(1)) for i in range(a, b + 1)], levels)
+            pairs += [(i, unit[a, b]) for i in range(a, b + 1)]
+        best = max(best, len(system) / implicit_norm_oracle(pairs, levels))
+    return best
+
+
 class TestAsymptoticity:
     def test_tsirelson_constant_two(self):
         for N in (6, 8, 10):
             assert measure_asymptoticity(T12, 1, N) == 2
+
+    @pytest.mark.parametrize("desc,levels,alpha,N", [
+        ("T(S(1),1/2)", [(brute_s1, Fraction(1, 2))], 1, 7),
+        ("T(S(1),1/2)", [(brute_s1, Fraction(1, 2))], 2, 6),
+        ("T(S(2),1/2)", [(brute_s2, Fraction(1, 2))], 1, 6),
+        ("T(S(2),1/2)", [(brute_s2, Fraction(1, 2))], 2, 6),
+        ("T(S(1),1/3)", [(brute_s1, Fraction(1, 3))], 1, 7),
+        ("T(S(1),1/3)", [(brute_s1, Fraction(1, 3))], 2, 5),
+    ])
+    def test_against_brute_force(self, desc, levels, alpha, N):
+        got = measure_asymptoticity(spaces.parse_space(desc), alpha, N)
+        assert got == asymptoticity_oracle(levels, alpha, N)
+        assert type(got) is Fraction
+
+    def test_corpus_past_the_bound_is_refused(self, monkeypatch):
+        # S_1 has 2**N - 1 systems within {1..N}: 63 at N = 6
+        monkeypatch.setattr(constructions, "ASYMPTOTICITY_SYSTEM_BOUND", 62)
+        with pytest.raises(ResourceBoundError, match="exceed bound 62"):
+            measure_asymptoticity(T12, 1, 6)
+        monkeypatch.setattr(constructions, "ASYMPTOTICITY_SYSTEM_BOUND", 63)
+        assert measure_asymptoticity(T12, 1, 6) == 2
 
     def test_l1_one(self):
         assert measure_asymptoticity(L1(), 1, 8) == 1

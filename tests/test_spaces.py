@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (brute_s1, brute_s2, brute_schreier,
                       implicit_norm_oracle, interval_partitions,
                       successive_partitions, tsirelson_table_01)
+from schreierlab import spaces
 from schreierlab.families import _cursor_step
 from schreierlab.ordinal import Ordinal
 from schreierlab.ordinal import parse as parse_ordinal
@@ -411,6 +412,41 @@ class TestScaledArithmetic:
                        for ps in interval_partitions(0, P - 1)
                        if brute_s1(tuple(sp[i] for i, _ in ps)))
             assert minimax_admissible_cover(T1_23, x, 1) == want, x
+
+    @pytest.mark.parametrize("space,levels", [
+        (T1_23, [(brute_s1, Fraction(2, 3))]),
+        (MT_COPRIME, [(brute_s1, Fraction(1, 2)), (brute_s2, Fraction(1, 3))]),
+    ], ids=["T(S_1,2/3)", "MT(1/2,1/3)"])
+    def test_one_segment_memo_for_many_vectors(self, monkeypatch, space,
+                                               levels):
+        # every interval restriction of every vector, normed over one
+        # scan's Q and memo, in an order where shorter vectors come late
+        xs = [x.restrict((x.support[i], x.support[j]))
+              for x in COPRIME_VECTORS for i in range(len(x.entries))
+              for j in range(len(x.entries) - 1, i - 1, -1)]
+        want = {x: implicit_norm_oracle(x.entries, levels) for x in xs}
+        values = [v for x in xs for v in x.values]
+        k = max(len(x.entries) for x in xs)
+        memo = spaces._segment_memo(space, values, k)
+        for x in xs:
+            assert norm(space, x, memo=memo) == want[x], x
+        # a restriction's segments are segments of its vector, read back
+        assert 0 < len(memo) <= sum(len(x.entries) * (len(x.entries) + 1) // 2
+                                    for x in COPRIME_VECTORS)
+        # a capped memo is cleared when full and gives the same values
+        monkeypatch.setattr(spaces, "SEGMENT_MEMO_BOUND", 5)
+        small = spaces._segment_memo(space, values, k)
+        for x in xs:
+            assert norm(space, x, memo=small) == want[x], x
+            assert len(small) <= 5
+
+    def test_no_segment_memo_where_vectors_keep_their_own(self):
+        values = [Fraction(1, 3), 2]
+        assert spaces._segment_memo(T12, values + [0.5], 4) is None
+        for space in (C0(), L1(), Schlumprecht(), Derived(T12, ("nn", 2))):
+            assert spaces._segment_memo(space, values, 4) is None
+        assert spaces._segment_memo(T12, values, 4).Q == 3 * 2 ** 3
+        assert spaces._segment_memo(T12, values, 100).Q == 3 * 2 ** 71
 
     @pytest.mark.parametrize("space", [
         T12, T22, MT12, T1_37, Derived(T12, ("nn", 2)),
