@@ -31,7 +31,7 @@ from .ordinal import (NotALimitError, OrdinalError, ParseError,
                       fundamental_sequence)
 from .ordinal import compare as ordinal_compare
 from .ordinal import parse as parse_ordinal
-from .spaces import (Derived, FsVector, SpaceError, dual_norm, norm,
+from .spaces import (FsVector, SpaceError, dual_norm, norm,
                      parse_rational, parse_space, space_mode)
 from .trees import (BlockTree, SearchFailure, TreeError, family_as_tree,
                     index_lower_bound_search, order)
@@ -487,6 +487,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.universe < 0:
+            raise _UsageError("--universe must be >= 0, got %d" % args.universe)
         return args.func(args)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -11,15 +11,13 @@ finite universe, never claims about infinite-dimensional objects.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .families import (ResourceBoundError, _cursor_step, _int_weights, _longest,
                        _walk, schreier)
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (C0, L1, FsVector, _segment_memo, norm, norm_n, assoc_norm,
+from .spaces import (FsVector, _BlockSums, norm, norm_n, assoc_norm,
                      primal_from_dual, dual_norm, space_mode)
 from .trees import BlockTree, certify_block_tree
 
@@ -449,57 +447,26 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     Family.members in lexicographic order and the first failing one is
     the witness, so the scan stops there: a witness found before the
     MEMBER_BOUND-th member is reported, and only a scan that reads past
-    it raises ResourceBoundError.
-
-    In C0 and L1, with C and every block value exact (Fraction or int),
-    no x_F is built.  The blocks have disjoint supports, so ||x_F|| is the
-    max (c0) or the sum (l1) of the block norms, exactly.  Each block norm
-    is taken once, as an int over the lcm D of the block values'
-    denominators, and each F costs one max or sum of those ints and one
-    int comparison; the witness value is a Fraction.  Every other space,
-    and float values or a float C, norm x_F itself, built once per F by
-    concatenating the blocks' entries (the blocks are successive).
-
-    In T and MT with exact values the x_F of one scan share a segment
-    memo (spaces._segment_memo), keyed by a segment's points and its
-    magnitudes scaled by the scan's Q = D * L**(K-1), K the blocks'
-    points.  A segment's norm depends on nothing else, so this is exact.
-    The memo dies with the scan and is cleared at SEGMENT_MEMO_BOUND
-    entries."""
+    it raises ResourceBoundError.  The sums x_F are normed by one
+    spaces._BlockSums scan; where its results are ints and C is exact,
+    each F is decided by one int comparison."""
     alpha = _as_ordinal(alpha)
     C = Fraction(C) if not isinstance(C, float) else C
     if len(blocks) < universe_max:
         raise ConstructionError("need a block for every index up to %d" % universe_max)
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
-    members = schreier(alpha).members(universe_max)
     head = blocks[:universe_max]
-    if (isinstance(space, (C0, L1)) and isinstance(C, Fraction)
-            and all(isinstance(v, (Fraction, int)) for b in head for v in b.values)):
-        fold = max if isinstance(space, C0) else sum
-        D = math.lcm(*(v.denominator for b in head for v in b.values))
-        # ||x_i|| * D for each block; index 0 is unused
-        scaled = [0] + [fold(abs(v.numerator) * (D // v.denominator)
-                             for v in b.values) for b in head]
-        lhs, rhs = C.numerator, C.denominator * D
-        for F in members:
-            if F:
-                v = fold(map(scaled.__getitem__, F))
-                if lhs * v < len(F) * rhs:
-                    return SpreadingReport(
-                        False, alpha, C, universe_max,
-                        witness=(F, (1,) * len(F), Fraction(v, D)))
-        return SpreadingReport(True, alpha, C, universe_max)
-    memo = _segment_memo(space, [v for b in head for v in b.values],
-                         sum(len(b.entries) for b in head))
-    for F in members:
-        if not F:
-            continue
-        v = norm(space, FsVector(tuple(chain.from_iterable(
-            blocks[i - 1].entries for i in F))), memo=memo)
-        if C * v < len(F):
+    sums = _BlockSums(space, dict(enumerate(head, 1)),
+                      sum(len(b.entries) for b in head))
+    # a float C, or a float norm, is decided as C * ||x_F|| < |F|
+    ints = sums.ints and isinstance(C, Fraction)
+    if ints:
+        lhs, rhs = C.numerator, C.denominator * sums.Q
+    for F, v in sums.norms(schreier(alpha).members(universe_max)):
+        if (lhs * v < len(F) * rhs) if ints else (C * sums.value(v) < len(F)):
             return SpreadingReport(False, alpha, C, universe_max,
-                                   witness=(F, (1,) * len(F), v))
+                                   witness=(F, (1,) * len(F), sums.value(v)))
     return SpreadingReport(True, alpha, C, universe_max)
 
 
@@ -512,14 +479,9 @@ def measure_asymptoticity(space, alpha, universe_max):
     coincide, so the constant is also the allowable (disjoint-block) one.
     The systems are listed before any is normed; past
     ASYMPTOTICITY_SYSTEM_BOUND of them the measurement raises
-    ResourceBoundError at once.
-
-    In T and MT the unit blocks share one segment memo
-    (spaces._segment_memo) and the systems another, over Q = D * L**(N-1)
-    with D the lcm of the unit values' denominators.  Both are keyed by a
-    segment's points and scaled magnitudes, on which alone its norm
-    depends, so systems that share a tail of blocks norm it once.  They
-    die with the call and are cleared at SEGMENT_MEMO_BOUND entries.
+    ResourceBoundError at once.  One spaces._BlockSums scan over the
+    basis norms the interval units, and another over the units norms
+    the systems.
     """
     alpha = _as_ordinal(alpha)
     N = universe_max
@@ -541,21 +503,16 @@ def measure_asymptoticity(space, alpha, universe_max):
                 longer = system + ((a, b),)
                 systems.append(longer)
                 stack.append((longer, b + 1, nxt))
-    ones = _segment_memo(space, [1], N)
+    basis = _BlockSums(space, {i: FsVector.basis(i) for i in range(1, N + 1)}, N)
     units = {}
-    for a in range(1, N + 1):
-        for b in range(a, N + 1):
-            x = FsVector.indicator(range(a, b + 1))
-            nv = norm(space, x, memo=ones)
-            units[a, b] = x.scale(Fraction(1) / nv) if nv != 1 else x
-    memo = _segment_memo(space, [v for u in units.values() for v in u.values], N)
+    for ab, v in basis.norms(range(a, b + 1) for a in range(1, N + 1)
+                             for b in range(a, N + 1)):
+        x, nv = FsVector.indicator(ab), basis.value(v)
+        units[ab[0], ab[-1]] = x.scale(Fraction(1) / nv) if nv != 1 else x
+    sums = _BlockSums(space, units, N)
     best = Fraction(1)
-    for system in systems:
-        # the blocks are successive, so x is their concatenation
-        v = norm(space, FsVector(tuple(chain.from_iterable(
-            units[ab].entries for ab in system))), memo=memo)
-        k = len(system)
-        ratio = Fraction(k) / v if isinstance(v, Fraction) else k / v
+    for system, v in sums.norms(systems):
+        ratio = len(system) / sums.value(v)
         if ratio > best:
             best = ratio
     return best

@@ -14,9 +14,8 @@ because every piece of a split is strictly shorter than the segment it
 splits: a segment of m points nests at most m - 1 theta steps, so its
 scaled value stays a multiple of L**(k-m).  One Fraction(v, Q) is built
 where a value leaves the evaluator (``unscale``).  A scan that norms many
-vectors (:func:`_segment_memo`) uses one Q per scan instead, with D the
-lcm over all the values it may meet and k the largest support, so that
-its vectors can share segment values.
+sums of disjoint blocks (:class:`_BlockSums`) uses one Q per scan
+instead, so that its sums can share segment values.
 
 The partition suprema (the implicit norms, the derived norms and the
 dual bounds) all run on one max-plus dynamic program over cut points,
@@ -68,7 +67,7 @@ __all__ = [
 ]
 
 SUPPORT_BOUND = 72  # every built-in space answers within about 10 s (CHANGES.md)
-SEGMENT_MEMO_BOUND = 2 ** 15  # a scan's segment memo is cleared when this full
+SEGMENT_MEMO_BOUND = 2 ** 15  # a scan's segment values are cleared when full
 ALLOWABLE_SUPPORT_BOUND = 8  # likewise; 9 points can take 21 s
 PATTERN_BOUND = 12  # largest support whose sign patterns the dual bounds try
 
@@ -421,34 +420,6 @@ def _levels(space):
     return ()
 
 
-class _SegmentMemo(dict):
-    """Segment values shared by the vectors of one scan, all over the
-    scan's Q: a segment's points followed by its scaled magnitudes, as
-    one tuple -> its scaled norm."""
-
-    def __init__(self, Q):
-        super().__init__()
-        self.Q = Q
-
-
-def _segment_memo(space, values, k):
-    """The segment memo of a scan whose vectors take their values among
-    `values` and have at most k points, or None where vectors keep their
-    own memos: spaces other than T and MT, and float values.
-
-    Its Q = D * L**(k-1), D the lcm of the values' denominators, is a
-    multiple of every such vector's own Q, so scaled values stay exact;
-    past SUPPORT_BOUND points no vector is normed.  A segment's value
-    depends only on its points and magnitudes: ``seg_norm(i, j)`` reads
-    positions i..j, and each cursor's remaining count stays inside."""
-    levels = _levels(space)
-    if not levels or any(isinstance(v, float) for v in values):
-        return None
-    L = math.lcm(*(theta.denominator for _, theta in levels))
-    D = math.lcm(*(v.denominator for v in values))
-    return _SegmentMemo(D * L ** (min(k, SUPPORT_BOUND) - 1))
-
-
 class _Evaluator(_Partitions):
     """Per-vector memoized evaluator for one implicit-norm space; its
     pieces are its own segment norms.
@@ -458,13 +429,13 @@ class _Evaluator(_Partitions):
     is exact: by induction on m, the value of a segment of m points is
     a multiple of L**(k-m), since its peak |x_t| * Q is a multiple of
     L**(k-1), a split sums segments of at most m - 1 points (multiples
-    of L**(k-m+1)) and q divides L; and m <= k.  Given a scan's
-    :class:`_SegmentMemo`, Q is the scan's and a segment missing from
-    the evaluator's own memo is looked up there before it is computed.
-    Float mode (the Schlumprecht space or a float coefficient) keeps
-    scale 1 and multiplies by theta."""
+    of L**(k-m+1)) and q divides L; and m <= k.  Given a
+    :class:`_BlockSums` scan, Q is the scan's and a segment missing from
+    the evaluator's own memo is looked up in the scan's segment values
+    before it is computed.  Float mode (the Schlumprecht space or a float
+    coefficient) keeps scale 1 and multiplies by theta."""
 
-    def __init__(self, space, x, memo=None):
+    def __init__(self, space, x, scan=None):
         k = len(x.entries)
         if k > SUPPORT_BOUND:
             raise SupportBoundError("support %d exceeds bound %d"
@@ -480,17 +451,17 @@ class _Evaluator(_Partitions):
             # (alpha, p, q) with theta = p / q; q is None when p is theta
             self.levels = [(alpha, theta, None) for alpha, theta in levels]
         else:
-            if memo is None:
+            if scan is None:
                 L = math.lcm(*(theta.denominator for _, theta in levels))
                 Q = math.lcm(*(v.denominator for v in vals)) * L ** (k - 1)
             else:
-                Q = memo.Q
+                Q = scan.Q
             self.Q = Q
             self.mags = tuple(abs(v.numerator) * (Q // v.denominator)
                               for v in vals)
             self.levels = [(alpha, theta.numerator, theta.denominator)
                            for alpha, theta in levels]
-        self._shared = memo
+        self._shared = None if scan is None else scan.segments
         self._seg = {}
         self._chain = {}
         self._count = {}
@@ -558,10 +529,8 @@ class _Evaluator(_Partitions):
         return r
 
 
-def norm(space, x, *, memo=None):
-    """Norm of x in the given space (exact Fraction unless float mode).
-    A scan passes its :func:`_segment_memo` as `memo`; the value is the
-    same with or without it."""
+def norm(space, x):
+    """Norm of x in the given space (exact Fraction unless float mode)."""
     if isinstance(space, Derived):
         kind = space.kind
         if kind[0] == "nn":
@@ -574,8 +543,78 @@ def norm(space, x, *, memo=None):
         return max(max(vals), -min(vals))
     if isinstance(space, L1):
         return sum(abs(v) for v in x.values)
-    ev = _Evaluator(space, x, memo)
+    ev = _Evaluator(space, x)
     return ev.unscale(ev.seg_norm(0, len(x.entries) - 1))
+
+
+class _BlockSums:
+    """Norms of sums of disjoint successive blocks, for the scans that
+    norm many of them: spreading checks and asymptoticity constants.
+
+    `blocks` maps keys to nonzero blocks.  :meth:`norms` gives the norm
+    of each sum times Q, and :meth:`value` the number that stands for.
+    No sum has more than k points.
+
+    - C0 and L1, exact values: the blocks are disjoint, so the norm of a
+      sum is the max (c0) or the sum (l1) of the block norms.  Each block
+      is normed once, as an int over Q = D, the lcm of the blocks' value
+      denominators, and a sum costs one max or sum of ints.
+    - T and MT, exact values: each sum is normed by an :class:`_Evaluator`
+      over Q = D * L**(k-1), a multiple of every sum's own Q, so scaled
+      values stay exact; past SUPPORT_BOUND points no sum is normed.  The
+      evaluators share one dict of segment values, keyed by a segment's
+      points followed by its scaled magnitudes.  A segment's norm depends
+      on nothing else: ``seg_norm(i, j)`` reads positions i..j, and each
+      cursor's remaining count stays inside.  The dict is cleared at
+      SEGMENT_MEMO_BOUND entries and dies with the scan.
+    - Anything else (float values, the Schlumprecht space, `Derived`):
+      the sum, the concatenation of its blocks' entries, is normed by
+      :func:`norm`; Q = 1."""
+
+    def __init__(self, space, blocks, k):
+        self.space = space
+        self.blocks = blocks
+        self.Q, self.scaled, self.segments = 1, None, None
+        levels = _levels(space)
+        self.ints = (bool(levels) or isinstance(space, (C0, L1))) and not any(
+            isinstance(v, float) for b in blocks.values() for v in b.values)
+        if not self.ints:
+            return
+        D = math.lcm(*{v.denominator for b in blocks.values() for v in b.values})
+        if levels:
+            L = math.lcm(*(theta.denominator for _, theta in levels))
+            self.Q = D * L ** (max(min(k, SUPPORT_BOUND), 1) - 1)
+            self.segments = {}
+        else:
+            self.Q = D
+            self.fold = max if isinstance(space, C0) else sum
+            self.scaled = {key: self.fold(abs(v.numerator) * (D // v.denominator)
+                                          for v in b.values)
+                           for key, b in blocks.items()}
+
+    def norms(self, key_tuples):
+        """(keys, the norm of the sum of their blocks times Q) for each
+        nonempty tuple of keys, given in increasing block order."""
+        if self.scaled is not None:
+            fold, get = self.fold, self.scaled.__getitem__
+            for keys in key_tuples:
+                if keys:
+                    yield keys, fold(map(get, keys))
+            return
+        for keys in key_tuples:
+            if not keys:
+                continue
+            x = FsVector(tuple(itertools.chain.from_iterable(
+                self.blocks[key].entries for key in keys)))
+            if self.segments is None:
+                yield keys, norm(self.space, x)
+            else:
+                ev = _Evaluator(self.space, x, self)
+                yield keys, ev.seg_norm(0, len(x.entries) - 1)
+
+    def value(self, v):
+        """The norm a result of the scan stands for."""
+        return Fraction(v, self.Q) if self.ints else v
 
 
 # ---------------------------------------------------------------------------

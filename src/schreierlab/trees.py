@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .families import Family, explicit_family
+from .families import explicit_family
 from .spaces import FsVector, norm, space_mode
 
 __all__ = [

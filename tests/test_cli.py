@@ -184,6 +184,18 @@ class TestExitCodes:
                        "within universe 24\n")
         assert time.perf_counter() - t0 < 10
 
+    @pytest.mark.parametrize("argv,at_zero", [
+        (("fam", "tail", "--family", "S(1)", "--other", "S(2)"), 1),
+        (("fam", "regular", "--family", "S(1)"), 0),
+        (("asymp", "--space", "C0", "--alpha", "1"), 0)],
+        ids=["tail", "regular", "asymp"])
+    def test_negative_universe_is_usage_error(self, capsys, argv, at_zero):
+        code, out, err = run(capsys, *argv, "--universe", "-3")
+        assert code == 64 and out == ""
+        assert err == "error: --universe must be >= 0, got -3\n"
+        # universe 0 stays an answer
+        assert run(capsys, *argv, "--universe", "0")[0] == at_zero
+
     def test_asymptoticity_corpus_past_its_bound(self, capsys):
         # S_1 has 2**24 - 1 block systems within {1..24}
         t0 = time.perf_counter()

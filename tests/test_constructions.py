@@ -526,17 +526,42 @@ class TestSpreadingOracle:
         assert rep.passed is (want == ()) and rep.witness == want
         assert [type(v) for v in rep.witness[2:]] == [type(v) for v in want[2:]]
 
+    @pytest.mark.parametrize("space,C,want", [
+        (C0(), 1.6666666666666665, ((1,), (1,), Fraction(3, 5))),
+        (T12, 1.6666666666666665, ((1,), (1,), Fraction(3, 5))),
+        (L1(), 0.9, ((1,), (1,), Fraction(11, 10))),
+        (T12, 3.0, ((2,), (1,), Fraction(1, 4))),
+        (C0(), 10.0, ()),
+    ], ids=["c0", "T", "l1", "T-later", "c0-passes"])
+    def test_exact_blocks_with_a_float_C(self, space, C, want):
+        # a float C is decided as C * ||x_F|| < |F| in floats, as when
+        # each x_F is normed by `norm` (C * 3/5 is 0.99...9 < 1 here, while
+        # C * 3 < 5 is false), and the witness value stays exact
+        blocks = [FsVector.from_pairs([(1, Fraction(3, 5)), (2, Fraction(-1, 2))]),
+                  FsVector.from_pairs([(3, Fraction(1, 4))]),
+                  FsVector.from_pairs([(4, Fraction(3, 4))])]
+        rep = check_spreading_model(space, blocks, 1, C, 3)
+        assert rep.passed is (want == ()) and rep.witness == want
+        assert [type(v) for v in rep.witness[2:]] == [type(v) for v in want[2:]]
+
     @pytest.mark.parametrize("space,C,universe", [
         (C0(), 10, 24), (L1(), 1, 24), (T12, 2, 8)], ids=["c0", "l1", "T"])
     def test_norm_calls(self, monkeypatch, space, C, universe):
-        # c0 and l1 norm each block at most once; other spaces norm each x_F
+        # c0 and l1 norm each block at most once; other spaces norm each
+        # x_F, through spaces.norm or one evaluator each
         seen = []
+        init = spaces._Evaluator.__init__
 
-        def counted(sp, x, **kw):
+        def counted_norm(sp, x):
             seen.append(x)
-            return norm(sp, x, **kw)
+            return norm(sp, x)
 
-        monkeypatch.setattr(constructions, "norm", counted)
+        def counted_init(ev, sp, x, *args):
+            seen.append(x)
+            init(ev, sp, x, *args)
+
+        monkeypatch.setattr(spaces, "norm", counted_norm)
+        monkeypatch.setattr(spaces._Evaluator, "__init__", counted_init)
         check_spreading_model(space, [FsVector.basis(i) for i in range(1, 25)],
                               1, Fraction(C), universe)
         if space == T12:
@@ -545,11 +570,12 @@ class TestSpreadingOracle:
             assert len(seen) <= universe
 
 
-def asymptoticity_oracle(levels, alpha, N):
+def asymptoticity_oracle(oracle, alpha, N):
     """max(1, k / ||x_1 + ... + x_k||) by brute force over every system of
     successive intervals [a_1, b_1] < ... < [a_k, b_k] in {1..N} whose
     minima pass brute_schreier, each x_i the indicator of its interval
-    divided by its oracle norm."""
+    divided by its norm; `oracle` norms a plain list of pairs, as in
+    ORACLE_NORMS."""
     alpha = Ordinal.from_int(alpha)
 
     def systems(lo):
@@ -567,10 +593,10 @@ def asymptoticity_oracle(levels, alpha, N):
         pairs = []
         for a, b in system:
             if (a, b) not in unit:
-                unit[a, b] = 1 / implicit_norm_oracle(
-                    [(i, Fraction(1)) for i in range(a, b + 1)], levels)
+                unit[a, b] = 1 / oracle(
+                    [(i, Fraction(1)) for i in range(a, b + 1)])
             pairs += [(i, unit[a, b]) for i in range(a, b + 1)]
-        best = max(best, len(system) / implicit_norm_oracle(pairs, levels))
+        best = max(best, len(system) / oracle(pairs))
     return best
 
 
@@ -589,7 +615,18 @@ class TestAsymptoticity:
     ])
     def test_against_brute_force(self, desc, levels, alpha, N):
         got = measure_asymptoticity(spaces.parse_space(desc), alpha, N)
-        assert got == asymptoticity_oracle(levels, alpha, N)
+        assert got == asymptoticity_oracle(
+            lambda pairs: implicit_norm_oracle(pairs, levels), alpha, N)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("name", ["c0", "l1"])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("N", [6, 7, 8])
+    def test_block_norms_against_brute_force(self, name, alpha, N):
+        # c0 and l1 take the int block-norm path for units and systems
+        space, oracle = ORACLE_NORMS[name]
+        got = measure_asymptoticity(space, alpha, N)
+        assert got == asymptoticity_oracle(oracle, alpha, N)
         assert type(got) is Fraction
 
     def test_corpus_past_the_bound_is_refused(self, monkeypatch):

@@ -419,34 +419,47 @@ class TestScaledArithmetic:
     ], ids=["T(S_1,2/3)", "MT(1/2,1/3)"])
     def test_one_segment_memo_for_many_vectors(self, monkeypatch, space,
                                                levels):
-        # every interval restriction of every vector, normed over one
-        # scan's Q and memo, in an order where shorter vectors come late
+        # every interval restriction of every vector, normed as a sum of
+        # its coordinate blocks by one block-sum scan, so over one Q and
+        # one segment dict, in an order where shorter vectors come late
         xs = [x.restrict((x.support[i], x.support[j]))
               for x in COPRIME_VECTORS for i in range(len(x.entries))
               for j in range(len(x.entries) - 1, i - 1, -1)]
         want = {x: implicit_norm_oracle(x.entries, levels) for x in xs}
-        values = [v for x in xs for v in x.values]
+        blocks = {p: FsVector((p,)) for x in xs for p in x.entries}
         k = max(len(x.entries) for x in xs)
-        memo = spaces._segment_memo(space, values, k)
-        for x in xs:
-            assert norm(space, x, memo=memo) == want[x], x
+        sums = spaces._BlockSums(space, blocks, k)
+        for keys, v in sums.norms(x.entries for x in xs):
+            assert sums.value(v) == want[FsVector(keys)], keys
         # a restriction's segments are segments of its vector, read back
-        assert 0 < len(memo) <= sum(len(x.entries) * (len(x.entries) + 1) // 2
-                                    for x in COPRIME_VECTORS)
-        # a capped memo is cleared when full and gives the same values
+        assert 0 < len(sums.segments) <= sum(
+            len(x.entries) * (len(x.entries) + 1) // 2 for x in COPRIME_VECTORS)
+        # capped segment values are cleared when full and give the same
+        # values
         monkeypatch.setattr(spaces, "SEGMENT_MEMO_BOUND", 5)
-        small = spaces._segment_memo(space, values, k)
-        for x in xs:
-            assert norm(space, x, memo=small) == want[x], x
-            assert len(small) <= 5
+        small = spaces._BlockSums(space, blocks, k)
+        for keys, v in small.norms(x.entries for x in xs):
+            assert small.value(v) == want[FsVector(keys)], keys
+            assert len(small.segments) <= 5
 
     def test_no_segment_memo_where_vectors_keep_their_own(self):
-        values = [Fraction(1, 3), 2]
-        assert spaces._segment_memo(T12, values + [0.5], 4) is None
-        for space in (C0(), L1(), Schlumprecht(), Derived(T12, ("nn", 2))):
-            assert spaces._segment_memo(space, values, 4) is None
-        assert spaces._segment_memo(T12, values, 4).Q == 3 * 2 ** 3
-        assert spaces._segment_memo(T12, values, 100).Q == 3 * 2 ** 71
+        # only T and MT scans share segment values; c0 and l1 scans scale
+        # by D alone, and the rest norm each sum with Q = 1
+        blocks = {1: FsVector.from_pairs([(1, Fraction(1, 3)), (2, 2)])}
+        floats = dict(blocks, f=FsVector.from_pairs([(3, 0.5)]))
+        for space, bl in [(T12, floats), (Schlumprecht(), blocks),
+                          (Derived(T12, ("nn", 2)), blocks)]:
+            sums = spaces._BlockSums(space, bl, 4)
+            assert (sums.ints, sums.Q, sums.segments) == (False, 1, None)
+        for space in (C0(), L1()):
+            sums = spaces._BlockSums(space, blocks, 4)
+            assert (sums.ints, sums.Q, sums.segments) == (True, 3, None)
+        assert spaces._BlockSums(T12, blocks, 4).Q == 3 * 2 ** 3
+        assert spaces._BlockSums(T12, blocks, 100).Q == 3 * 2 ** 71
+        assert spaces._BlockSums(T12, blocks, 4).segments == {}
+        # no scan has a fractional Q, not even one of empty sums
+        assert type(spaces._BlockSums(T12, blocks, 0).Q) is int
+        assert spaces._BlockSums(T12, {}, 0).Q == 1
 
     @pytest.mark.parametrize("space", [
         T12, T22, MT12, T1_37, Derived(T12, ("nn", 2)),
