@@ -46,6 +46,8 @@ EXIT_INCONCLUSIVE = 2
 EXIT_PARSE = 64
 EXIT_RESOURCE = 65
 
+FUNDSEQ_BOUND = 10 ** 4  # terms one `ord fundseq` lists; the bound takes about 0.1 s
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse that signals usage errors via the contract exit code."""
@@ -159,6 +161,11 @@ def _cmd_ord(args):
     if args.action == "compare":
         r = ordinal_compare(parse_ordinal(args.a), parse_ordinal(args.b))
         return _emit(args, {"comparison": r}, r, EXIT_PASS)
+    if args.n < 0:
+        raise _UsageError("--n must be >= 0, got %d" % args.n)
+    if args.n > FUNDSEQ_BOUND:
+        raise ResourceBoundError("sequence length %d exceeds FUNDSEQ_BOUND %d"
+                                 % (args.n, FUNDSEQ_BOUND))
     a = parse_ordinal(args.expr)
     seq = [str(fundamental_sequence(a, n)) for n in range(1, args.n + 1)]
     return _emit(args, {"sequence": seq}, ", ".join(seq), EXIT_PASS)

@@ -346,7 +346,8 @@ def _check_biorthogonal(space, blocks, functionals):
                 raise ConstructionError(
                     "biorthogonality fails: phi_%d(x_%d) = %s" % (i, j, v))
         if dual_norm(space, phi).upper > 1:
-            raise ConstructionError("functional %d is not normalized" % i)
+            raise ConstructionError(
+                "functional %d: normalization not certified" % i)
 
 
 def _dual_status(space, bounds, nx, lower_min, upper_max):

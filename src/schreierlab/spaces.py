@@ -31,7 +31,10 @@ built whose budget already covers them all.  The cursor's state ids come
 from :mod:`schreierlab.families`, which interns the states as ints, so
 the memo keys are int triples.  "At most n pieces" is itself such a
 cursor: S_1 after reading n, which allows n - 1 further blocks of
-singletons.
+singletons.  The implicit norms' admissible split of a segment is a
+suffix maximum over the starts of its first piece, stored per start, so
+each (start, cursor state, end) is cut once: O(k**3) cut steps per
+k-point vector, not O(k**4).
 """
 
 from __future__ import annotations
@@ -358,7 +361,10 @@ class _Partitions:
     position for admissible sums, position 0 for at most n pieces, at
     least two pieces for the implicit norms.  The rules are not
     interchangeable, since dual lower bounds are not monotone under
-    interval inclusion once a piece exceeds PATTERN_BOUND."""
+    interval inclusion once a piece exceeds PATTERN_BOUND.  The implicit
+    norms' splits are suffix maxima over starts, which
+    :class:`_Evaluator` stores per (start, end, alpha): each start is
+    cut once per segment end, O(k**3) for a k-point vector."""
 
     def __init__(self, sp, piece):
         self.sp = sp
@@ -382,10 +388,13 @@ class _Partitions:
     def cut(self, l, state, j, best):
         """max(best, best piece-sum over chains of [l..j] with at least
         two pieces)."""
-        sp, piece = self.sp, self.piece
+        sp, piece, memo = self.sp, self.piece, self._chain
         for m in range(l + 1, j + 1):
             for s2 in _cursor_advance(state, sp[m], j - m):
-                v = piece(l, m - 1) + self.chain(m, s2, j)
+                c = memo.get((m, s2, j))  # a hit skips the method call
+                if c is None:
+                    c = self.chain(m, s2, j)
+                v = piece(l, m - 1) + c
                 if v > best:
                     best = v
         return best
@@ -464,6 +473,7 @@ class _Evaluator(_Partitions):
         self._shared = None if scan is None else scan.segments
         self._seg = {}
         self._chain = {}
+        self._split = {}
         self._count = {}
 
     def unscale(self, v):
@@ -507,12 +517,22 @@ class _Evaluator(_Partitions):
     piece = seg_norm
 
     # best sum over >= 2 admissible pieces inside [i..j]; first piece may
-    # start after i (dropped prefix), pieces are gap-free afterwards
+    # start after i (dropped prefix), pieces are gap-free afterwards.  A
+    # chain that starts at l does not depend on i, so the answer is a
+    # suffix maximum over starts: split(i) = max(split(i + 1), chains from
+    # i), stored for every start.  Walk up to the nearest stored start
+    # (none at l = j, where no second cut exists), then fill back down.
     def split_admissible(self, i, j, alpha):
-        best = 0
-        for l in range(i, j):  # second cut must exist, so l < j
+        memo = self._split
+        l = i
+        while l < j and (l, j, alpha) not in memo:
+            l += 1
+        best = memo.get((l, j, alpha), 0)
+        while l > i:
+            l -= 1
             for s in _cursor_start(alpha, self.sp[l], j - l):
                 best = self.cut(l, s, j, best)
+            memo[l, j, alpha] = best
         return best
 
     # best sum over exactly k <= j - i + 1 successive pieces covering [i..j]

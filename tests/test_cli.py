@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from schreierlab import cli
 from schreierlab.cli import CONVENTION, main
 
 
@@ -261,6 +262,25 @@ class TestSubcommands:
     def test_ord_fundseq(self, capsys):
         code, out, _ = run(capsys, "ord", "fundseq", "--expr", "w^2", "--n", "3")
         assert code == 0 and out.strip() == "w, w*2, w*3"
+
+    def test_ord_fundseq_negative_length_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "ord", "fundseq", "--expr", "w^2", "--n", "-1")
+        assert code == 64 and out == ""
+        assert err == "error: --n must be >= 0, got -1\n"
+        # length 0 stays an answer
+        assert run(capsys, "ord", "fundseq", "--expr", "w^2", "--n", "0")[0] == 0
+
+    def test_ord_fundseq_past_its_bound(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "ord", "fundseq", "--expr", "w^2",
+                             "--n", "100000000")
+        assert time.perf_counter() - t0 < 1
+        assert code == 65 and out == ""
+        assert err == ("resource bound: sequence length 100000000 exceeds "
+                       "FUNDSEQ_BOUND %d\n" % cli.FUNDSEQ_BOUND)
+        code, out, _ = run(capsys, "ord", "fundseq", "--expr", "w",
+                           "--n", str(cli.FUNDSEQ_BOUND))
+        assert code == 0 and out.count(",") == cli.FUNDSEQ_BOUND - 1
 
     def test_ord_compare(self, capsys):
         code, out, _ = run(capsys, "ord", "compare", "--a", "w", "--b", "w+1")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -488,6 +489,90 @@ class TestScaledArithmetic:
         got = [norm(T12, y), norm_n(T12, 2, y), assoc_norm(T12, 1, y)]
         assert got == [1, 1.5, 1.5833333333333333]
         assert [type(v) for v in got] == [Fraction, float, float]
+
+
+def dp_vector(k, shift):
+    """A fixed signed rational vector of k points with gaps."""
+    return FsVector.from_pairs(
+        (2 + t + t // 3, Fraction((7 * t + shift) % 11 - 5 or 3, 1 + t % 4))
+        for t in range(k))
+
+
+class TestSplitMemo:
+    """Admissible splits are a suffix maximum over chain starts, stored
+    per (start, end, alpha)."""
+
+    @pytest.mark.parametrize("space,k,shift,want", [
+        (T12, 20, 0, (Fraction(115, 12), 210, 749)),
+        (T12, 32, 1, (Fraction(733, 48), 528, 3073)),
+        (T22, 32, 1, (Fraction(137, 6), 528, 4069)),
+        (MT12, 32, 1, (Fraction(733, 48), 528, 4134)),
+    ], ids=["T(S_1)-20", "T(S_1)-32", "T(S_2)-32", "MT-32"])
+    def test_each_chain_start_is_cut_once(self, monkeypatch, space, k, shift,
+                                          want):
+        # the keys split_admissible hands to cut, with the level's alpha
+        # (an MT space's levels can both reach the accept-all state); chain
+        # hands each of its memo keys to cut once by itself
+        cut = spaces._Evaluator.cut
+        from_split = []
+
+        def recording(self, l, state, j, best):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "split_admissible":
+                from_split.append((caller.f_locals["alpha"], l, state, j))
+            return cut(self, l, state, j, best)
+
+        monkeypatch.setattr(spaces._Evaluator, "cut", recording)
+        ev = spaces._Evaluator(space, dp_vector(k, shift))
+        value = ev.unscale(ev.seg_norm(0, k - 1))
+        assert len(set(from_split)) == len(from_split) > 0
+        # the memo sizes the benchmark traces as seg_states/chain_states
+        assert (value, len(ev._seg), len(ev._chain)) == want
+
+    @pytest.mark.parametrize("space,levels", [
+        (T12, [(brute_s1, Fraction(1, 2))]),
+        (MT12, [(brute_s1, Fraction(1, 2)), (brute_s2, Fraction(1, 4))]),
+    ], ids=["T(S_1,1/2)", "MT"])
+    def test_restart_above_a_shared_segment(self, monkeypatch, space, levels):
+        # the scan's shared values hold the middle block c as one segment
+        # but none of its suffixes, as a clear at SEGMENT_MEMO_BOUND can
+        # leave them; in a + c + d the split of a segment from a's last
+        # point into c then passes c's first point, which stores no split,
+        # and restarts from a stored start above it.  The best chain of
+        # {2, 3, 4, 5} starts at 3, which allows a third piece
+        blocks = {"a": FsVector.from_pairs([(1, "1/2"), (2, 1)]),
+                  "c": FsVector.indicator([3, 4, 5]),
+                  "d": FsVector.from_pairs([(6, "-1/3"), (7, 1)])}
+        sums = spaces._BlockSums(space, blocks, 7)
+        list(sums.norms([("c",)]))
+        segments = sums.segments
+        (whole,) = (key for key in segments if len(key) == 6)
+        for key in [key for key in segments if key != whole]:
+            del segments[key]
+        split = spaces._Evaluator.split_admissible
+        restarts, evaluators = [], {}
+
+        def watching(self, i, j, alpha):
+            above = [l for l in range(i + 1, j) if (l, j, alpha) in self._split]
+            if above and (i + 1, j, alpha) not in self._split:
+                restarts.append((self.sp[i], self.sp[above[0]], self.sp[j]))
+            evaluators[id(self)] = self
+            return split(self, i, j, alpha)
+
+        monkeypatch.setattr(spaces._Evaluator, "split_admissible", watching)
+        sums_of = [("a", "c", "d"), ("a", "c"), ("c", "d"), ("c",)]
+        got = dict(sums.norms(sums_of))
+        assert (2, 4, 5) in restarts
+        for keys in sums_of:
+            x = FsVector(tuple(itertools.chain.from_iterable(
+                blocks[key].entries for key in keys)))
+            assert sums.value(got[keys]) == norm(space, x) == \
+                implicit_norm_oracle(x.entries, levels), keys
+        # every segment value of every evaluator, the restarted ones too
+        for ev in evaluators.values():
+            for (i, j), v in ev._seg.items():
+                pairs = [(ev.sp[t], ev.mags[t]) for t in range(i, j + 1)]
+                assert v == implicit_norm_oracle(pairs, levels), (i, j)
 
 
 class TestCursor:
