@@ -11,11 +11,12 @@ finite universe, never claims about infinite-dimensional objects.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import (ResourceBoundError, _cursor_step, _int_weights, _longest,
-                       _walk, schreier)
+from .families import ResourceBoundError, _int_weights, _longest, _walk, schreier
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (FsVector, _BlockSums, norm, norm_n, assoc_norm,
                      primal_from_dual, dual_norm, space_mode)
@@ -478,39 +479,42 @@ def measure_asymptoticity(space, alpha, universe_max):
 
     The corpus blocks are intervals, for which disjoint and successive
     coincide, so the constant is also the allowable (disjoint-block) one.
-    The systems are listed before any is normed; past
-    ASYMPTOTICITY_SYSTEM_BOUND of them the measurement raises
-    ResourceBoundError at once.  One spaces._BlockSums scan over the
-    basis norms the interval units, and another over the units norms
-    the systems.
+    A system is the minima F of a nonempty member of S_alpha, read by
+    families._walk over 1..universe_max, with one end b_i per block,
+    F[i] <= b_i < F[i+1] (b_k <= universe_max).  The systems are counted
+    before any is normed; past ASYMPTOTICITY_SYSTEM_BOUND of them the
+    measurement raises ResourceBoundError.  One spaces._BlockSums scan over
+    the basis norms the interval units, and another over the units norms
+    the systems as they are listed.
     """
     alpha = _as_ordinal(alpha)
     N = universe_max
-    # each system is a tuple of blocks (a, b); the stack holds a system
-    # with the least start of its next block and the cursor states
-    systems, stack = [], [((), 1, None)]
-    while stack:
-        system, lo, states = stack.pop()
-        for a in range(lo, N + 1):
-            nxt = _cursor_step(alpha, states, a, N - a)
-            if not nxt:
-                continue
-            for b in range(a, N + 1):
-                if len(systems) == ASYMPTOTICITY_SYSTEM_BOUND:
-                    raise ResourceBoundError(
-                        "S_%s block systems within universe %d exceed bound "
-                        "%d (%d listed, none normed)"
-                        % (alpha, N, ASYMPTOTICITY_SYSTEM_BOUND, len(systems)))
-                longer = system + ((a, b),)
-                systems.append(longer)
-                stack.append((longer, b + 1, nxt))
-    basis = _BlockSums(space, {i: FsVector.basis(i) for i in range(1, N + 1)}, N)
-    units = {}
-    for ab, v in basis.norms(range(a, b + 1) for a in range(1, N + 1)
-                             for b in range(a, N + 1)):
-        x, nv = FsVector.indicator(ab), basis.value(v)
-        units[ab[0], ab[-1]] = x.scale(Fraction(1) / nv) if nv != 1 else x
+    points = range(1, N + 1)
+    # S_alpha holds every singleton, so there are N(N+1)/2 one-block
+    # systems or more: past the bound, refuse before the walk builds its
+    # first row of N cursor steps
+    count, members = N * (N + 1) // 2, []
+    if count <= ASYMPTOTICITY_SYSTEM_BOUND:
+        count = 0
+        for F in _walk(alpha, points, [(a,) for a in points], ()):
+            # the ends each block of F may take
+            ends = [range(a, b) for a, b in zip(F, F[1:] + (N + 1,))]
+            members.append((F, ends))
+            count += math.prod(map(len, ends))
+            if count > ASYMPTOTICITY_SYSTEM_BOUND:
+                break
+    if count > ASYMPTOTICITY_SYSTEM_BOUND:
+        raise ResourceBoundError(
+            "S_%s block systems within universe %d exceed bound %d "
+            "(%d listed, none normed)"
+            % (alpha, N, ASYMPTOTICITY_SYSTEM_BOUND, ASYMPTOTICITY_SYSTEM_BOUND))
+    basis = _BlockSums(space, {i: FsVector.basis(i) for i in points}, N)
+    units = {(ab[0], ab[-1]): FsVector.indicator(ab, 1 / basis.value(v))
+             for ab, v in basis.norms(range(a, b + 1) for a in points
+                                      for b in range(a, N + 1))}
     sums = _BlockSums(space, units, N)
+    systems = (tuple(zip(F, b)) for F, ends in members
+               for b in itertools.product(*ends))
     best = Fraction(1)
     for system, v in sums.norms(systems):
         ratio = len(system) / sums.value(v)

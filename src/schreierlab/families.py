@@ -9,21 +9,23 @@ The bracket M[N] holds the unions of successive N-runs F_1 < ... < F_k
 with a witness (m_i) in M, max F_{i-1} < m_i <= min F_i; POW(M,1) is M
 and POW(M,k) is M[POW(M,k-1)].  M and N must be regular (not explicit).
 
-Membership, enumeration, derivatives, subset-mass maximization, the
-admissible-partition DPs of :mod:`schreierlab.spaces` and the
-asymptoticity corpus all run one nondeterministic left-to-right
-"cursor" automaton over the sorted elements.  Its S_a states record the
-remaining block budget at each level; a bracket state pairs the outer
-cursor's states after the run minima with the inner cursor's states in
-the current run, which the next element extends whenever it can.
-Every step is told how many elements can still follow (`remaining`)
-and returns canonical states for that count: a level whose fresh
-blocks can take all of them makes the accept-all state FREE, and a
-level with no blocks left is replaced by its inner state.  Both keep
-what a state accepts from the next `remaining` elements and keep the
-state sets of limit ordinals small.  The states are interned as ints;
-no other module sees their format.  Derivatives ride on membership
-through probes above the universe.
+Membership, enumeration, derivatives, subset-mass maximization and the
+admissible-partition DPs of :mod:`schreierlab.spaces` all run one
+nondeterministic left-to-right "cursor" automaton over the sorted
+elements.  Its S_a states record the remaining block budget at each
+level; a bracket state pairs the outer cursor's states after the run
+minima with the inner cursor's states in the current run, which the
+next element extends whenever it can.  Every step is told how many
+elements can still follow (`remaining`) and returns canonical states
+for that count: a level whose fresh blocks can take all of them makes
+the accept-all state FREE, and a level with no blocks left is replaced
+by its inner state.  Both keep what a state accepts from the next
+`remaining` elements and keep the state sets of limit ordinals small.
+The states are interned as ints; no other module sees their format.
+Derivatives ride on membership through probes above the universe.
+Every listing of members reads one walk over the cursor, `_walk`:
+enumeration, the SCC mass check, the block systems of an asymptoticity
+measurement and the pieces of the allowable associated norm.
 """
 
 from __future__ import annotations
@@ -121,6 +123,8 @@ def _int_weights(F, weights):
 #
 # Callers outside the tuple-level functions step through _cursor_step,
 # which works on sets of interned state ids; None is the fresh cursor.
+# Other modules list members through _walk, and the DPs of spaces read
+# _cursor_start and _cursor_advance state by state.
 # ---------------------------------------------------------------------------
 
 FREE = ("free",)

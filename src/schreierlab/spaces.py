@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import (_ONE, ResourceBoundError, _cursor_advance,
-                       _cursor_start, _cursor_step)
+                       _cursor_start, _walk)
 from .ordinal import Ordinal
 
 __all__ = [
@@ -691,40 +691,26 @@ def assoc_norm(space, alpha, x, variant="admissible"):
 
 def _assoc_allowable(space, alpha, x):
     """Exhaustive search over families of pairwise disjoint pieces whose
-    minima form an S_alpha set.  Exponential; guarded by support size."""
+    minima form an S_alpha set.  The minima G are read by families._walk
+    over the support; every other support point is dropped or joins a
+    piece with a smaller minimum.  Exponential; guarded by support size."""
     sp = x.support
-    P = len(sp)
-    if P > ALLOWABLE_SUPPORT_BOUND:
+    if len(sp) > ALLOWABLE_SUPPORT_BOUND:
         raise SupportBoundError("allowable variant limited to support <= %d"
                                 % ALLOWABLE_SUPPORT_BOUND)
-    best = [norm(space, x.restrict(((sp[0]), sp[-1])))]  # single piece floor
-
-    def value(pieces):
-        return sum((norm(space, x.restrict(p)) for p in pieces),
-                   Fraction(0) if space_mode(space) == "exact" else 0.0)
-
-    def rec(pos, pieces, states):
-        if pos == P:
-            if pieces:
-                v = value(pieces)
-                if v > best[0]:
-                    best[0] = v
-            return
-        e = sp[pos]
-        rec(pos + 1, pieces, states)  # drop this support point
-        for k in range(len(pieces)):  # join an existing piece
-            pieces[k].append(e)
-            rec(pos + 1, pieces, states)
-            pieces[k].pop()
-        # open a new piece with minimum e
-        nxt = _cursor_step(alpha, states, e, P - 1 - pos)
-        if nxt:
-            pieces.append([e])
-            rec(pos + 1, pieces, nxt)
-            pieces.pop()
-
-    rec(0, [], None)
-    return best[0]
+    zero = Fraction(0) if space_mode(space) == "exact" else 0.0
+    best = zero
+    for G in _walk(alpha, sp, [(e,) for e in sp], ()):
+        rest = [e for e in sp if e not in G]
+        # choice 0 drops a point, choice k joins it to the piece of G[k - 1]
+        for picks in itertools.product(*(range(1 + sum(m < e for m in G))
+                                         for e in rest)):
+            pieces = [[]] + [[m] for m in G]
+            for e, k in zip(rest, picks):
+                pieces[k].append(e)
+            best = max(best, sum((norm(space, x.restrict(p))
+                                  for p in pieces[1:]), zero))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -195,3 +195,32 @@ def implicit_norm_oracle(pairs, levels):
                         best = theta * total
             val[A] = best
     return val[tuple(sorted(mag))]
+
+
+def disjoint_families(elems):
+    """Every family of pairwise disjoint nonempty subsets of the sorted
+    elems, the empty family included, as lists of sorted tuples: the first
+    element is left out, put alone or put in front of a piece of a family
+    of the rest."""
+    if not elems:
+        yield []
+        return
+    first, rest = elems[0], elems[1:]
+    for family in disjoint_families(rest):
+        yield family
+        yield [(first,)] + family
+        for k in range(len(family)):
+            yield family[:k] + [(first,) + family[k]] + family[k + 1:]
+
+
+def allowable_oracle(pairs, alpha, oracle):
+    """sup of the sums of the piece norms over the families of pairwise
+    disjoint nonempty subsets of the support of the vector with the given
+    (index, value) pairs whose sorted minima pass brute_schreier; `oracle`
+    norms a plain list of pairs.  Uses neither the cursor nor the DP."""
+    x = dict(pairs)
+    piece_norm = lru_cache(maxsize=None)(
+        lambda piece: oracle([(i, x[i]) for i in piece]))
+    return max(sum(piece_norm(p) for p in family)
+               for family in disjoint_families(tuple(sorted(x)))
+               if family and brute_schreier(alpha, tuple(sorted(p[0] for p in family))))

@@ -198,14 +198,19 @@ class TestExitCodes:
         assert run(capsys, *argv, "--universe", "0")[0] == at_zero
 
     def test_asymptoticity_corpus_past_its_bound(self, capsys):
-        # S_1 has 2**24 - 1 block systems within {1..24}
-        t0 = time.perf_counter()
-        code, out, err = run(capsys, "asymp", "--space", "T(S(1),1/2)",
-                             "--alpha", "1", "--universe", "24")
-        assert code == 65 and out == ""
-        assert err == ("resource bound: S_1 block systems within universe 24 "
-                       "exceed bound 16384 (16384 listed, none normed)\n")
-        assert time.perf_counter() - t0 < 2
+        # S_1 has 2**24 - 1 block systems within {1..24}; every S_alpha has
+        # the N(N+1)/2 one-block systems, refused before any is listed
+        for space, alpha, universe in [("T(S(1),1/2)", "1", "24"),
+                                       ("C0", "0", "1000000000"),
+                                       ("T(S(1),1/2)", "w^5", "20000")]:
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, "asymp", "--space", space,
+                                 "--alpha", alpha, "--universe", universe)
+            assert code == 65 and out == ""
+            assert err == ("resource bound: S_%s block systems within "
+                           "universe %s exceed bound 16384 (16384 listed, "
+                           "none normed)\n" % (alpha, universe))
+            assert time.perf_counter() - t0 < 2
 
     @pytest.mark.parametrize("argv,alpha", [
         (("fam", "member", "--family", "S(w^500)", "--set", "2,3"), "w^500"),

@@ -582,6 +582,16 @@ class TestSpreadingOracle:
             assert len(seen) <= universe
 
 
+def interval_systems(lo, N):
+    """Every nonempty system of successive intervals
+    [a_1, b_1] < ... < [a_k, b_k] in {lo..N}, as tuples of (a, b) pairs."""
+    for a in range(lo, N + 1):
+        for b in range(a, N + 1):
+            yield ((a, b),)
+            for rest in interval_systems(b + 1, N):
+                yield ((a, b),) + rest
+
+
 def asymptoticity_oracle(oracle, alpha, N):
     """max(1, k / ||x_1 + ... + x_k||) by brute force over every system of
     successive intervals [a_1, b_1] < ... < [a_k, b_k] in {1..N} whose
@@ -589,17 +599,9 @@ def asymptoticity_oracle(oracle, alpha, N):
     divided by its norm; `oracle` norms a plain list of pairs, as in
     ORACLE_NORMS."""
     alpha = Ordinal.from_int(alpha)
-
-    def systems(lo):
-        for a in range(lo, N + 1):
-            for b in range(a, N + 1):
-                yield ((a, b),)
-                for rest in systems(b + 1):
-                    yield ((a, b),) + rest
-
     unit = {}
     best = Fraction(1)
-    for system in systems(1):
+    for system in interval_systems(1, N):
         if not brute_schreier(alpha, tuple(a for a, _ in system)):
             continue
         pairs = []
@@ -642,12 +644,23 @@ class TestAsymptoticity:
         assert type(got) is Fraction
 
     def test_corpus_past_the_bound_is_refused(self, monkeypatch):
-        # S_1 has 2**N - 1 systems within {1..N}: 63 at N = 6
-        monkeypatch.setattr(constructions, "ASYMPTOTICITY_SYSTEM_BOUND", 62)
-        with pytest.raises(ResourceBoundError, match="exceed bound 62"):
-            measure_asymptoticity(T12, 1, 6)
-        monkeypatch.setattr(constructions, "ASYMPTOTICITY_SYSTEM_BOUND", 63)
-        assert measure_asymptoticity(T12, 1, 6) == 2
+        # the bound is exact: S_1 has 2**N - 1 systems within {1..N}, 63 at
+        # N = 6; S_2 has 616 at N = 8 and S_{w+1} 617
+        for alpha, N in itertools.product(
+                map(parse_ordinal, ["0", "1", "2", "w", "w+1"]), [1, 3, 6, 8]):
+            count = sum(1 for system in interval_systems(1, N)
+                        if brute_schreier(alpha, tuple(a for a, _ in system)))
+            want = measure_asymptoticity(T12, alpha, N)
+            monkeypatch.setattr(constructions, "ASYMPTOTICITY_SYSTEM_BOUND",
+                                count)
+            assert measure_asymptoticity(T12, alpha, N) == want
+            monkeypatch.setattr(constructions, "ASYMPTOTICITY_SYSTEM_BOUND",
+                                count - 1)
+            with pytest.raises(ResourceBoundError,
+                               match=r"exceed bound %d \(%d listed, none "
+                               r"normed\)" % (count - 1, count - 1)):
+                measure_asymptoticity(T12, alpha, N)
+            monkeypatch.undo()
 
     def test_l1_one(self):
         assert measure_asymptoticity(L1(), 1, 8) == 1

@@ -37,3 +37,11 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_families_steps_the_cursor_by_hand(path):
+    # every other module lists S_alpha members through families._walk
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert path.name == "families.py" or "_cursor_step" not in imported

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (brute_s1, brute_s2, brute_schreier,
+from conftest import (allowable_oracle, brute_s1, brute_s2, brute_schreier,
                       implicit_norm_oracle, interval_partitions,
                       successive_partitions, tsirelson_table_01)
 from schreierlab import spaces
@@ -349,6 +350,30 @@ class TestDerivedNorms:
         x = FsVector.indicator(range(1, 22))
         with pytest.raises(SpaceError):
             assoc_norm(T12, 1, x, "allowable")
+
+    @pytest.mark.parametrize("space,oracle", [
+        (C0(), lambda pairs: max(abs(v) for _, v in pairs)),
+        (L1(), lambda pairs: sum(abs(v) for _, v in pairs)),
+        (T12, lambda pairs: implicit_norm_oracle(
+            pairs, [(brute_s1, Fraction(1, 2))])),
+        (T22, lambda pairs: implicit_norm_oracle(
+            pairs, [(brute_s2, Fraction(1, 2))])),
+        (MT12, lambda pairs: implicit_norm_oracle(
+            pairs, [(brute_s1, Fraction(1, 2)), (brute_s2, Fraction(1, 4))]))],
+        ids=["c0", "l1", "T1", "T2", "MT"])
+    def test_allowable_against_brute_force(self, space, oracle):
+        # disjoint pieces, not only successive ones, on seeded signed vectors
+        rng = random.Random(17)
+        for size in (1, 2, 3, 4, 5, 6, 6):
+            x = FsVector.from_pairs(
+                (i, Fraction(rng.choice([-1, 1]) * rng.randint(1, 4),
+                             rng.randint(1, 3)))
+                for i in sorted(rng.sample(range(1, 11), size)))
+            for alpha in (0, 1, 2):
+                want = allowable_oracle(x.entries, Ordinal.from_int(alpha),
+                                        oracle)
+                assert assoc_norm(space, alpha, x, "allowable") == want, (
+                    x, alpha)
 
 
 T1_23 = Tsirelson(Ordinal.from_int(1), Fraction(2, 3))
