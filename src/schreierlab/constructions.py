@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .families import ResourceBoundError, _int_weights, _longest, _walk, schreier
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (FsVector, _BlockSums, norm, norm_n, assoc_norm,
-                     primal_from_dual, dual_norm, space_mode)
+from .spaces import (FsVector, _BlockSums, _dual_upper, norm, norm_n,
+                     assoc_norm, primal_from_dual, space_mode)
 from .trees import BlockTree, certify_block_tree
 
 __all__ = [
@@ -346,7 +346,7 @@ def _check_biorthogonal(space, blocks, functionals):
             if v != (1 if i == j else 0):
                 raise ConstructionError(
                     "biorthogonality fails: phi_%d(x_%d) = %s" % (i, j, v))
-        if dual_norm(space, phi).upper > 1:
+        if _dual_upper(space, phi) > 1:
             raise ConstructionError(
                 "functional %d: normalization not certified" % i)
 

@@ -19,7 +19,10 @@ instead, so that its sums can share segment values.
 
 The partition suprema (the implicit norms, the derived norms and the
 dual bounds) all run on one max-plus dynamic program over cut points,
-:class:`_Partitions`.  For bimonotone 1-unconditional norms the
+:class:`_Partitions`.  Each end of a dual bound is one rule, and each end
+of a derived dual bound one program over that rule's piece values
+(:func:`_partitions`), so a caller that reads one end computes only that
+end.  For bimonotone 1-unconditional norms the
 supremum over admissible successive sets is attained on gap-free
 partitions of the interval support whose piece minima are support
 points (enlarging a piece to the right never decreases its norm and
@@ -39,6 +42,7 @@ k-point vector, not O(k**4).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -71,7 +75,7 @@ __all__ = [
 
 SUPPORT_BOUND = 72  # every built-in space answers within about 10 s (CHANGES.md)
 SEGMENT_MEMO_BOUND = 2 ** 15  # a scan's segment values are cleared when full
-ALLOWABLE_SUPPORT_BOUND = 8  # likewise; 9 points can take 21 s
+ALLOWABLE_SUPPORT_BOUND = 8  # likewise; 9 points take about 2 s
 PATTERN_BOUND = 12  # largest support whose sign patterns the dual bounds try
 
 
@@ -642,22 +646,26 @@ class _BlockSums:
 # ---------------------------------------------------------------------------
 
 
-def _partitions(space, x):
-    """Partition engine over x's support points whose pieces are base
-    norms of restrictions of x to intervals.
+def _partitions(space, x, rule=None):
+    """Partition engine over x's support points whose pieces are the
+    values rule(space, restriction of x to an interval): one end of the
+    dual bounds for the derived dual norms, the base norm when no rule is
+    given.
 
-    For implicit-norm spaces the evaluator itself is used: the norm of a
-    restriction to an interval equals its segment norm, and its chains
-    are the same quantities, so the memos are shared."""
-    if isinstance(space, (Tsirelson, MixedTsirelson, Schlumprecht)):
-        return _Evaluator(space, x)
+    For the norm of an implicit-norm space the evaluator itself is used:
+    the norm of a restriction to an interval equals its segment norm, and
+    its chains are the same quantities, so the memos are shared."""
+    if rule is None:
+        if isinstance(space, (Tsirelson, MixedTsirelson, Schlumprecht)):
+            return _Evaluator(space, x)
+        rule = norm
     sp = x.support
     memo = {}
 
     def piece(i, j):
         key = (i, j)
         if key not in memo:
-            memo[key] = norm(space, x.restrict((sp[i], sp[j])))
+            memo[key] = rule(space, x.restrict((sp[i], sp[j])))
         return memo[key]
 
     return _Partitions(sp, piece)
@@ -700,6 +708,9 @@ def _assoc_allowable(space, alpha, x):
                                 % ALLOWABLE_SUPPORT_BOUND)
     zero = Fraction(0) if space_mode(space) == "exact" else 0.0
     best = zero
+    # one norm per piece; restrict reads a 2-tuple as an interval, a list not
+    piece_norm = functools.lru_cache(None)(
+        lambda p: norm(space, x.restrict(list(p))))
     for G in _walk(alpha, sp, [(e,) for e in sp], ()):
         rest = [e for e in sp if e not in G]
         # choice 0 drops a point, choice k joins it to the piece of G[k - 1]
@@ -708,8 +719,8 @@ def _assoc_allowable(space, alpha, x):
             pieces = [[]] + [[m] for m in G]
             for e, k in zip(rest, picks):
                 pieces[k].append(e)
-            best = max(best, sum((norm(space, x.restrict(p))
-                                  for p in pieces[1:]), zero))
+            best = max(best, sum((piece_norm(tuple(p)) for p in pieces[1:]),
+                                 zero))
     return best
 
 
@@ -736,72 +747,65 @@ class Bounds:
 
 
 def _sign_patterns(x):
-    """The vectors sum of sign(x_i) e_i over i in S, for the nonempty
-    subsets S of supp x: smaller sets first, each size in combinations
-    order."""
+    """The vectors sum of sign(x_i) e_i over i in S for the nonempty
+    subsets S of supp x, smaller sets first, each size in combinations
+    order; past PATTERN_BOUND points only the singletons."""
     sign = {i: Fraction(1 if v >= 0 else -1) for i, v in x.entries}
-    for r in range(1, len(sign) + 1):
+    sizes = range(1, len(sign) + 1) if len(sign) <= PATTERN_BOUND else (1,)
+    for r in sizes:
         for S in itertools.combinations(sign, r):
             yield FsVector(tuple((i, sign[i]) for i in S))
 
 
-def dual_norm(space, phi):
-    """Bounds on the dual norm of phi.
+def _dual_upper(space, phi):
+    """Upper end of the dual bounds: max|phi_i| in l1 (exact), else
+    sum|phi_i| (exact in c0, an upper bound wherever the basis is
+    normalized and bimonotone)."""
+    mags = [abs(v) for v in phi.values] or [Fraction(0)]
+    return (max if isinstance(space, L1) else sum)(mags)
 
-    Exact for c0 (dual l1) and l1 (dual linf).  Otherwise: certified
-    lower bound from witness vectors (sign patterns over subsets of the
-    support, basis vectors), upper bound sum|phi_i| (valid since the
-    basis is bimonotone and normalized).
-    """
-    if phi.is_zero():
-        z = Fraction(0)
-        return Bounds(z, z)
-    if isinstance(space, C0):
-        v = sum(abs(c) for c in phi.values)
-        return Bounds(v, v)
-    if isinstance(space, L1):
-        v = max(abs(c) for c in phi.values)
-        return Bounds(v, v)
-    upper = sum(abs(c) for c in phi.values)
-    lower = Fraction(0)
-    supp = phi.support
-    if len(supp) <= PATTERN_BOUND:
-        for xw in _sign_patterns(phi):
-            ratio = phi.pair(xw) / norm(space, xw)
-            if ratio > lower:
-                lower = ratio
-    else:
-        for i in supp:
-            v = abs(phi[i])
-            if v > lower:
-                lower = v
-    return Bounds(lower, upper)
+
+def _dual_lower(space, phi):
+    """Lower end of the dual bounds: the exact upper end in c0 and l1,
+    else the best phi(xw)/||xw|| over the sign-pattern witnesses xw."""
+    if phi.is_zero() or isinstance(space, (C0, L1)):
+        return _dual_upper(space, phi)
+    return max(phi.pair(xw) / norm(space, xw) for xw in _sign_patterns(phi))
+
+
+def dual_norm(space, phi):
+    """Bounds on the dual norm of phi, one rule per end: exact in c0
+    (dual l1) and l1 (dual l_inf); elsewhere sign-pattern witnesses from
+    below (only the coordinates past PATTERN_BOUND points) and sum|phi_i|
+    from above."""
+    return Bounds(_dual_lower(space, phi), _dual_upper(space, phi))
+
+
+def _count_or_alpha(n, alpha):
+    """alpha as an Ordinal, once exactly one of n and alpha is given."""
+    if (n is None) == (alpha is None):
+        raise SpaceError("give exactly one of n and alpha")
+    return Ordinal.from_int(alpha) if isinstance(alpha, int) else alpha
+
+
+def _dual_assoc_end(space, phi, end, n, alpha):
+    """One end of the derived dual bounds of a nonzero phi: the partition
+    program (at most n pieces, or alpha-admissible) over that end of the
+    pieces' dual bounds."""
+    dp = _partitions(space, phi, end)
+    return dp.at_most(n) if n is not None else dp.admissible(alpha)
 
 
 def dual_assoc_norm(space, phi, n=None, alpha=None):
     """Bounds on the derived dual norm: outer sup over interval partitions
     (count-limited for the n-variant, admissible for the alpha-variant)
-    of sums of per-piece dual norms."""
-    if (n is None) == (alpha is None):
-        raise SpaceError("give exactly one of n and alpha")
-    if isinstance(alpha, int):
-        alpha = Ordinal.from_int(alpha)
+    of sums of per-piece dual norms, each end on its own."""
+    alpha = _count_or_alpha(n, alpha)
     if phi.is_zero():
         z = Fraction(0)
         return Bounds(z, z)
-    sp = phi.support
-    piece_bounds = {}
-
-    def piece(i, j):
-        if (i, j) not in piece_bounds:
-            piece_bounds[(i, j)] = dual_norm(space, phi.restrict((sp[i], sp[j])))
-        return piece_bounds[(i, j)]
-
-    def run(side):
-        dp = _Partitions(sp, lambda i, j: getattr(piece(i, j), side))
-        return dp.at_most(n) if n is not None else dp.admissible(alpha)
-
-    return Bounds(run("lower"), run("upper"))
+    return Bounds(*(_dual_assoc_end(space, phi, end, n, alpha)
+                    for end in (_dual_lower, _dual_upper)))
 
 
 def minimax_admissible_cover(space, x, alpha):
@@ -841,35 +845,23 @@ def primal_from_dual(space, x, n=None, alpha=None, candidates=None):
     """Bounds on the dual-derived primal norm sup{phi(x): derived dual
     norm of phi <= 1}.
 
-    Lower bound: phi(x)/upper(|phi|*) over candidate functionals (sign
-    patterns on the support plus any caller-supplied functionals).
+    Lower bound: the best phi(x) over the upper end of phi's derived dual
+    bound, the only end computed, for the candidate functionals phi (sign
+    patterns of x plus any caller-supplied functionals).
     Upper bound: the base norm of x, refined for the alpha-variant by the
     min-max admissible-cover bound.
     """
+    alpha = _count_or_alpha(n, alpha)
     if x.is_zero():
         z = Fraction(0)
         return Bounds(z, z)
-    cands = []
-    supp = x.support
-    if len(supp) <= PATTERN_BOUND:
-        cands.extend(_sign_patterns(x))
-    else:
-        cands.extend(FsVector.basis(i) for i in supp)
-    if candidates:
-        cands.extend(candidates)
     lower = Fraction(0)
-    for phi in cands:
+    for phi in itertools.chain(_sign_patterns(x), candidates or ()):
         v = phi.pair(x)
-        if v <= 0:
-            continue
-        db = dual_assoc_norm(space, phi, n=n, alpha=alpha)
-        if db.upper > 0:
-            r = v / db.upper
-            if r > lower:
-                lower = r
+        if v > 0:  # then phi is nonzero and its upper end positive
+            lower = max(lower, v / _dual_assoc_end(space, phi, _dual_upper,
+                                                   n, alpha))
     upper = norm(space, x)
     if alpha is not None:
-        cover = minimax_admissible_cover(space, x, alpha)
-        if cover < upper:
-            upper = cover
+        upper = min(upper, minimax_admissible_cover(space, x, alpha))
     return Bounds(lower, upper)

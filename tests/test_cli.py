@@ -1,10 +1,13 @@
+import itertools
 import json
 import time
 
 import pytest
 
+from conftest import brute_schreier
 from schreierlab import cli
 from schreierlab.cli import CONVENTION, main
+from schreierlab.ordinal import parse as parse_ordinal
 
 
 def run(capsys, *argv):
@@ -295,6 +298,25 @@ class TestSubcommands:
         code, out, _ = run(capsys, "fam", "index", "--family", "POW(S(2),3)")
         assert code == 0 and out.strip() == "w^(6)"
 
+    @pytest.mark.parametrize("alpha", ["1", "2", "w"])
+    @pytest.mark.parametrize("universe", [4, 6, 8])
+    @pytest.mark.parametrize("steps", [0, 1, 2])
+    def test_fam_enumerate_and_derivative(self, capsys, alpha, universe, steps):
+        # oracle: the subsets F of {1..universe} that conftest.brute_schreier
+        # accepts with `steps` points far above F added (a spreading family
+        # extends F by k points exactly when it does so far away)
+        a = parse_ordinal(alpha)
+        far = tuple(range(100, 100 + steps))
+        want = sorted(list(F) for r in range(universe + 1)
+                      for F in itertools.combinations(range(1, universe + 1), r)
+                      if brute_schreier(a, F + far))
+        action = ["derivative", "--steps", str(steps)] if steps else ["enumerate"]
+        code, out, _ = run(capsys, "fam", *action, "--family", "S(%s)" % alpha,
+                           "--universe", str(universe), "--json")
+        got = json.loads(out)["result"]
+        assert code == 0 and got["count"] == len(want)
+        assert sorted(got["members"]) == want
+
     def test_fam_tail(self, capsys):
         code, out, _ = run(capsys, "fam", "tail", "--family", "S(1)",
                            "--other", "S(2)", "--universe", "12")
@@ -330,6 +352,13 @@ class TestSubcommands:
                            "--eta", "1", "--xi", "2", "--K", "4",
                            "--C1", "2", "--C2", "2", "--start", "3")
         assert code == 0 and out.strip() == "verified"
+
+    def test_lemma2_infeasible_start(self, capsys):
+        code, out, err = run(capsys, "lemma2", "--space", "T(S(1),1/2)",
+                             "--eta", "1", "--xi", "2", "--start", "1")
+        assert code == 1 and out == ""
+        assert err == ("infeasible: epsilon 1/2 not met at start 1 (max S_1 "
+                       "mass 1); minimal feasible start is 3\n")
 
     def test_lemma3_verified(self, capsys):
         code, out, _ = run(capsys, "lemma3", "--space", "C0", "--n", "2",

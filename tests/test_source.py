@@ -45,3 +45,24 @@ def test_only_families_steps_the_cursor_by_hand(path):
     imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert path.name == "families.py" or "_cursor_step" not in imported
+
+
+def readers(path, name):
+    """(module, top-level definition) pairs whose code reads `name`, by
+    name, attribute or import."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        for n in ast.walk(node):
+            if (isinstance(n, ast.Name) and n.id == name
+                    and isinstance(n.ctx, ast.Load)
+                    or isinstance(n, ast.Attribute) and n.attr == name
+                    or isinstance(n, ast.alias) and n.name == name):
+                found.add((path.name, getattr(node, "name", None)))
+    return found
+
+
+def test_only_sign_patterns_reads_the_pattern_bound():
+    # the witnesses of the dual bounds' lower end are the one place that
+    # knows where the sign patterns stop
+    assert set().union(*(readers(p, "PATTERN_BOUND") for p in SOURCES)) == {
+        ("spaces.py", "_sign_patterns")}

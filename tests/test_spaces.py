@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -331,7 +332,7 @@ class TestDerivedNorms:
         for pieces in successive_partitions(x.support):
             if not brute_s1(tuple(p[0] for p in pieces)):
                 continue
-            v = sum(norm(T12, x.restrict(p)) for p in pieces)
+            v = sum(norm(T12, x.restrict(list(p))) for p in pieces)
             best = max(best, v)
         assert assoc_norm(T12, 1, x) == best
 
@@ -684,6 +685,66 @@ class TestDuals:
         b2 = primal_from_dual(T12, x, n=2)
         assert b2.lower <= b2.upper
         assert b2.upper <= norm(T12, x)
+
+    @pytest.mark.parametrize("bound", [dual_assoc_norm, primal_from_dual],
+                             ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kw", [{}, {"n": 2, "alpha": 1}],
+                             ids=["neither", "both"])
+    def test_exactly_one_of_n_and_alpha(self, bound, kw):
+        with pytest.raises(SpaceError, match="^give exactly one of n and alpha$"):
+            bound(T12, FsVector.indicator([2, 3, 4]), **kw)
+
+    def test_lower_end_collapses_past_pattern_bound(self):
+        # past PATTERN_BOUND points the witnesses are the signed
+        # coordinates: the lower end is max |phi_i| (24/7 at 12 points)
+        phi = FsVector.indicator(range(3, 16))
+        assert dual_norm(T12, phi) == Bounds(1, 13)
+        lower = dual_norm(Schlumprecht(), phi).lower
+        assert lower == 1 and isinstance(lower, float)
+        # negative coordinates are witnesses too
+        x = FsVector.indicator(range(3, 16), -1)
+        assert primal_from_dual(T12, x, n=2) == Bounds(1, 4)
+
+    @pytest.mark.parametrize("space", [C0(), L1(), T12, MT12], ids=str)
+    def test_primal_lower_vs_tiling_oracle(self, space):
+        # oracle: the best phi(x) / U(phi) over the sign patterns phi of x,
+        # where U(phi) is the largest sum of per-piece upper ends (max
+        # |phi_i| in l1, sum |phi_i| otherwise) over explicit interval
+        # tilings of supp phi: at most n pieces from its first point, or
+        # a dropped prefix and then pieces whose minima lie in S_alpha
+        fold = max if isinstance(space, L1) else sum
+        vectors = VECTORS[:3] + [FsVector.from_pairs([(3, "-2/3")]),
+                                 FsVector.from_pairs([(2, 1), (5, "-1/2")])]
+        for x in vectors:
+            patterns = [{i: 1 if x[i] > 0 else -1 for i in S}
+                        for r in range(1, len(x.support) + 1)
+                        for S in itertools.combinations(x.support, r)]
+            for kw in [{"n": n} for n in (1, 2, 3)] + [
+                    {"alpha": a} for a in (0, 1, 2)]:
+                want = 0
+                for phi in patterns:
+                    sp = sorted(phi)
+                    P = len(sp)
+                    if "n" in kw:
+                        tilings = [ts for ts in interval_partitions(0, P - 1)
+                                   if len(ts) <= kw["n"]]
+                    else:
+                        a = Ordinal.from_int(kw["alpha"])
+                        tilings = [ts for l in range(P)
+                                   for ts in interval_partitions(l, P - 1)
+                                   if brute_schreier(a, tuple(sp[i] for i, _ in ts))]
+                    upper = max(sum(fold(abs(phi[sp[m]]) for m in range(i, j + 1))
+                                    for i, j in ts) for ts in tilings)
+                    want = max(want, sum(phi[i] * x[i] for i in sp) / upper)
+                assert primal_from_dual(space, x, **kw).lower == want, (x, kw)
+
+    def test_primal_reads_only_the_upper_end(self):
+        # 2**10 candidates, each one upper-end program; a lower end would
+        # norm 2**|piece| sign patterns on every piece
+        x = FsVector.indicator(range(3, 13), -1)
+        t0 = time.perf_counter()
+        assert primal_from_dual(T12, x, n=2) == Bounds(1, 3)
+        assert time.perf_counter() - t0 < 3
 
     def test_bounds_arithmetic(self):
         a = Bounds(Fraction(1), Fraction(2))
