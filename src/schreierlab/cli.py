@@ -164,8 +164,8 @@ def _cmd_ord(args):
     if args.n < 0:
         raise _UsageError("--n must be >= 0, got %d" % args.n)
     if args.n > FUNDSEQ_BOUND:
-        raise ResourceBoundError("sequence length %d exceeds FUNDSEQ_BOUND %d"
-                                 % (args.n, FUNDSEQ_BOUND))
+        raise ResourceBoundError("sequence length", args.n,
+                                 "FUNDSEQ_BOUND", FUNDSEQ_BOUND)
     a = parse_ordinal(args.expr)
     seq = [str(fundamental_sequence(a, n)) for n in range(1, args.n + 1)]
     return _emit(args, {"sequence": seq}, ", ".join(seq), EXIT_PASS)

@@ -170,9 +170,9 @@ def build_scc(xi, eta, epsilon, start_index):
 
     def attempt(s):
         # sized before it is built: _longest follows the same block recursion
-        if _longest(xi, s, SCC_SIZE_BOUND + 1) > SCC_SIZE_BOUND:
-            raise ResourceBoundError("SCC set at start %d exceeds size bound %d"
-                                     % (s, SCC_SIZE_BOUND))
+        if (size := _longest(xi, s, SCC_SIZE_BOUND + 1)) > SCC_SIZE_BOUND:
+            raise ResourceBoundError("points of the SCC set at start %d" % s,
+                                     size, "SCC_SIZE_BOUND", SCC_SIZE_BOUND)
         pairs = _repeated_average(xi, s)
         F = tuple(m for m, _ in pairs)
         coeffs = {m: w for m, w in pairs}
@@ -505,9 +505,8 @@ def measure_asymptoticity(space, alpha, universe_max):
                 break
     if count > ASYMPTOTICITY_SYSTEM_BOUND:
         raise ResourceBoundError(
-            "S_%s block systems within universe %d exceed bound %d "
-            "(%d listed, none normed)"
-            % (alpha, N, ASYMPTOTICITY_SYSTEM_BOUND, ASYMPTOTICITY_SYSTEM_BOUND))
+            "S_%s block systems within universe %d" % (alpha, N), count,
+            "ASYMPTOTICITY_SYSTEM_BOUND", ASYMPTOTICITY_SYSTEM_BOUND)
     basis = _BlockSums(space, {i: FsVector.basis(i) for i in points}, N)
     units = {(ab[0], ab[-1]): FsVector.indicator(ab, 1 / basis.value(v))
              for ab, v in basis.norms(range(a, b + 1) for a in points

@@ -72,7 +72,11 @@ class FamilyError(ValueError):
 
 
 class ResourceBoundError(FamilyError):
-    pass
+    """`amount` of `what` counted past `limit`, the value of constant `bound`."""
+
+    def __init__(self, what, amount, bound, limit):
+        super().__init__("%s: %d exceeds %s = %d" % (what, amount, bound, limit))
+        self.what, self.amount, self.bound, self.limit = what, amount, bound, limit
 
 
 def _finset(elements):
@@ -170,8 +174,8 @@ def _run(beta, blocks, m, cap):
                 work += len(b.terms)
                 if work > LONGEST_WORK_BOUND:
                     raise ResourceBoundError(
-                        "sizing a run of S_%s from %d read more than %d "
-                        "ordinal terms" % (beta, m, LONGEST_WORK_BOUND))
+                        "ordinal terms sizing a run of S_%s from %d" % (beta, m),
+                        work, "LONGEST_WORK_BOUND", LONGEST_WORK_BOUND)
                 key = (b, n, cap)
                 value = _LONGEST.get(key)
                 if value is not None:
@@ -257,8 +261,8 @@ def _start(alpha, n, remaining):
             k = min(inner, remaining + 1)
             levels = _power_levels(alpha, remaining)
             if levels > POWER_BOUND:
-                raise ResourceBoundError("power levels %d exceed bound %d"
-                                         % (levels, POWER_BOUND))
+                raise ResourceBoundError("power levels", levels,
+                                         "POWER_BOUND", POWER_BOUND)
             if k == 1:
                 return _start(outer, n, remaining)
             inner = outer if k == 2 else ("pow", outer, k - 1)
@@ -268,8 +272,8 @@ def _start(alpha, n, remaining):
         return (("one",),)
     if len(_DESCENT) >= DESCENT_BOUND:
         raise ResourceBoundError(
-            "the cursor of S_%s descends through more than %d ordinals"
-            % (_DESCENT[0], DESCENT_BOUND))
+            "ordinals the cursor of S_%s descends through" % _DESCENT[0],
+            len(_DESCENT) + 1, "DESCENT_BOUND", DESCENT_BOUND)
     _DESCENT.append(alpha)
     try:
         if alpha.is_successor():
@@ -560,8 +564,8 @@ class Family:
         1..universe_max; past MEMBER_BOUND nonempty members it raises
         ResourceBoundError."""
         if universe_max > ENUMERATION_BOUND:
-            raise ResourceBoundError("universe %d exceeds bound %d"
-                                     % (universe_max, ENUMERATION_BOUND))
+            raise ResourceBoundError("universe", universe_max,
+                                     "ENUMERATION_BOUND", ENUMERATION_BOUND)
         if self._key is None:
             # explicit families need not be hereditary; list directly
             yield from sorted(F for F in self.expr.sets
@@ -573,8 +577,8 @@ class Family:
                                         [(n,) for n in points], ()), 1):
             if count > MEMBER_BOUND:
                 raise ResourceBoundError(
-                    "%s has more than %d members within universe %d"
-                    % (self, MEMBER_BOUND, universe_max))
+                    "members of %s within universe %d" % (self, universe_max),
+                    count, "MEMBER_BOUND", MEMBER_BOUND)
             yield G
 
     # -- maximality and derivatives ------------------------------------
@@ -609,8 +613,8 @@ class Family:
 
     def iterated_derivative(self, k, universe_max):
         if k > DERIVATIVE_BOUND:
-            raise ResourceBoundError("derivative depth %d exceeds bound %d"
-                                     % (k, DERIVATIVE_BOUND))
+            raise ResourceBoundError("derivative depth", k,
+                                     "DERIVATIVE_BOUND", DERIVATIVE_BOUND)
         if self._key is None and k > 1:
             # an explicit family is its own truncation: one step at a time
             return self.derivative(universe_max).iterated_derivative(

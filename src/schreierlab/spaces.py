@@ -451,8 +451,7 @@ class _Evaluator(_Partitions):
     def __init__(self, space, x, scan=None):
         k = len(x.entries)
         if k > SUPPORT_BOUND:
-            raise SupportBoundError("support %d exceeds bound %d"
-                                    % (k, SUPPORT_BOUND))
+            raise SupportBoundError("support", k, "SUPPORT_BOUND", SUPPORT_BOUND)
         self.space = space
         self.sp = x.support
         vals = x.values
@@ -704,8 +703,8 @@ def _assoc_allowable(space, alpha, x):
     piece with a smaller minimum.  Exponential; guarded by support size."""
     sp = x.support
     if len(sp) > ALLOWABLE_SUPPORT_BOUND:
-        raise SupportBoundError("allowable variant limited to support <= %d"
-                                % ALLOWABLE_SUPPORT_BOUND)
+        raise SupportBoundError("support of the allowable variant", len(sp),
+                                "ALLOWABLE_SUPPORT_BOUND", ALLOWABLE_SUPPORT_BOUND)
     zero = Fraction(0) if space_mode(space) == "exact" else 0.0
     best = zero
     # one norm per piece; restrict reads a 2-tuple as an interval, a list not

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from .families import explicit_family
 from .spaces import FsVector, norm, space_mode
@@ -52,12 +53,8 @@ class FiniteTree:
     @classmethod
     def from_sequences(cls, seqs):
         """Tree generated by the given sequences (prefix closure taken)."""
-        nodes = set()
-        for s in seqs:
-            s = tuple(s)
-            for k in range(1, len(s) + 1):
-                nodes.add(s[:k])
-        return cls(frozenset(nodes))
+        seqs = [tuple(s) for s in seqs]
+        return cls(frozenset(s[:k] for s in seqs for k in range(1, len(s) + 1)))
 
     @classmethod
     def chain(cls, labels):
@@ -68,8 +65,8 @@ class FiniteTree:
 
     def branches(self):
         """Maximal nodes, sorted for determinism."""
-        out = [t for t in self.nodes
-               if not any(len(u) == len(t) + 1 and u[:-1] == t for u in self.nodes)]
+        parents = {u[:-1] for u in self.nodes}
+        out = [t for t in self.nodes if t not in parents]
         try:
             return sorted(out)
         except TypeError:
@@ -89,12 +86,8 @@ def derivative(tree):
 
 
 def order(tree):
-    """Least k with D^k(T) empty; the length of the longest branch."""
-    k = 0
-    while not tree.is_empty():
-        tree = derivative(tree)
-        k += 1
-    return k
+    """Least k with D^k(T) = {t[:-k] : |t| > k} empty: the longest node's length."""
+    return max(map(len, tree.nodes), default=0)
 
 
 def family_as_tree(fam, universe_max):
@@ -277,9 +270,14 @@ def index_lower_bound_search(space, fam, K, universe_max, mode="l1"):
     """
     K = Fraction(K) if not isinstance(K, float) else K
     members = [tuple(sorted(F)) for F in fam.enumerate(universe_max)]
-    maximal = [F for F in members
-               if not any(set(F) < set(G) for G in members)]
-    maximal = [F for F in maximal if F]
+    # bit i of holds[p]: members[i] holds p; F is maximal iff its points share
+    # only F's own bit
+    holds = {}
+    for i, F in enumerate(members):
+        for p in F:
+            holds[p] = holds.get(p, 0) | 1 << i
+    maximal = [F for i, F in enumerate(members)
+               if F and reduce(int.__and__, map(holds.get, F)) == 1 << i]
     if not maximal:
         bt = BlockTree(FiniteTree(), mode, K)
         return bt, TreeCertificate(mode, K, ())

@@ -97,30 +97,34 @@ class TestExitCodes:
     def test_resource_bound(self, capsys):
         code, _, err = run(capsys, "fam", "enumerate", "--family", "S(1)",
                            "--universe", "99")
-        assert code == 65 and "resource bound" in err
+        assert code == 65 and err == ("resource bound: universe: 99 exceeds "
+                                      "ENUMERATION_BOUND = 24\n")
 
     def test_power_levels_past_bound(self, capsys):
         code, out, err = run(capsys, "fam", "member", "--family",
                              "POW(S(1),100000)", "--set",
                              ",".join(map(str, range(5, 210))))
         assert code == 65 and out == ""
-        assert err == "resource bound: power levels 205 exceed bound 100\n"
+        assert err == "resource bound: power levels: 205 exceeds POWER_BOUND = 100\n"
 
     def test_nested_power_levels_past_bound(self, capsys):
         code, out, err = run(capsys, "fam", "member", "--family",
                              "POW(POW(POW(S(1),100),100),100)", "--set",
                              ",".join(map(str, range(1, 200))))
         assert code == 65 and out == ""
-        assert err == "resource bound: power levels 300 exceed bound 100\n"
+        assert err == "resource bound: power levels: 300 exceeds POWER_BOUND = 100\n"
 
-    @pytest.mark.parametrize("space,size", [
-        ("ASSOC(T(S(1),1/2),S(1),allow)", 21), ("T(S(1),1/2)", 257)],
+    @pytest.mark.parametrize("space,size,want", [
+        ("ASSOC(T(S(1),1/2),S(1),allow)", 21, "support of the allowable "
+         "variant: 21 exceeds ALLOWABLE_SUPPORT_BOUND = 8"),
+        ("T(S(1),1/2)", 257, "support: 257 exceeds SUPPORT_BOUND = 72")],
         ids=["allowable", "support"])
-    def test_support_bounds_are_resource_bounds(self, space, size, capsys):
+    def test_support_bounds_are_resource_bounds(self, space, size, want,
+                                                capsys):
         vec = json.dumps([[i, "1"] for i in range(1, size + 1)])
         code, _, err = run(capsys, "norm", "eval", "--space", space,
                            "--vec", vec)
-        assert code == 65 and "resource bound" in err
+        assert code == 65 and err == "resource bound: %s\n" % want
 
     @pytest.mark.parametrize("argv", [
         ("scc", "--xi", "2", "--eta", "1", "--epsilon", "abc"),
@@ -157,8 +161,9 @@ class TestExitCodes:
         if code == 1:
             assert out == want
         else:
-            assert out == "" and err == ("resource bound: SCC set at %s "
-                                         "exceeds size bound 1024\n" % want)
+            assert out == "" and err == (
+                "resource bound: points of the SCC set at %s: 1025 exceeds "
+                "SCC_SIZE_BOUND = 1024\n" % want)
         if xi == "w*3":  # sized in closed form, never built
             assert time.perf_counter() - t0 < 1
 
@@ -170,9 +175,10 @@ class TestExitCodes:
         t0 = time.perf_counter()
         code, out, err = run(capsys, "scc", "--xi", xi, "--eta", "1",
                              "--epsilon", "1/2", "--start", start)
-        want = ("sizing a run of S_w^400 from 2 read more than 100000 ordinal "
-                "terms" if xi == "w^400" else
-                "SCC set at start %s exceeds size bound 1024" % start)
+        want = ("ordinal terms sizing a run of S_w^400 from 2: 100087 exceeds "
+                "LONGEST_WORK_BOUND = 100000" if xi == "w^400" else
+                "points of the SCC set at start %s: 1025 exceeds SCC_SIZE_BOUND "
+                "= 1024" % start)
         assert code == 65 and out == "" and err == "resource bound: %s\n" % want
         assert time.perf_counter() - t0 < 1
 
@@ -184,8 +190,8 @@ class TestExitCodes:
         t0 = time.perf_counter()
         code, out, err = run(capsys, *argv, "--universe", "24")
         assert code == 65 and out == ""
-        assert err == ("resource bound: S(w+1) has more than 1048576 members "
-                       "within universe 24\n")
+        assert err == ("resource bound: members of S(w+1) within universe 24: "
+                       "1048577 exceeds MEMBER_BOUND = 1048576\n")
         assert time.perf_counter() - t0 < 10
 
     @pytest.mark.parametrize("argv,at_zero", [
@@ -201,18 +207,20 @@ class TestExitCodes:
         assert run(capsys, *argv, "--universe", "0")[0] == at_zero
 
     def test_asymptoticity_corpus_past_its_bound(self, capsys):
-        # S_1 has 2**24 - 1 block systems within {1..24}; every S_alpha has
-        # the N(N+1)/2 one-block systems, refused before any is listed
-        for space, alpha, universe in [("T(S(1),1/2)", "1", "24"),
-                                       ("C0", "0", "1000000000"),
-                                       ("T(S(1),1/2)", "w^5", "20000")]:
+        # S_1 has 2**24 - 1 block systems within {1..24}, of which the walk
+        # counts 16614; every S_alpha has the N(N+1)/2 one-block systems,
+        # counted in closed form and refused before any is listed
+        for space, alpha, universe, count in [
+                ("T(S(1),1/2)", "1", "24", 16614),
+                ("C0", "0", "1000000000", 500000000500000000),
+                ("T(S(1),1/2)", "w^5", "20000", 200010000)]:
             t0 = time.perf_counter()
             code, out, err = run(capsys, "asymp", "--space", space,
                                  "--alpha", alpha, "--universe", universe)
             assert code == 65 and out == ""
             assert err == ("resource bound: S_%s block systems within "
-                           "universe %s exceed bound 16384 (16384 listed, "
-                           "none normed)\n" % (alpha, universe))
+                           "universe %s: %d exceeds ASYMPTOTICITY_SYSTEM_BOUND"
+                           " = 16384\n" % (alpha, universe, count))
             assert time.perf_counter() - t0 < 2
 
     @pytest.mark.parametrize("argv,alpha", [
@@ -226,8 +234,8 @@ class TestExitCodes:
         t0 = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 65 and out == ""
-        assert err == ("resource bound: the cursor of S_%s descends through "
-                       "more than 350 ordinals\n" % alpha)
+        assert err == ("resource bound: ordinals the cursor of S_%s descends "
+                       "through: 351 exceeds DESCENT_BOUND = 350\n" % alpha)
         assert time.perf_counter() - t0 < 1
 
     def test_deep_cursor_descent_below_the_bound_answers(self, capsys):
@@ -235,16 +243,61 @@ class TestExitCodes:
                            "--set", "2,3")
         assert code == 0 and out.strip() == "true"
 
-    @pytest.mark.parametrize("space,size", [
-        ("ASSOC(T(S(1),1/2),S(1),allow)", 9), ("MT[(S(1),1/2),(S(2),1/4)]", 73)],
+    @pytest.mark.parametrize("space,size,want", [
+        ("ASSOC(T(S(1),1/2),S(1),allow)", 9, "support of the allowable "
+         "variant: 9 exceeds ALLOWABLE_SUPPORT_BOUND = 8"),
+        ("MT[(S(1),1/2),(S(2),1/4)]", 73, "support: 73 exceeds SUPPORT_BOUND "
+         "= 72")],
         ids=["allowable", "support"])
-    def test_one_point_past_the_support_bounds(self, space, size, capsys):
+    def test_one_point_past_the_support_bounds(self, space, size, want,
+                                               capsys):
         vec = json.dumps([[i, "1"] for i in range(1, size + 1)])
         t0 = time.perf_counter()
         code, out, err = run(capsys, "norm", "eval", "--space", space,
                              "--vec", vec)
-        assert code == 65 and out == "" and err.startswith("resource bound:")
+        assert code == 65 and out == "" and err == "resource bound: %s\n" % want
         assert time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize("argv,want", [
+        (("scc", "--xi", "w^400", "--eta", "1", "--epsilon", "1/2", "--start",
+          "2"), "ordinal terms sizing a run of S_w^400 from 2: 100087 exceeds "
+         "LONGEST_WORK_BOUND = 100000"),
+        (("fam", "member", "--family", "POW(S(1),101)", "--set",
+          ",".join(map(str, range(5, 107)))),
+         "power levels: 101 exceeds POWER_BOUND = 100"),
+        (("fam", "member", "--family", "S(1000)", "--set", "1,2"),
+         "ordinals the cursor of S_1000 descends through: 351 exceeds "
+         "DESCENT_BOUND = 350"),
+        (("fam", "enumerate", "--family", "S(1)", "--universe", "25"),
+         "universe: 25 exceeds ENUMERATION_BOUND = 24"),
+        (("fam", "enumerate", "--family", "S(w+1)", "--universe", "24"),
+         "members of S(w+1) within universe 24: 1048577 exceeds MEMBER_BOUND "
+         "= 1048576"),
+        (("fam", "derivative", "--family", "S(1)", "--steps", "65"),
+         "derivative depth: 65 exceeds DERIVATIVE_BOUND = 64"),
+        (("norm", "eval", "--space", "T(S(1),1/2)", "--vec",
+          json.dumps([[i, "1"] for i in range(1, 74)])),
+         "support: 73 exceeds SUPPORT_BOUND = 72"),
+        (("norm", "eval", "--space", "ASSOC(T(S(1),1/2),S(1),allow)", "--vec",
+          json.dumps([[i, "1"] for i in range(1, 10)])),
+         "support of the allowable variant: 9 exceeds ALLOWABLE_SUPPORT_BOUND "
+         "= 8"),
+        (("scc", "--xi", "3", "--eta", "2", "--epsilon", "1/2", "--start",
+          "2"), "points of the SCC set at start 2: 1025 exceeds SCC_SIZE_BOUND "
+         "= 1024"),
+        (("asymp", "--space", "C0", "--alpha", "0", "--universe", "181"),
+         "S_0 block systems within universe 181: 16471 exceeds "
+         "ASYMPTOTICITY_SYSTEM_BOUND = 16384"),
+        (("ord", "fundseq", "--expr", "w", "--n", "10001"),
+         "sequence length: 10001 exceeds FUNDSEQ_BOUND = 10000"),
+    ], ids=["LONGEST_WORK_BOUND", "POWER_BOUND", "DESCENT_BOUND",
+            "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
+            "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
+            "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND"])
+    def test_each_bound_refuses_in_one_format(self, capsys, argv, want):
+        # what was counted, then the bound's name and limit
+        code, out, err = run(capsys, *argv)
+        assert code == 65 and out == "" and err == "resource bound: %s\n" % want
 
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "suite", "nope")
@@ -284,8 +337,8 @@ class TestSubcommands:
                              "--n", "100000000")
         assert time.perf_counter() - t0 < 1
         assert code == 65 and out == ""
-        assert err == ("resource bound: sequence length 100000000 exceeds "
-                       "FUNDSEQ_BOUND %d\n" % cli.FUNDSEQ_BOUND)
+        assert err == ("resource bound: sequence length: 100000000 exceeds "
+                       "FUNDSEQ_BOUND = 10000\n")
         code, out, _ = run(capsys, "ord", "fundseq", "--expr", "w",
                            "--n", str(cli.FUNDSEQ_BOUND))
         assert code == 0 and out.count(",") == cli.FUNDSEQ_BOUND - 1
@@ -293,6 +346,14 @@ class TestSubcommands:
     def test_ord_compare(self, capsys):
         code, out, _ = run(capsys, "ord", "compare", "--a", "w", "--b", "w+1")
         assert code == 0 and out.strip() == "less"
+
+    def test_tree_search_at_universe_20(self, capsys):
+        # 17,711 members of S_1: the maximality and branch scans are linear
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "tree", "search", "--family", "S(1)",
+                           "--universe", "20", "--space", "L1", "--K", "1")
+        assert code == 0 and out == "certified depth 10\n"
+        assert time.perf_counter() - t0 < 10
 
     def test_fam_index(self, capsys):
         code, out, _ = run(capsys, "fam", "index", "--family", "POW(S(2),3)")

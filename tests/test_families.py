@@ -175,7 +175,9 @@ class TestSetSize:
         for text, m in [("w^3", 7), ("w^3*2", 6), ("w^4", 5), ("w^5", 4),
                         ("w^6", 3), ("w^8", 2)]:
             assert _longest(parse_ordinal(text), m, 1025) == 1025, text
-        with pytest.raises(ResourceBoundError, match="ordinal terms"):
+        with pytest.raises(ResourceBoundError,
+                           match=r"^ordinal terms sizing a run of S_w\^400 from 2: "
+                           "100087 exceeds LONGEST_WORK_BOUND = 100000$"):
             _longest(parse_ordinal("w^400"), 2, 1025)
 
 
@@ -257,7 +259,7 @@ class TestBracketOracle:
     def test_power_levels_past_bound_are_a_resource_bound(self):
         # each power level the cursor keeps nests its recursion once more
         with pytest.raises(ResourceBoundError,
-                           match="power levels 205 exceed bound 100"):
+                           match="^power levels: 205 exceeds POWER_BOUND = 100$"):
             parse_family("POW(S(1),100000)").member(tuple(range(5, 210)))
 
     def test_power_levels_at_bound_answer(self):
@@ -269,7 +271,7 @@ class TestBracketOracle:
         # nested powers nest their levels one inside the other, so the
         # bound applies to their sum
         with pytest.raises(ResourceBoundError,
-                           match="power levels 300 exceed bound 100"):
+                           match="^power levels: 300 exceeds POWER_BOUND = 100$"):
             parse_family("POW(POW(POW(S(1),100),100),100)").member(
                 tuple(range(1, 200)))
 
@@ -385,5 +387,9 @@ class TestDescriptorGrammar:
             parse_family(bad)
 
     def test_resource_bound(self):
-        with pytest.raises(ResourceBoundError):
+        with pytest.raises(ResourceBoundError) as refused:
             schreier(1).enumerate(99)
+        exc = refused.value
+        assert (exc.what, exc.amount, exc.bound, exc.limit) == (
+            "universe", 99, "ENUMERATION_BOUND", 24)
+        assert str(exc) == "universe: 99 exceeds ENUMERATION_BOUND = 24"

@@ -1,7 +1,10 @@
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from schreierlab.families import ResourceBoundError
 
 SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "schreierlab")
                  .glob("*.py") if p.name != "__init__.py")
@@ -66,3 +69,55 @@ def test_only_sign_patterns_reads_the_pattern_bound():
     # knows where the sign patterns stop
     assert set().union(*(readers(p, "PATTERN_BOUND") for p in SOURCES)) == {
         ("spaces.py", "_sign_patterns")}
+
+
+def refusal_faults(source):
+    """Each ResourceBoundError or SupportBoundError call whose `limit` is
+    not a module-level *_BOUND name or whose `bound` is not that name as a
+    string, as (line, reason); and the limit names of the sound calls."""
+    signature = inspect.signature(ResourceBoundError)
+    tree = ast.parse(source)
+    bounds = {t.id for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets
+              if isinstance(t, ast.Name) and t.id.endswith("_BOUND")}
+    faults, limits = [], set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("ResourceBoundError",
+                                     "SupportBoundError")):
+            continue
+        got = signature.bind(*node.args, **{k.arg: k.value
+                                            for k in node.keywords}).arguments
+        limit, bound = got["limit"], got["bound"]
+        if not (isinstance(limit, ast.Name) and limit.id in bounds):
+            faults.append((node.lineno, "limit"))
+        elif not (isinstance(bound, ast.Constant) and bound.value == limit.id):
+            faults.append((node.lineno, "bound"))
+        else:
+            limits.add(limit.id)
+    return faults, limits
+
+
+def test_the_check_sees_a_refusal_that_misnames_its_bound():
+    src = ("A_BOUND = 3\nB_BOUND = 4\nlocal = 5\n"
+           "ResourceBoundError('x', 4, 'A_BOUND', A_BOUND)\n"
+           "SupportBoundError('x', 5, 'B_BOUND', A_BOUND)\n"
+           "ResourceBoundError('x', 6, 'local', local)\n"
+           "ResourceBoundError('x', 7, limit=B_BOUND, bound='B_BOUND')\n")
+    assert refusal_faults(src) == ([(5, "bound"), (6, "limit")],
+                                   {"A_BOUND", "B_BOUND"})
+
+
+def test_every_refusal_names_its_module_bound():
+    # one constructor formats every refusal, and each guard hands it the
+    # constant it checks by value and by name
+    limits = set()
+    for path in SOURCES:
+        faults, found = refusal_faults(path.read_text())
+        assert faults == [], path.name
+        limits |= found
+    assert limits == {
+        "LONGEST_WORK_BOUND", "POWER_BOUND", "DESCENT_BOUND",
+        "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
+        "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
+        "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND"}

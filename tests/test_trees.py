@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from schreierlab.families import explicit_family, schreier
 from schreierlab.ordinal import Ordinal
@@ -10,6 +12,49 @@ from schreierlab.trees import (BlockTree, FiniteTree, SearchFailure, TreeError,
                                index_lower_bound_search, order, tree_to_family)
 
 T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
+
+# a non-hereditary family: (2,) lies in (2, 4, 6), (1, 3) in (1, 2, 3) and
+# (4, 5) in no other member
+LISTED = explicit_family([(1,), (1, 3), (1, 2, 3), (2,), (2, 4, 6), (4, 5)],
+                         close=False)
+listed_sets = st.lists(st.sets(st.integers(1, 9), min_size=1, max_size=4)
+                       .map(lambda s: tuple(sorted(s))), max_size=12)
+
+
+def pairwise_maximal(fam, universe_max):
+    """The nonempty members of the truncation that no other member
+    strictly contains, by the pairwise subset scan."""
+    members = fam.enumerate(universe_max)
+    return sorted(F for F in members
+                  if F and not any(set(F) < set(G) for G in members))
+
+
+def assert_search_branches_are_maximal(fam, universe_max):
+    """In l1 the basis branches certify at K = 1, one per maximal member;
+    in c0 they fail, and the failure counts the maximal members, also
+    those that are a prefix of another listed set."""
+    maximal = pairwise_maximal(fam, universe_max)
+    bt, _ = index_lower_bound_search(L1(), fam, 1, universe_max)
+    assert sorted(tuple(x.support[0] for x in br)
+                  for br in bt.tree.branches()) == maximal
+    res = index_lower_bound_search(C0(), fam, 1, universe_max)
+    if isinstance(res, SearchFailure):
+        assert res.stats["branches"] == len(maximal)
+
+
+def iterated_order(tree):
+    """The number of derivatives that empty the tree, one at a time."""
+    k = 0
+    while not tree.is_empty():
+        tree, k = derivative(tree), k + 1
+    return k
+
+
+def pairwise_branches(tree):
+    """The nodes that no node extends by one label, by a pairwise scan."""
+    return {t for t in tree.nodes
+            if not any(len(u) == len(t) + 1 and u[:-1] == t
+                       for u in tree.nodes)}
 
 
 class TestFiniteTree:
@@ -31,6 +76,12 @@ class TestFiniteTree:
         d = derivative(t)
         assert d.nodes == frozenset({(0,), (1,)})
         assert order(t) == 2
+
+    @given(listed_sets)
+    def test_order_and_branches_against_pairwise_scans(self, sets):
+        t = family_as_tree(explicit_family(sets, close=False), 9)
+        assert order(t) == iterated_order(t)
+        assert set(t.branches()) == pairwise_branches(t)
 
     def test_order_drops_by_one(self):
         t = family_as_tree(schreier(2), 7)
@@ -149,6 +200,18 @@ class TestSearch:
         bt, cert = res
         assert cert.ok and bt.mode == "l1"
         assert order(bt.tree) == 3  # longest maximal member within 6
+
+    @pytest.mark.parametrize("fam,universe", [
+        (schreier(1), 9), (schreier(2), 8), (LISTED, 6), (LISTED, 4)],
+        ids=["S1", "S2", "listed-6", "listed-4"])
+    def test_branches_are_the_maximal_members(self, fam, universe):
+        assert_search_branches_are_maximal(fam, universe)
+
+    @given(listed_sets)
+    def test_maximal_members_of_listed_families(self, sets):
+        # members of a non-hereditary family may skip sizes, and points
+        # past the universe drop their sets
+        assert_search_branches_are_maximal(explicit_family(sets, close=False), 7)
 
     def test_c0_failure_with_stats(self):
         res = index_lower_bound_search(C0(), schreier(1), Fraction(3, 2), 5)
