@@ -26,16 +26,24 @@ Derivatives ride on membership through probes above the universe.
 Every listing of members reads one walk over the cursor, `_walk`:
 enumeration, the SCC mass check, the block systems of an asymptoticity
 measurement and the pieces of the allowable associated norm.
+
+Descriptors, of families here and of spaces in :mod:`schreierlab.spaces`,
+are read by one reader, :func:`read_descriptor`: it splits a text into
+its head and the argument texts at its top-level commas, checking that
+the brackets nest, and each grammar dispatches on the head and the
+argument count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .ordinal import Ordinal, fundamental_sequence, symbolic_omega_pow
+from .ordinal import parse as parse_ordinal
 
 __all__ = [
     "FamilyError",
@@ -53,9 +61,9 @@ __all__ = [
     "bracket_member",
     "index_symbolic",
     "tail_domination",
+    "read_descriptor",
     "parse_family",
     "hereditary_closure",
-    "spreading_closure",
     "RegularityReport",
 ]
 
@@ -65,6 +73,7 @@ DERIVATIVE_BOUND = 64
 POWER_BOUND = 100  # POW levels one cursor may nest in all, each a few stack frames deep
 LONGEST_WORK_BOUND = 10 ** 5  # normal-form terms one run sizing may look up
 DESCENT_BOUND = 350  # nested ordinal descents of one cursor start, two interpreter frames each
+NESTING_BOUND = 100  # brackets one descriptor may nest, a few stack frames each in its parse and its queries
 
 
 class FamilyError(ValueError):
@@ -486,36 +495,17 @@ def _cursor_key(expr):
 
 
 def hereditary_closure(sets):
-    out = set()
-    stack = [_finset(s) for s in sets]
-    out.add(())
-    while stack:
-        s = stack.pop()
-        if s in out:
-            continue
-        out.add(s)
-        for i in range(len(s)):
-            sub = s[:i] + s[i + 1:]
-            if sub not in out:
-                stack.append(sub)
-    return frozenset(out)
-
-
-def spreading_closure(sets, universe_max):
-    """Close under right shifts within {1..universe_max}."""
-    out = set(_finset(s) for s in sets)
-    out.add(())
-    frontier = list(out)
-    while frontier:
-        s = frontier.pop()
-        for i in range(len(s)):
-            hi = s[i + 1] - 1 if i + 1 < len(s) else universe_max
-            for v in range(s[i] + 1, hi + 1):
-                t = s[:i] + (v,) + s[i + 1:]
-                if t not in out:
-                    out.add(t)
-                    frontier.append(t)
-    return frozenset(out)
+    """The listed sets with all their subsets, the empty set among them.
+    Sized first, as the sum of 2**len(S) over the listed sets S: past
+    MEMBER_BOUND it raises ResourceBoundError before building any."""
+    sets = [_finset(s) for s in sets]
+    size = sum(2 ** len(s) for s in sets)
+    if size > MEMBER_BOUND:
+        raise ResourceBoundError("subsets of the listed sets", size,
+                                 "MEMBER_BOUND", MEMBER_BOUND)
+    return frozenset(itertools.chain(
+        [()], *(itertools.combinations(s, r) for s in sets
+                for r in range(1, len(s) + 1))))
 
 
 class Family:
@@ -702,19 +692,12 @@ def schreier(alpha):
     return Family(Schreier(alpha))
 
 
-def explicit_family(sets, close=True, universe_max=None):
-    """Explicit family from listed sets.  With close=True (default) the
-    hereditary closure is applied; spreading closure additionally when a
-    universe is given.  close=False stores the sets as-is (useful for
-    exhibiting regularity violations)."""
-    tuples = [_finset(s) for s in sets]
-    if close:
-        closed = hereditary_closure(tuples)
-        if universe_max is not None:
-            closed = spreading_closure(closed, universe_max)
-            closed = hereditary_closure(closed)
-        return Family(Explicit(frozenset(closed)))
-    return Family(Explicit(frozenset(tuples)))
+def explicit_family(sets, close=True):
+    """Explicit family from listed sets, closed hereditarily unless
+    close=False, which stores the sets as they are (useful for exhibiting
+    regularity violations)."""
+    return Family(Explicit(hereditary_closure(sets) if close
+                           else frozenset(map(_finset, sets))))
 
 
 def bracket(outer, inner):
@@ -759,50 +742,66 @@ def tail_domination(A, B, universe_max):
 
 
 # ---------------------------------------------------------------------------
-# Descriptor grammar: S(<ordinal>), BR(f,g), POW(f,n), EXPL[{1,2},{3}]
+# Descriptors: S(<ordinal>), BR(f,g), POW(f,n), EXPL[{1,2},{3}]
 # ---------------------------------------------------------------------------
 
 
+_CLOSING = {"(": ")", "[": "]", "{": "}"}
+
+
+def read_descriptor(text, error):
+    """(head, argument texts) of a descriptor read whole, whitespace
+    ignored.  The head runs through the first opening bracket, whose
+    closing bracket must end the text; the arguments are the texts between
+    the commas at that bracket's level, none for empty brackets.  A text
+    without brackets is an atom: (text, []).  Brackets that do not nest
+    raise `error`, and nesting deeper than NESTING_BOUND raises
+    ResourceBoundError."""
+    text, cuts, stack = "".join(text.split()), [], []
+    for i, c in enumerate(text):
+        if c in _CLOSING:
+            stack.append(_CLOSING[c])
+            if len(stack) > NESTING_BOUND:
+                raise ResourceBoundError("brackets nested in a descriptor",
+                                         len(stack), "NESTING_BOUND",
+                                         NESTING_BOUND)
+        elif c in ")]}":
+            if not stack or stack.pop() != c:
+                raise error("unmatched %r in descriptor %r" % (c, text))
+            if not stack and i + 1 < len(text):
+                raise error("trailing input %r in descriptor %r"
+                            % (text[i + 1:], text))
+        if c in "([{," and len(stack) == 1 or c in ")]}" and not stack:
+            cuts.append(i)
+    if stack:
+        raise error("unclosed bracket in descriptor %r" % text)
+    args = [text[a + 1:b] for a, b in zip(cuts, cuts[1:])]
+    head = text[:cuts[0] + 1] if cuts else text
+    return head, [] if args == [""] else args
+
+
 def parse_family(text):
-    from .ordinal import parse as parse_ordinal
-
-    text = text.strip().replace(" ", "")
-
-    def parse_expr(s, i):
-        if s.startswith("S(", i):
-            j = s.index(")", i)
-            return Schreier(parse_ordinal(s[i + 2:j])), j + 1
-        if s.startswith("BR(", i):
-            a, i2 = parse_expr(s, i + 3)
-            if s[i2] != ",":
-                raise FamilyError("expected ',' in BR at %d" % i2)
-            b, i3 = parse_expr(s, i2 + 1)
-            if s[i3] != ")":
-                raise FamilyError("expected ')' in BR at %d" % i3)
-            return Bracket(a, b), i3 + 1
-        if s.startswith("POW(", i):
-            a, i2 = parse_expr(s, i + 4)
-            if s[i2] != ",":
-                raise FamilyError("expected ',' in POW at %d" % i2)
-            j = s.index(")", i2)
-            return Power(a, int(s[i2 + 1:j])), j + 1
-        if s.startswith("EXPL[", i):
-            j = s.index("]", i)
-            body = s[i + 5:j]
-            sets = []
-            for part in filter(None, body.replace("},{", "}|{").split("|")):
-                part = part.strip("{}")
-                sets.append(tuple(sorted(int(x) for x in part.split(",") if x)))
-            closed = hereditary_closure(sets)
-            return Explicit(frozenset(closed)), j + 1
-        raise FamilyError("cannot parse family descriptor at %r" % s[i:])
-
+    """The family a descriptor names; an EXPL is closed under subsets."""
+    head, args = read_descriptor(text, FamilyError)
     try:
-        expr, end = parse_expr(text, 0)
+        match head, args:
+            case "S(", [alpha]:
+                return schreier(parse_ordinal(alpha))
+            case "BR(", [outer, inner]:
+                return bracket(parse_family(outer), parse_family(inner))
+            case "POW(", [base, n]:
+                return power(parse_family(base), int(n))
+            case "EXPL[", sets:
+                return explicit_family(map(_listed_set, sets))
     except FamilyError:
         raise
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise FamilyError("malformed family descriptor %r: %s" % (text, exc))
-    if end != len(text):
-        raise FamilyError("trailing input in family descriptor: %r" % text[end:])
-    return Family(expr)
+    raise FamilyError("cannot parse family descriptor %r" % text)
+
+
+def _listed_set(text):
+    head, elements = read_descriptor(text, FamilyError)
+    if head != "{":
+        raise FamilyError("expected a {...} set of naturals, got %r" % text)
+    return sorted(map(int, elements))

@@ -38,6 +38,10 @@ singletons.  The implicit norms' admissible split of a segment is a
 suffix maximum over the starts of its first piece, stored per start, so
 each (start, cursor state, end) is cut once: O(k**3) cut steps per
 k-point vector, not O(k**4).
+
+Space descriptors are read by the reader of family descriptors,
+:func:`schreierlab.families.read_descriptor`, and :func:`parse_space`
+dispatches on the head and argument count it returns.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import (_ONE, ResourceBoundError, _cursor_advance,
-                       _cursor_start, _walk)
+                       _cursor_start, _walk, read_descriptor)
 from .ordinal import Ordinal
+from .ordinal import parse as parse_ordinal
 
 __all__ = [
     "SpaceError",
@@ -247,6 +252,10 @@ class Tsirelson:
 class MixedTsirelson:
     levels: tuple  # of (alpha, theta)
 
+    def __post_init__(self):
+        if not all(0 < theta < 1 for _, theta in self.levels):
+            raise SpaceError("theta must lie in (0,1)")
+
     def __str__(self):
         return "MT[%s]" % ",".join("(S(%s),%s)" % (a, t) for a, t in self.levels)
 
@@ -290,63 +299,47 @@ def parse_rational(text):
         raise SpaceError("bad rational %r" % text) from None
 
 
+_ATOMS = {"C0": C0, "L1": L1, "SCHL": Schlumprecht}
+_VARIANTS = {"adm": "admissible", "allow": "allowable"}
+
+
 def parse_space(text):
-    from .ordinal import parse as parse_ordinal
-
-    text = text.strip().replace(" ", "")
-
-    def expr(s, i):
-        if s.startswith("C0", i):
-            return C0(), i + 2
-        if s.startswith("L1", i):
-            return L1(), i + 2
-        if s.startswith("SCHL", i):
-            return Schlumprecht(), i + 4
-        if s.startswith("T(S(", i):
-            j = s.index(")", i + 4)
-            alpha = parse_ordinal(s[i + 4:j])
-            k = s.index(")", j + 1)
-            theta = parse_rational(s[j + 2:k])
-            return Tsirelson(alpha, theta), k + 1
-        if s.startswith("MT[", i):
-            j = s.index("]", i)
-            body = s[i + 3:j]
-            levels = []
-            for part in body.replace("),(", ")|(").split("|"):
-                part = part.strip("()")
-                fam_part, theta_part = part.rsplit(",", 1)
-                alpha = parse_ordinal(fam_part[2:-1])
-                levels.append((alpha, parse_rational(theta_part)))
-            return MixedTsirelson(tuple(levels)), j + 1
-        if s.startswith("NN(", i):
-            base, i2 = expr(s, i + 3)
-            j = s.index(")", i2)
-            return Derived(base, ("nn", int(s[i2 + 1:j]))), j + 1
-        if s.startswith("ASSOC(", i):
-            base, i2 = expr(s, i + 6)
-            if not s.startswith(",S(", i2):
-                raise SpaceError("expected ,S(<ordinal>) in ASSOC")
-            j = s.index(")", i2 + 3)
-            alpha = parse_ordinal(s[i2 + 3:j])
-            tail = s[j + 1:]
-            if tail.startswith(",adm)"):
-                variant, end = "admissible", j + 6
-            elif tail.startswith(",allow)"):
-                variant, end = "allowable", j + 8
-            else:
-                raise SpaceError("expected ,adm) or ,allow) in ASSOC")
-            return Derived(base, ("assoc", alpha, variant)), end
-        raise SpaceError("cannot parse space descriptor at %r" % s[i:])
-
+    """The space a descriptor names, read by families.read_descriptor."""
+    head, args = read_descriptor(text, SpaceError)
     try:
-        sp, end = expr(text, 0)
-    except SpaceError:
+        match head, args:
+            case name, [] if name in _ATOMS:
+                return _ATOMS[name]()
+            case "T(", [family, theta]:
+                return Tsirelson(_alpha(family), parse_rational(theta))
+            case "MT[", [_, *_]:
+                return MixedTsirelson(tuple(map(_level, args)))
+            case "NN(", [base, n]:
+                return Derived(parse_space(base), ("nn", int(n)))
+            case "ASSOC(", [base, family, variant] if variant in _VARIANTS:
+                return Derived(parse_space(base), (
+                    "assoc", _alpha(family), _VARIANTS[variant]))
+    except (SpaceError, ResourceBoundError):
         raise
-    except (ValueError, IndexError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SpaceError("malformed space descriptor %r: %s" % (text, exc))
-    if end != len(text):
-        raise SpaceError("trailing input in space descriptor %r" % text[end:])
-    return sp
+    raise SpaceError("cannot parse space descriptor %r" % text)
+
+
+def _alpha(text):
+    """The ordinal a of an S(a) argument."""
+    head, args = read_descriptor(text, SpaceError)
+    if head != "S(" or len(args) != 1:
+        raise SpaceError("expected S(<ordinal>), got %r" % text)
+    return parse_ordinal(args[0])
+
+
+def _level(text):
+    """The (alpha, theta) of an MT level (S(alpha),theta)."""
+    head, args = read_descriptor(text, SpaceError)
+    if head != "(" or len(args) != 2:
+        raise SpaceError("expected (S(<ordinal>),theta), got %r" % text)
+    return _alpha(args[0]), parse_rational(args[1])
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,10 @@ def certify_block_tree(block_tree, space):
 
 def tree_to_family(block_tree, universe_max):
     """Family of all (m_1 < ... < m_l) with m_i >= max supp x_i for some
-    branch (x_1, ..., x_l), within {1..universe_max}; hereditary and
-    spreading closure are applied."""
+    node (x_1, ..., x_l), within {1..universe_max}.  It is hereditary and
+    spreading as grown: a subset (m_{i_1}, ..., m_{i_k}) has
+    m_{i_t} >= m_t >= max supp x_t, so it grows from the node's prefix of
+    length k, and a right shift only raises entries."""
     caps = set()
     for t in block_tree.tree.nodes:
         caps.add(tuple(x.max_support() for x in t))
@@ -225,7 +227,7 @@ def tree_to_family(block_tree, universe_max):
 
     for cap in sorted(caps):
         grow(cap, [], 1)
-    return explicit_family(sets, close=True, universe_max=universe_max)
+    return explicit_family(sets | {()}, close=False)
 
 
 # ---------------------------------------------------------------------------

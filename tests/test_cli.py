@@ -75,6 +75,37 @@ class TestExitCodes:
                            "--vec", "[[1,\"1\"]]")
         assert code == 64 and "error" in err
 
+    def test_misread_space_descriptor_is_usage_error(self, capsys):
+        # a level's family must be S(a); Q(1) was once read as S(1)
+        code, out, err = run(capsys, "norm", "eval", "--space",
+                             "MT[(Q(1),1/2)]", "--vec",
+                             '[[4,"1/4"],[5,"1/4"],[6,"1/4"],[7,"1/4"]]')
+        assert code == 64 and out == "" and err.startswith("error:")
+
+    def test_deep_space_nesting_is_a_resource_bound(self, capsys):
+        # 200 NN levels once ended in a RecursionError inside spaces.norm
+        code, out, err = run(capsys, "norm", "eval", "--space",
+                             "NN(" * 200 + "C0" + ",2)" * 200,
+                             "--vec", '[[4,"1/4"]]')
+        assert code == 65 and out == ""
+        assert err == ("resource bound: brackets nested in a descriptor: 101 "
+                       "exceeds NESTING_BOUND = 100\n")
+
+    def test_listed_family_closure_is_sized_first(self, capsys):
+        # 2**21 subsets are refused before any is built; 2**18 are built
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "fam", "member", "--family",
+                             "EXPL[{%s}]" % ",".join(map(str, range(1, 22))),
+                             "--set", "1,2")
+        assert time.perf_counter() - t0 < 1
+        assert code == 65 and out == ""
+        assert err == ("resource bound: subsets of the listed sets: 2097152 "
+                       "exceeds MEMBER_BOUND = 1048576\n")
+        code, out, _ = run(capsys, "fam", "member", "--family",
+                           "EXPL[{%s}]" % ",".join(map(str, range(1, 19))),
+                           "--set", "1,2")
+        assert code == 0 and out.strip() == "true"
+
     def test_bad_vector_json(self, capsys):
         code, _, _ = run(capsys, "norm", "eval", "--space", "C0",
                          "--vec", "not json")
@@ -290,10 +321,13 @@ class TestExitCodes:
          "ASYMPTOTICITY_SYSTEM_BOUND = 16384"),
         (("ord", "fundseq", "--expr", "w", "--n", "10001"),
          "sequence length: 10001 exceeds FUNDSEQ_BOUND = 10000"),
+        (("fam", "member", "--family", "BR(" * 200 + "S(1)" + ",S(1))" * 200,
+          "--set", "1,2"),
+         "brackets nested in a descriptor: 101 exceeds NESTING_BOUND = 100"),
     ], ids=["LONGEST_WORK_BOUND", "POWER_BOUND", "DESCENT_BOUND",
             "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
             "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
-            "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND"])
+            "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND"])
     def test_each_bound_refuses_in_one_format(self, capsys, argv, want):
         # what was counted, then the bound's name and limit
         code, out, err = run(capsys, *argv)

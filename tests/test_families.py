@@ -381,7 +381,9 @@ class TestDescriptorGrammar:
         fam = parse_family("EXPL[{1,2}]")
         assert fam.member((1,)) and fam.member((2,)) and fam.member(())
 
-    @pytest.mark.parametrize("bad", ["S(", "FOO(1)", "S(1)x", "BR(S(1))"])
+    @pytest.mark.parametrize("bad", ["S(", "FOO(1)", "S(1)x", "BR(S(1))",
+                                     "EXPL[1,2]", "EXPL[{1,,2}]",
+                                     "EXPL[}{1]", "EXPL[{{1}}]"])
     def test_rejects(self, bad):
         with pytest.raises(FamilyError):
             parse_family(bad)

@@ -4,6 +4,8 @@ Ordinal, family, space, rational and vector texts are drawn from their
 grammars and then mutated character by character.  Each case runs one
 command through `cli.main`; whatever the text, it must end in a
 documented exit code, raise nothing and answer within a per-case budget.
+The unmutated family and space texts must also survive a round trip
+through their parser and back to text.
 """
 
 import contextlib
@@ -15,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierlab import cli
+from schreierlab.families import parse_family
+from schreierlab.spaces import parse_space
 
 EXIT_CODES = {0, 1, 2, 64, 65}
 CASE_SECONDS = 2
@@ -112,3 +116,11 @@ def test_every_text_gets_a_documented_exit_code(argv):
         code = cli.main(argv)
     assert time.perf_counter() - t0 < CASE_SECONDS, argv
     assert code in EXIT_CODES, (argv, code, err.getvalue())
+
+
+@settings(max_examples=200)
+@given(st.one_of(families.map(lambda text: (parse_family, text)),
+                 spaces.map(lambda text: (parse_space, text))))
+def test_descriptors_round_trip(case):
+    parse, text = case
+    assert parse(str(parse(text))) == parse(text)

@@ -120,4 +120,4 @@ def test_every_refusal_names_its_module_bound():
         "LONGEST_WORK_BOUND", "POWER_BOUND", "DESCENT_BOUND",
         "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
         "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
-        "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND"}
+        "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND"}

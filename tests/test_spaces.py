@@ -185,7 +185,10 @@ class TestDescriptorParsing:
         assert parse_space(str(sp)) == sp
 
     @pytest.mark.parametrize("bad", ["", "T(S(1))", "T(S(1),2)", "X9",
-                                     "ASSOC(C0,S(1),weird)", "C0junk"])
+                                     "ASSOC(C0,S(1),weird)", "C0junk",
+                                     "MT[(Q(1),1/2)]", "MT[S(1),1/2]",
+                                     "MT[((S(1),1/2))]", "T(S(1);1/2)",
+                                     "MT[(S(1),2)]"])
     def test_rejects(self, bad):
         with pytest.raises(SpaceError):
             parse_space(bad)

@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,15 +184,47 @@ class TestTreeToFamily:
         want = {(), }
         for F in direct:
             for r in range(len(F) + 1):
-                import itertools
                 want.update(itertools.combinations(F, r))
         assert got == want
+
+    def test_seeded_trees_against_a_brute_force_closure(self):
+        # the grown sets need no closing, even where the supports along a
+        # branch do not increase
+        rng = random.Random(20)
+        for _ in range(60):
+            N = rng.randint(3, 8)
+            branches = [tuple(FsVector.indicator(
+                sorted(rng.sample(range(1, N + 1), rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 4)))
+                for _ in range(rng.randint(0, 3))]
+            bt = BlockTree.from_branches(branches, "l1", Fraction(1))
+            assert set(tree_to_family(bt, N).enumerate(N)) == \
+                brute_closure(bt, N)
 
     def test_output_regular_within_universe(self):
         bt = BlockTree.from_branches(
             [(FsVector.basis(2), FsVector.basis(4))], "l1", Fraction(2))
         rep = tree_to_family(bt, 6).check_regular(6)
         assert rep.hereditary and rep.spreading
+
+
+def brute_closure(bt, N):
+    """Every increasing tuple within {1..N} whose i-th entry is at least
+    max supp x_i for a node (x_1, ..., x_l), closed under removing an
+    entry and under raising one within {1..N}, until nothing changes."""
+    out = {()}
+    for t in bt.tree.nodes:
+        caps = [x.max_support() for x in t]
+        out.update(F for F in itertools.combinations(range(1, N + 1), len(t))
+                   if all(m >= c for m, c in zip(F, caps)))
+    while True:
+        more = {G for F in out for i in range(len(F))
+                for G in [F[:i] + F[i + 1:]] + [
+                    F[:i] + (v,) + F[i + 1:] for v in range(
+                        F[i] + 1, F[i + 1] if i + 1 < len(F) else N + 1)]}
+        if more <= out:
+            return out
+        out |= more
 
 
 class TestSearch:
