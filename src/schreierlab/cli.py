@@ -5,6 +5,12 @@ evaluation, special convex combinations, the four gluing pipelines, the
 spreading-model checker, asymptoticity measurement, distortion scans and
 the built-in check suites.
 
+Flags follow the subcommand and its action, and each one accepts only
+the flags its handler reads, plus --out and --json: --universe N only
+where a finite universe is measured.  Any other flag, or one given
+before the subcommand, is a usage error.  A report's config lists the
+command, its action and the flags it read.
+
 Exit codes: 0 pass/verified, 1 refuted/fail, 2 inconclusive, 64 parse
 or usage errors, 65 resource bounds.  Rationals cross the boundary as
 "p/q" strings; reports are deterministic JSON (sorted keys, no
@@ -14,6 +20,7 @@ timestamps) written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,8 +38,8 @@ from .ordinal import (NotALimitError, OrdinalError, ParseError,
                       fundamental_sequence)
 from .ordinal import compare as ordinal_compare
 from .ordinal import parse as parse_ordinal
-from .spaces import (FsVector, SpaceError, dual_norm, norm,
-                     parse_rational, parse_space, space_mode)
+from .spaces import (FsVector, SpaceError, dual_norm, norm, parse_rational,
+                     parse_space, report_value, space_mode)
 from .trees import (BlockTree, SearchFailure, TreeError, family_as_tree,
                     index_lower_bound_search, order)
 
@@ -58,12 +65,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(v):
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
 
 
 def _index(i):
@@ -235,11 +236,11 @@ def _cmd_norm(args):
     mode = space_mode(space)
     if args.action == "eval":
         v = norm(space, x)
-        return _emit(args, {"norm": _fmt(v)}, str(_fmt(v)), EXIT_PASS,
+        return _emit(args, {"norm": report_value(v)}, str(v), EXIT_PASS,
                      mode=mode)
     b = dual_norm(space, x)
     return _emit(args, {"dual": b.to_json()},
-                 "[%s, %s]" % (_fmt(b.lower), _fmt(b.upper)), EXIT_PASS,
+                 "[%s, %s]" % (b.lower, b.upper), EXIT_PASS,
                  mode=mode)
 
 
@@ -316,9 +317,9 @@ def _cmd_spreading(args):
 def _cmd_asymp(args):
     space = parse_space(args.space)
     C = measure_asymptoticity(space, parse_ordinal(args.alpha), args.universe)
-    result = {"C": _fmt(C),
+    result = {"C": report_value(C),
               "note": "section measurement at universe %d" % args.universe}
-    return _emit(args, result, str(_fmt(C)), EXIT_PASS, mode=space_mode(space))
+    return _emit(args, result, str(C), EXIT_PASS, mode=space_mode(space))
 
 
 def _cmd_distort(args):
@@ -326,8 +327,9 @@ def _cmd_distort(args):
     derived = parse_space(args.derived)
     corpus = _parse_blocks(args.corpus)
     rep = distortion_scan(space, derived, corpus)
-    return _emit(args, rep.to_json(), "lambda = %s" % _fmt(rep.empirical_lambda),
-                 EXIT_PASS, mode=space_mode(derived))
+    modes = {space_mode(space), space_mode(derived)}
+    return _emit(args, rep.to_json(), "lambda = %s" % rep.empirical_lambda,
+                 EXIT_PASS, mode="float" if "float" in modes else "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -395,106 +397,87 @@ def _cmd_suite(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
-    common = _Parser(add_help=False)
-    common.add_argument("--universe", type=int, default=10)
-    common.add_argument("--out", default=None)
-    common.add_argument("--json", action="store_true")
+    """The parser, built on first use and shared by every later call.
 
-    p = _Parser(prog="schreierlab", description=__doc__, parents=[common])
-    sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=lambda **kw: _Parser(parents=[common], **kw))
+    Each flag is defined once.  Each command, or each action of a
+    command, names the flags its handler reads, and only the parser that
+    runs it carries them, with --out and --json, and takes no abbreviation
+    of them.  "--n=3" gives a flag that is otherwise required a default
+    for that one parser."""
+    need = {"required": True}
+    flags = {
+        "--universe": {"type": int, "default": 10},
+        "--expr": {"default": "0"}, "--a": {"default": "0"},
+        "--b": {"default": "0"}, "--n": {"type": int, **need},
+        "--family": need, "--set": {"default": ""},
+        "--steps": {"type": int, "default": 1}, "--other": {"default": "S(1)"},
+        "--space": need, "--K": {"default": "2"},
+        "--tree-mode": {"choices": ("l1", "c0"), "default": "l1"},
+        "--vec": need, "--xi": need, "--eta": need, "--epsilon": need,
+        "--start": {"type": int, "default": 1}, "--blocks": need,
+        "--C1": {"default": "2"}, "--C2": {"default": "2"}, "--alpha": need,
+        "--C": need, "--derived": need, "--corpus": need,
+        "--out": {}, "--json": {"action": "store_true"}, "name": {},
+    }
+    weighted = "--space --eta --xi --K --C1 --C2 --start"
+    commands = {
+        "ord": (_cmd_ord, {"parse": "--expr", "compare": "--a --b",
+                           "fundseq": "--expr --n=3"}),
+        "fam": (_cmd_fam, {"member": "--family --set",
+                           "enumerate": "--family --universe",
+                           "derivative": "--family --steps --universe",
+                           "index": "--family",
+                           "regular": "--family --universe",
+                           "tail": "--family --other --universe"}),
+        "tree": (_cmd_tree, {"order": "--family --universe",
+                             "search": "--family --space=L1 --K --tree-mode "
+                                       "--universe"}),
+        "norm": (_cmd_norm, {"eval": "--space --vec", "dual": "--space --vec"}),
+        "scc": (_cmd_scc, "--xi --eta --epsilon --start"),
+        "lemma1": (_cmd_lemma1, "--space --n --blocks"),
+        "lemma2": (_cmd_weighted_gluing, weighted),
+        "lemma3": (_cmd_lemma3, "--space --n --blocks"),
+        "lemma4": (_cmd_weighted_gluing, weighted),
+        "spreading": (_cmd_spreading, "--space --alpha --C --universe"),
+        "asymp": (_cmd_asymp, "--space --alpha --universe"),
+        "distort": (_cmd_distort, "--space --derived --corpus"),
+        "suite": (_cmd_suite, "name"),
+    }
 
-    sp = sub.add_parser("ord")
-    sp.add_argument("action", choices=("parse", "compare", "fundseq"))
-    sp.add_argument("--expr", default="0")
-    sp.add_argument("--a", default="0")
-    sp.add_argument("--b", default="0")
-    sp.add_argument("--n", type=int, default=3)
-    sp.set_defaults(func=_cmd_ord)
+    def add(parsers, name, func, reads):
+        sp = parsers.add_parser(name, allow_abbrev=False)
+        for item in (reads + " --out --json").split():
+            flag, _, default = item.partition("=")
+            kw = flags[flag]
+            if default:
+                kw = dict(kw, default=default, required=False)
+            sp.add_argument(flag, **kw)
+        sp.set_defaults(func=func)
 
-    sp = sub.add_parser("fam")
-    sp.add_argument("action", choices=("member", "enumerate", "derivative",
-                                       "index", "regular", "tail"))
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--set", default="")
-    sp.add_argument("--steps", type=int, default=1)
-    sp.add_argument("--other", default="S(1)")
-    sp.set_defaults(func=_cmd_fam)
-
-    sp = sub.add_parser("tree")
-    sp.add_argument("action", choices=("order", "search"))
-    sp.add_argument("--family", required=True)
-    sp.add_argument("--space", default="L1")
-    sp.add_argument("--K", default="2")
-    sp.add_argument("--tree-mode", choices=("l1", "c0"), default="l1")
-    sp.set_defaults(func=_cmd_tree)
-
-    sp = sub.add_parser("norm")
-    sp.add_argument("action", choices=("eval", "dual"))
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--vec", required=True)
-    sp.set_defaults(func=_cmd_norm)
-
-    sp = sub.add_parser("scc")
-    sp.add_argument("--xi", required=True)
-    sp.add_argument("--eta", required=True)
-    sp.add_argument("--epsilon", required=True)
-    sp.add_argument("--start", type=int, default=1)
-    sp.set_defaults(func=_cmd_scc)
-
-    sp = sub.add_parser("lemma1")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--blocks", required=True)
-    sp.set_defaults(func=_cmd_lemma1)
-
-    for name in ("lemma2", "lemma4"):
-        sp = sub.add_parser(name)
-        sp.add_argument("--space", required=True)
-        sp.add_argument("--eta", required=True)
-        sp.add_argument("--xi", required=True)
-        sp.add_argument("--K", default="2")
-        sp.add_argument("--C1", default="2")
-        sp.add_argument("--C2", default="2")
-        sp.add_argument("--start", type=int, default=1)
-        sp.set_defaults(func=_cmd_weighted_gluing)
-
-    sp = sub.add_parser("lemma3")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--blocks", required=True)
-    sp.set_defaults(func=_cmd_lemma3)
-
-    sp = sub.add_parser("spreading")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--alpha", required=True)
-    sp.add_argument("--C", required=True)
-    sp.set_defaults(func=_cmd_spreading)
-
-    sp = sub.add_parser("asymp")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--alpha", required=True)
-    sp.set_defaults(func=_cmd_asymp)
-
-    sp = sub.add_parser("distort")
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--derived", required=True)
-    sp.add_argument("--corpus", required=True)
-    sp.set_defaults(func=_cmd_distort)
-
-    sp = sub.add_parser("suite")
-    sp.add_argument("name")
-    sp.set_defaults(func=_cmd_suite)
-
+    p = _Parser(prog="schreierlab", description=__doc__)
+    sub = p.add_subparsers(dest="command", required=True)
+    for command, (func, reads) in commands.items():
+        if isinstance(reads, str):
+            add(sub, command, func, reads)
+            continue
+        actions = sub.add_parser(command).add_subparsers(dest="action",
+                                                         required=True)
+        for action, action_reads in reads.items():
+            add(actions, action, func, action_reads)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.universe < 0:
+        # argparse would read the value of a leading flag as the command
+        if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+            raise _UsageError("unrecognized arguments: %s (flags follow the "
+                              "subcommand)" % argv[0])
+        args = build_parser().parse_args(argv)
+        if getattr(args, "universe", 0) < 0:
             raise _UsageError("--universe must be >= 0, got %d" % args.universe)
         return args.func(args)
     except _UsageError as exc:

@@ -18,8 +18,9 @@ from fractions import Fraction
 
 from .families import ResourceBoundError, _int_weights, _longest, _walk, schreier
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (FsVector, _BlockSums, _dual_upper, norm, norm_n,
-                     assoc_norm, primal_from_dual, space_mode)
+from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, norm,
+                     norm_n, assoc_norm, primal_from_dual, report_value,
+                     space_mode)
 from .trees import BlockTree, certify_block_tree
 
 __all__ = [
@@ -55,14 +56,6 @@ class SCCInfeasibleError(ConstructionError):
     def __init__(self, msg, minimal_start=None):
         super().__init__(msg)
         self.minimal_start = minimal_start
-
-
-def _as_ordinal(a):
-    return a if isinstance(a, Ordinal) else Ordinal.from_int(a)
-
-
-def _fmt(v):
-    return str(v) if isinstance(v, Fraction) else v
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +152,7 @@ def build_scc(xi, eta, epsilon, start_index):
     Raises SCCInfeasibleError (reporting the minimal feasible start) when
     the threshold fails at the requested start.
     """
-    xi, eta = _as_ordinal(xi), _as_ordinal(eta)
+    xi, eta = Ordinal.of(xi), Ordinal.of(eta)
     epsilon = Fraction(epsilon)
     if not eta < xi:
         raise ConstructionError("need eta < xi, got %s >= %s" % (eta, xi))
@@ -219,8 +212,8 @@ class GluingReport:
             "lemma": self.lemma,
             "status": self.status,
             "vector": self.vector.to_json(),
-            "values": {k: _fmt(v) for k, v in sorted(self.values.items())},
-            "parameters": {k: _fmt(v) if isinstance(v, (Fraction, float))
+            "values": {k: report_value(v) for k, v in sorted(self.values.items())},
+            "parameters": {k: report_value(v) if isinstance(v, (Fraction, float))
                            else str(v) for k, v in sorted(self.parameters.items())},
             "notes": list(self.notes),
         }
@@ -301,7 +294,7 @@ def _weighted_branch(lemma, mode, space, eta, tree, C1, C2, xi, start):
     fit an S_xi special convex combination (S_eta mass below 1/C2) under
     its longest branch.  Returns the precondition-failed report, or the
     report parameters, the SCC and the branch."""
-    eta, xi = _as_ordinal(eta), _as_ordinal(xi)
+    eta, xi = Ordinal.of(eta), Ordinal.of(xi)
     params = {"eta": eta, "xi": xi, "K": tree.K, "C1": Fraction(C1),
               "C2": Fraction(C2)}
     if tree.mode != mode:
@@ -431,11 +424,11 @@ class SpreadingReport:
 
     def to_json(self):
         out = {"passed": self.passed, "alpha": str(self.alpha),
-               "C": _fmt(self.C), "universe_max": self.universe_max}
+               "C": report_value(self.C), "universe_max": self.universe_max}
         if not self.passed:
             F, coeffs, value = self.witness
             out["witness"] = {"F": list(F), "coefficients": list(coeffs),
-                              "value": _fmt(value)}
+                              "value": report_value(value)}
         return out
 
 
@@ -452,7 +445,7 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     it raises ResourceBoundError.  The sums x_F are normed by one
     spaces._BlockSums scan; where its results are ints and C is exact,
     each F is decided by one int comparison."""
-    alpha = _as_ordinal(alpha)
+    alpha = Ordinal.of(alpha)
     C = Fraction(C) if not isinstance(C, float) else C
     if len(blocks) < universe_max:
         raise ConstructionError("need a block for every index up to %d" % universe_max)
@@ -483,11 +476,13 @@ def measure_asymptoticity(space, alpha, universe_max):
     families._walk over 1..universe_max, with one end b_i per block,
     F[i] <= b_i < F[i+1] (b_k <= universe_max).  The systems are counted
     before any is normed; past ASYMPTOTICITY_SYSTEM_BOUND of them the
-    measurement raises ResourceBoundError.  One spaces._BlockSums scan over
-    the basis norms the interval units, and another over the units norms
-    the systems as they are listed.
+    measurement raises ResourceBoundError.  In c0 every system of
+    normalized blocks has norm 1 and in l1 norm k, so the constant is the
+    size of the largest listed system in c0 and 1 in l1.  Elsewhere one
+    spaces._BlockSums scan over the basis norms the interval units, and
+    another over the units norms the systems as they are listed.
     """
-    alpha = _as_ordinal(alpha)
+    alpha = Ordinal.of(alpha)
     N = universe_max
     points = range(1, N + 1)
     # S_alpha holds every singleton, so there are N(N+1)/2 one-block
@@ -507,6 +502,10 @@ def measure_asymptoticity(space, alpha, universe_max):
         raise ResourceBoundError(
             "S_%s block systems within universe %d" % (alpha, N), count,
             "ASYMPTOTICITY_SYSTEM_BOUND", ASYMPTOTICITY_SYSTEM_BOUND)
+    if isinstance(space, C0):
+        return Fraction(max((len(F) for F, _ in members), default=1))
+    if isinstance(space, L1):
+        return Fraction(1)
     basis = _BlockSums(space, {i: FsVector.basis(i) for i in points}, N)
     units = {(ab[0], ab[-1]): FsVector.indicator(ab, 1 / basis.value(v))
              for ab, v in basis.norms(range(a, b + 1) for a in points
@@ -543,11 +542,11 @@ class DistortionReport:
         return {
             "space": self.space,
             "derived": self.derived,
-            "ratio_min": _fmt(self.ratio_min),
-            "ratio_max": _fmt(self.ratio_max),
+            "ratio_min": report_value(self.ratio_min),
+            "ratio_max": report_value(self.ratio_max),
             "witness_min": self.witness_min.to_json(),
             "witness_max": self.witness_max.to_json(),
-            "empirical_lambda": _fmt(self.empirical_lambda),
+            "empirical_lambda": report_value(self.empirical_lambda),
             "corpus_size": self.corpus_size,
             "note": self.universe_note or "section measurement, not a distortion proof",
         }

@@ -687,9 +687,7 @@ class RegularityReport:
 
 
 def schreier(alpha):
-    if isinstance(alpha, int):
-        alpha = Ordinal.from_int(alpha)
-    return Family(Schreier(alpha))
+    return Family(Schreier(Ordinal.of(alpha)))
 
 
 def explicit_family(sets, close=True):

@@ -83,6 +83,11 @@ class Ordinal:
         return cls(() if n == 0 else ((0, n),))
 
     @classmethod
+    def of(cls, a):
+        """a itself if it is an Ordinal, else the ordinal of the natural a."""
+        return a if isinstance(a, Ordinal) else cls.from_int(a)
+
+    @classmethod
     def omega_pow_times(cls, exponent, coefficient=1):
         """w^exponent * coefficient for a natural exponent."""
         if exponent == 0:
@@ -269,9 +274,7 @@ class SymbolicOrdinal:
 
 def symbolic_omega_pow(a):
     """w^a as a symbolic ordinal; a may be any concrete CNF ordinal."""
-    if not isinstance(a, Ordinal):
-        a = Ordinal.from_int(a)
-    return SymbolicOrdinal(a)
+    return SymbolicOrdinal(Ordinal.of(a))
 
 
 def symbolic_product(a, b):

@@ -212,7 +212,7 @@ class FsVector:
         return sum((v * d[i] for i, v in self.entries if i in d), Fraction(0))
 
     def to_json(self):
-        return [[i, str(v) if isinstance(v, Fraction) else v] for i, v in self.entries]
+        return [[i, report_value(v)] for i, v in self.entries]
 
     def __str__(self):
         return " + ".join("%s*e%d" % (v, i) for i, v in self.entries) or "0"
@@ -284,6 +284,12 @@ def space_mode(space):
     if isinstance(space, Derived):
         return space_mode(space.base)
     return "exact"
+
+
+def report_value(v):
+    """A value as a report holds it: an exact Fraction as its "p/q"
+    string, an int or a float as it is."""
+    return str(v) if isinstance(v, Fraction) else v
 
 
 def parse_rational(text):
@@ -677,8 +683,7 @@ def norm_n(space, n, y):
 def assoc_norm(space, alpha, x, variant="admissible"):
     """Associated norm: sup of piece-norm sums over alpha-admissible
     successive intervals (or alpha-allowable disjoint sets)."""
-    if isinstance(alpha, int):
-        alpha = Ordinal.from_int(alpha)
+    alpha = Ordinal.of(alpha)
     if x.is_zero():
         return norm(space, x)
     if variant == "allowable":
@@ -734,8 +739,8 @@ class Bounds:
         return Bounds(self.lower + other.lower, self.upper + other.upper)
 
     def to_json(self):
-        fmt = lambda v: str(v) if isinstance(v, Fraction) else v
-        return {"lower": fmt(self.lower), "upper": fmt(self.upper), "exact": self.exact}
+        return {"lower": report_value(self.lower),
+                "upper": report_value(self.upper), "exact": self.exact}
 
 
 def _sign_patterns(x):
@@ -777,7 +782,7 @@ def _count_or_alpha(n, alpha):
     """alpha as an Ordinal, once exactly one of n and alpha is given."""
     if (n is None) == (alpha is None):
         raise SpaceError("give exactly one of n and alpha")
-    return Ordinal.from_int(alpha) if isinstance(alpha, int) else alpha
+    return alpha if alpha is None else Ordinal.of(alpha)
 
 
 def _dual_assoc_end(space, phi, end, n, alpha):
@@ -804,8 +809,7 @@ def minimax_admissible_cover(space, x, alpha):
     """min over alpha-admissible gap-free covers of supp x of the largest
     piece norm; the first piece must start at min supp.  This min-max
     fold is the one partition program not run on :class:`_Partitions`."""
-    if isinstance(alpha, int):
-        alpha = Ordinal.from_int(alpha)
+    alpha = Ordinal.of(alpha)
     sp = x.support
     P = len(sp)
     dp = _partitions(space, x)

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 
-from .families import explicit_family
-from .spaces import FsVector, norm, space_mode
+from .families import ResourceBoundError, explicit_family
+from .spaces import FsVector, SpaceError, norm, report_value, space_mode
 
 __all__ = [
     "TreeError",
@@ -139,7 +139,7 @@ class TreeCertificate:
             "K": str(self.K),
             "branches": [
                 {"labels": [x.to_json() for x in br],
-                 "extremal": str(v) if isinstance(v, Fraction) else v}
+                 "extremal": report_value(v)}
                 for br, v in self.branch_values
             ],
         }
@@ -288,7 +288,7 @@ def index_lower_bound_search(space, fam, K, universe_max, mode="l1"):
     for name, strat in strategies:
         try:
             branches = [strat(F, space) for F in sorted(maximal)]
-        except Exception as exc:  # a strategy may not apply to this space
+        except (SpaceError, ResourceBoundError) as exc:  # a refusal, not a bug
             tried.append({"strategy": name, "error": str(exc)})
             continue
         bt = BlockTree.from_branches(branches, mode, K)

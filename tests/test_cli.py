@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import time
@@ -544,6 +545,17 @@ class TestReports:
         assert code == 0 and rep["mode"] == "float"
         assert "mode" not in rep["config"] and "seed" not in rep["config"]
 
+    @pytest.mark.parametrize("space,derived", [
+        ("SCHL", "T(S(1),1/2)"), ("T(S(1),1/2)", "NN(SCHL,2)")])
+    def test_distortion_mode_reported_from_either_space(self, capsys, space,
+                                                        derived):
+        # a float base norm makes every ratio a float
+        code, out, _ = run(capsys, "distort", "--space", space, "--derived",
+                           derived, "--corpus", "e8,avg2-3,avg4-7", "--json")
+        rep = json.loads(out)
+        assert code == 0 and rep["mode"] == "float"
+        assert isinstance(rep["result"]["empirical_lambda"], float)
+
     def test_out_file_deterministic(self, tmp_path, capsys):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         assert run(capsys, *self.ARGS, "--out", str(p1))[0] == 0
@@ -559,3 +571,124 @@ class TestReports:
         rep = json.loads(p.read_text())
         keys = list(rep)
         assert keys == sorted(keys)
+
+
+# A runnable value for each flag that each command, or each (command,
+# action), reads, written off its handler.  Every parser also takes --out
+# and --json; `suite` reads its positional suite name.
+READS = {
+    ("ord", "parse"): {"--expr": "w"},
+    ("ord", "compare"): {"--a": "w", "--b": "1"},
+    ("ord", "fundseq"): {"--expr": "w", "--n": "2"},
+    ("fam", "member"): {"--family": "S(1)", "--set": "3,4"},
+    ("fam", "enumerate"): {"--family": "S(1)", "--universe": "4"},
+    ("fam", "derivative"): {"--family": "S(1)", "--steps": "1",
+                            "--universe": "4"},
+    ("fam", "index"): {"--family": "S(1)"},
+    ("fam", "regular"): {"--family": "S(1)", "--universe": "4"},
+    ("fam", "tail"): {"--family": "S(1)", "--other": "S(2)",
+                      "--universe": "8"},
+    ("tree", "order"): {"--family": "S(1)", "--universe": "4"},
+    ("tree", "search"): {"--family": "S(1)", "--space": "L1", "--K": "1",
+                         "--tree-mode": "l1", "--universe": "4"},
+    ("norm", "eval"): {"--space": "L1", "--vec": '[[1,"1"]]'},
+    ("norm", "dual"): {"--space": "L1", "--vec": '[[1,"1"]]'},
+    ("scc",): {"--xi": "1", "--eta": "0", "--epsilon": "1/4", "--start": "5"},
+    ("lemma1",): {"--space": "T(S(1),1/2)", "--n": "2",
+                  "--blocks": "e4,e5,e6,e7"},
+    ("lemma2",): {"--space": "T(S(1),1/2)", "--eta": "1", "--xi": "2",
+                  "--K": "4", "--C1": "2", "--C2": "2", "--start": "3"},
+    ("lemma3",): {"--space": "C0", "--n": "2", "--blocks": "e1,e2,e3,e4"},
+    ("lemma4",): {"--space": "C0", "--eta": "1", "--xi": "2", "--K": "1",
+                  "--C1": "2", "--C2": "2", "--start": "3"},
+    ("spreading",): {"--space": "L1", "--alpha": "1", "--C": "1",
+                     "--universe": "4"},
+    ("asymp",): {"--space": "L1", "--alpha": "1", "--universe": "4"},
+    ("distort",): {"--space": "L1", "--derived": "C0",
+                   "--corpus": "e1,avg2-3"},
+    ("suite",): {},
+}
+ALL_FLAGS = sorted(set().union(*READS.values()))
+
+
+def argv_of(path):
+    """A runnable command line for a (command, action) path, every flag
+    it reads given."""
+    name = ["schreier-core"] if path == ("suite",) else []
+    return [*path, *name, *itertools.chain(*READS[path].items())]
+
+
+def accepted_flags(parser, path=()):
+    """(command, action) path -> the flags its parser accepts; a parser
+    that only dispatches to subparsers must accept none."""
+    own = {s for a in parser._actions for s in a.option_strings} - {
+        "-h", "--help"}
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: own}
+    assert not own, path
+    return {k: v for name, sp in subs[0].choices.items()
+            for k, v in accepted_flags(sp, path + (name,)).items()}
+
+
+class TestFlagTable:
+    def test_each_action_accepts_the_flags_it_reads(self):
+        assert accepted_flags(cli.build_parser()) == {
+            path: set(reads) | {"--out", "--json"}
+            for path, reads in READS.items()}
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("path", sorted(READS), ids=" ".join)
+    def test_every_unread_flag_is_a_usage_error(self, capsys, path):
+        for flag in sorted(set(ALL_FLAGS) - set(READS[path])):
+            code, out, err = run(capsys, *argv_of(path), flag, "1")
+            assert code == 64 and out == "", flag
+            assert "unrecognized arguments: %s 1" % flag in err, flag
+
+    @pytest.mark.parametrize("flag", ALL_FLAGS + ["--out", "--json"])
+    def test_flag_before_the_subcommand_is_a_usage_error(self, capsys, flag):
+        value = [] if flag == "--json" else ["1"]
+        for path in (("fam", "enumerate"), ("asymp",)):
+            code, out, err = run(capsys, flag, *value, *argv_of(path))
+            assert code == 64 and out == ""
+            assert "unrecognized arguments: %s" % flag in err
+        # nor between a command and its action
+        code, out, _ = run(capsys, "fam", flag, *value, "enumerate",
+                           "--family", "S(1)")
+        assert code == 64 and out == ""
+
+    @pytest.mark.parametrize("path", sorted(READS), ids=" ".join)
+    def test_report_config_holds_the_flags_read(self, capsys, path):
+        code, out, _ = run(capsys, *argv_of(path), "--json")
+        config = json.loads(out)["config"]
+        want = {"command", "json", *(["action"] if len(path) == 2 else []),
+                *(["name"] if path == ("suite",) else [])}
+        want |= {flag[2:].replace("-", "_") for flag in READS[path]}
+        assert code in (0, 1) and set(config) == want
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("--universe", "3", "fam", "enumerate", "--family", "S(1)"),
+         "--universe"),
+        (("--json", "fam", "member", "--family", "S(1)", "--set", "1"),
+         "--json"),
+        (("fam", "member", "--family", "S(1)", "--set", "5,6", "--universe",
+          "3"), "--universe 3")], ids=["universe-first", "json-first",
+                                       "member-universe"])
+    def test_dropped_flags_are_refused(self, capsys, argv, flag):
+        # each once answered as if the flag were absent
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == ""
+        assert err.startswith("error: unrecognized arguments: %s" % flag)
+
+    def test_abbreviated_flag_is_a_usage_error(self, capsys):
+        # `--a` once read as --alpha wherever no --a was defined
+        code, out, err = run(capsys, "fam", "enumerate", "--family", "S(1)",
+                             "--uni", "3")
+        assert code == 64 and out == ""
+        assert "unrecognized arguments: --uni 3" in err
+        code, out, err = run(capsys, "asymp", "--space", "L1", "--a", "1",
+                             "--universe", "4")
+        assert code == 64 and "--alpha" in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -601,7 +602,7 @@ def asymptoticity_oracle(oracle, alpha, N):
     minima pass brute_schreier, each x_i the indicator of its interval
     divided by its norm; `oracle` norms a plain list of pairs, as in
     ORACLE_NORMS."""
-    alpha = Ordinal.from_int(alpha)
+    alpha = Ordinal.of(alpha)
     unit = {}
     best = Fraction(1)
     for system in interval_systems(1, N):
@@ -637,14 +638,27 @@ class TestAsymptoticity:
         assert type(got) is Fraction
 
     @pytest.mark.parametrize("name", ["c0", "l1"])
-    @pytest.mark.parametrize("alpha", [0, 1, 2])
-    @pytest.mark.parametrize("N", [6, 7, 8])
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "w", "w+1"])
+    @pytest.mark.parametrize("N", [0, 1, 6, 7, 8])
     def test_block_norms_against_brute_force(self, name, alpha, N):
-        # c0 and l1 take the int block-norm path for units and systems
+        # c0 and l1 answer in closed form from the listed systems
         space, oracle = ORACLE_NORMS[name]
+        alpha = parse_ordinal(alpha)
         got = measure_asymptoticity(space, alpha, N)
         assert got == asymptoticity_oracle(oracle, alpha, N)
         assert type(got) is Fraction
+
+    @pytest.mark.parametrize("space,want", [(C0(), 1), (L1(), 1)],
+                             ids=["c0", "l1"])
+    def test_block_norms_build_no_units(self, monkeypatch, space, want):
+        # 16,290 one-block systems within {1..180}, none of them normed
+        def refuse(*args):
+            raise AssertionError("a block sum was normed")
+
+        monkeypatch.setattr(constructions, "_BlockSums", refuse)
+        t0 = time.perf_counter()
+        assert measure_asymptoticity(space, 0, 180) == want
+        assert time.perf_counter() - t0 < 0.2
 
     def test_corpus_past_the_bound_is_refused(self, monkeypatch):
         # the bound is exact: S_1 has 2**N - 1 systems within {1..N}, 63 at

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from schreierlab import trees
 from schreierlab.families import explicit_family, schreier
 from schreierlab.ordinal import Ordinal
 from schreierlab.spaces import C0, L1, FsVector, Tsirelson
@@ -252,6 +253,24 @@ class TestSearch:
         assert isinstance(res, SearchFailure)
         assert res.stats["strategies"]
         assert res.stats["branches"] > 0
+
+    def test_refused_strategy_is_recorded(self):
+        # at universe 9 the averages of S_1's member (5, ..., 9) reach 80
+        # points, past the Tsirelson norm's support bound
+        res = index_lower_bound_search(T12, schreier(1), 1, 9)
+        assert isinstance(res, SearchFailure)
+        assert res.stats["strategies"][1] == {
+            "strategy": "averages",
+            "error": "support: 80 exceeds SUPPORT_BOUND = 72"}
+
+    def test_strategy_bug_propagates(self, monkeypatch):
+        # only a refusal means that a strategy does not apply
+        def broken(member, space):
+            raise TypeError("broken strategy")
+
+        monkeypatch.setattr(trees, "_average_branch", broken)
+        with pytest.raises(TypeError, match="broken strategy"):
+            index_lower_bound_search(C0(), schreier(1), Fraction(3, 2), 5)
 
     def test_empty_family_trivial_success(self):
         fam = explicit_family([()], close=False)
