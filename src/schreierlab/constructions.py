@@ -567,7 +567,7 @@ def distortion_scan(space, derived, corpus):
         b = norm(space, v)
         if b == 0:
             continue
-        xhat = v.scale(Fraction(1) / b) if not isinstance(b, float) else v.scale(1 / b)
+        xhat = v.scale(Fraction(1) / b)  # a float b gives the float 1 / b
         r = norm(derived, xhat)
         count += 1
         if lo is None or r < lo:

@@ -17,16 +17,17 @@ where a value leaves the evaluator (``unscale``).  A scan that norms many
 sums of disjoint blocks (:class:`_BlockSums`) uses one Q per scan
 instead, so that its sums can share segment values.
 
-The partition suprema (the implicit norms, the derived norms and the
-dual bounds) all run on one max-plus dynamic program over cut points,
-:class:`_Partitions`.  Each end of a dual bound is one rule, and each end
-of a derived dual bound one program over that rule's piece values
-(:func:`_partitions`), so a caller that reads one end computes only that
-end.  For bimonotone 1-unconditional norms the
-supremum over admissible successive sets is attained on gap-free
-partitions of the interval support whose piece minima are support
-points (enlarging a piece to the right never decreases its norm and
-never changes its minimum; an initial segment of the support may be
+The partition programs (the implicit norms, the derived norms, the
+dual bounds and the min-max cover) all run on one dynamic program over
+cut points, :class:`_Partitions`; the cover only folds its cuts by
+min-max instead of max-plus (:class:`_Cover`).  Each end of a dual
+bound is one rule, and each end of a derived dual bound one program
+over that rule's piece values (:func:`_partitions`), so a caller that
+reads one end computes only that end.  For bimonotone 1-unconditional
+norms the supremum over admissible successive sets is attained on
+gap-free partitions of the interval support whose piece minima are
+support points (enlarging a piece to the right never decreases its norm
+and never changes its minimum; an initial segment of the support may be
 dropped).  Admissibility of the chosen minima is tracked with the
 Schreier cursor from :mod:`schreierlab.families`, whose states are
 canonical for the number of support points still to come, so no state is
@@ -34,10 +35,10 @@ built whose budget already covers them all.  The cursor's state ids come
 from :mod:`schreierlab.families`, which interns the states as ints, so
 the memo keys are int triples.  "At most n pieces" is itself such a
 cursor: S_1 after reading n, which allows n - 1 further blocks of
-singletons.  The implicit norms' admissible split of a segment is a
-suffix maximum over the starts of its first piece, stored per start, so
-each (start, cursor state, end) is cut once: O(k**3) cut steps per
-k-point vector, not O(k**4).
+singletons.  Every admissible sum, the implicit norms' splits of their
+segments included, reads one split: a suffix maximum over the starts of
+the first piece, stored per start, so each (start, cursor state, end) is
+cut once: O(k**3) cut steps per k-point vector, not O(k**4).
 
 Space descriptors are read by the reader of family descriptors,
 :func:`schreierlab.families.read_descriptor`, and :func:`parse_space`
@@ -196,15 +197,9 @@ class FsVector:
         return self + other.scale(-1)
 
     def restrict(self, indices):
-        """Restriction to a set of indices (iterable) or an (lo, hi) pair."""
-        if isinstance(indices, tuple) and len(indices) == 2 and all(
-                isinstance(t, int) for t in indices):
-            lo, hi = indices
-            keep = lambda i: lo <= i <= hi
-        else:
-            s = set(indices)
-            keep = lambda i: i in s
-        return FsVector(tuple((i, v) for i, v in self.entries if keep(i)))
+        """Restriction to a set of indices (any iterable of them)."""
+        s = set(indices)
+        return FsVector(tuple((i, v) for i, v in self.entries if i in s))
 
     def pair(self, other):
         """Duality pairing sum_i self_i * other_i."""
@@ -354,25 +349,27 @@ def _level(text):
 
 
 class _Partitions:
-    """The one max-plus dynamic program behind every partition supremum.
+    """The one dynamic program behind every partition program, max-plus
+    here and min-max in :class:`_Cover`.
 
-    Positions index the support points sp; piece(i, j) is the value of
-    the piece over positions [i..j].  A chain is a gap-free partition of
+    Positions index the support points sp; piece(i, j) >= 0 is the value
+    of the piece over positions [i..j].  A chain is a gap-free partition of
     [l..j] into successive pieces whose minima are fed to a Schreier
     cursor, the first piece starting at l with the cursor in `state`
-    after reading sp[l].  Each caller keeps its own start rule: any start
-    position for admissible sums, position 0 for at most n pieces, at
-    least two pieces for the implicit norms.  The rules are not
-    interchangeable, since dual lower bounds are not monotone under
-    interval inclusion once a piece exceeds PATTERN_BOUND.  The implicit
-    norms' splits are suffix maxima over starts, which
-    :class:`_Evaluator` stores per (start, end, alpha): each start is
-    cut once per segment end, O(k**3) for a k-point vector."""
+    after reading sp[l].  Two start rules cover every caller: position 0
+    with an S_1 budget for at most n pieces (:meth:`at_most`), and any
+    start for admissible sums (:meth:`admissible`), whose chains of two
+    pieces or more are one suffix maximum over starts
+    (:meth:`split_admissible`) that the implicit norms split their
+    segments with too.  Each start is cut once per end, O(k**3) for a
+    k-point vector, and no rule assumes anything of the piece values
+    beyond their sign."""
 
     def __init__(self, sp, piece):
         self.sp = sp
         self.piece = piece
         self._chain = {}
+        self._split = {}
 
     def unscale(self, v):
         """The value of a result of the program (identity for generic
@@ -402,17 +399,32 @@ class _Partitions:
                     best = v
         return best
 
+    # best sum over >= 2 admissible pieces inside [i..j]; first piece may
+    # start after i (dropped prefix), pieces are gap-free afterwards.  A
+    # chain that starts at l does not depend on i, so the answer is a
+    # suffix maximum over starts: split(i) = max(split(i + 1), chains from
+    # i), stored for every start.  Walk up to the nearest stored start
+    # (none at l = j, where no second cut exists), then fill back down.
+    def split_admissible(self, i, j, alpha):
+        memo = self._split
+        l = i
+        while l < j and (l, j, alpha) not in memo:
+            l += 1
+        best = memo.get((l, j, alpha), 0)
+        while l > i:
+            l -= 1
+            for s in _cursor_start(alpha, self.sp[l], j - l):
+                best = self.cut(l, s, j, best)
+            memo[l, j, alpha] = best
+        return best
+
     def admissible(self, alpha):
         """sup over alpha-admissible chains of a tail [l..end] of the
-        support (an initial segment may be dropped)."""
+        support (an initial segment may be dropped): the best single
+        piece of a tail or the best split of the whole support."""
         last = len(self.sp) - 1
-        out = None
-        for l in range(last + 1):
-            for s in _cursor_start(alpha, self.sp[l], last - l):
-                v = self.chain(l, s, last)
-                if out is None or v > out:
-                    out = v
-        return out
+        return max(max(self.piece(l, last) for l in range(last + 1)),
+                   self.split_admissible(0, last, alpha))
 
     def at_most(self, n):
         """sup over chains of the whole support with at most n pieces: an
@@ -420,6 +432,22 @@ class _Partitions:
         last = len(self.sp) - 1
         (budget,) = _cursor_start(_ONE, n, last)
         return self.chain(0, budget, last)
+
+
+class _Cover(_Partitions):
+    """The min-max fold on the same chains: chain(l, state, j) is the
+    least largest piece over the chains of [l..j]."""
+
+    def cut(self, l, state, j, best):
+        """min(best, least largest piece over chains of [l..j] with at
+        least two pieces)."""
+        sp, piece = self.sp, self.piece
+        for m in range(l + 1, j + 1):
+            for s2 in _cursor_advance(state, sp[m], j - m):
+                v = max(piece(l, m - 1), self.chain(m, s2, j))
+                if v < best:
+                    best = v
+        return best
 
 
 def _levels(space):
@@ -517,25 +545,6 @@ class _Evaluator(_Partitions):
     # a class attribute, not an instance one: no reference cycle keeps
     # the memos alive after the evaluator's last use
     piece = seg_norm
-
-    # best sum over >= 2 admissible pieces inside [i..j]; first piece may
-    # start after i (dropped prefix), pieces are gap-free afterwards.  A
-    # chain that starts at l does not depend on i, so the answer is a
-    # suffix maximum over starts: split(i) = max(split(i + 1), chains from
-    # i), stored for every start.  Walk up to the nearest stored start
-    # (none at l = j, where no second cut exists), then fill back down.
-    def split_admissible(self, i, j, alpha):
-        memo = self._split
-        l = i
-        while l < j and (l, j, alpha) not in memo:
-            l += 1
-        best = memo.get((l, j, alpha), 0)
-        while l > i:
-            l -= 1
-            for s in _cursor_start(alpha, self.sp[l], j - l):
-                best = self.cut(l, s, j, best)
-            memo[l, j, alpha] = best
-        return best
 
     # best sum over exactly k <= j - i + 1 successive pieces covering [i..j]
     def split_exact_count(self, i, j, k):
@@ -646,9 +655,9 @@ class _BlockSums:
 
 def _partitions(space, x, rule=None):
     """Partition engine over x's support points whose pieces are the
-    values rule(space, restriction of x to an interval): one end of the
-    dual bounds for the derived dual norms, the base norm when no rule is
-    given.
+    values rule(space, x's entries at an interval of positions): one end
+    of the dual bounds for the derived dual norms, the base norm when no
+    rule is given.
 
     For the norm of an implicit-norm space the evaluator itself is used:
     the norm of a restriction to an interval equals its segment norm, and
@@ -657,22 +666,21 @@ def _partitions(space, x, rule=None):
         if isinstance(space, (Tsirelson, MixedTsirelson, Schlumprecht)):
             return _Evaluator(space, x)
         rule = norm
-    sp = x.support
+    entries = x.entries
     memo = {}
 
     def piece(i, j):
         key = (i, j)
         if key not in memo:
-            memo[key] = rule(space, x.restrict((sp[i], sp[j])))
+            memo[key] = rule(space, FsVector(entries[i:j + 1]))
         return memo[key]
 
-    return _Partitions(sp, piece)
+    return _Partitions(x.support, piece)
 
 
 def norm_n(space, n, y):
     """sup of sums of piece norms over at most n successive intervals."""
-    if n < 1:
-        raise SpaceError("interval count must be >= 1")
+    _count_or_alpha(n, None)
     if y.is_zero():
         return norm(space, y)
     # dropping never helps for bimonotone norms, so pieces tile the support
@@ -684,12 +692,12 @@ def assoc_norm(space, alpha, x, variant="admissible"):
     """Associated norm: sup of piece-norm sums over alpha-admissible
     successive intervals (or alpha-allowable disjoint sets)."""
     alpha = Ordinal.of(alpha)
+    if variant not in ("admissible", "allowable"):
+        raise SpaceError("variant must be admissible or allowable")
     if x.is_zero():
         return norm(space, x)
     if variant == "allowable":
         return _assoc_allowable(space, alpha, x)
-    if variant != "admissible":
-        raise SpaceError("variant must be admissible or allowable")
     dp = _partitions(space, x)
     return dp.unscale(dp.admissible(alpha))
 
@@ -705,9 +713,8 @@ def _assoc_allowable(space, alpha, x):
                                 "ALLOWABLE_SUPPORT_BOUND", ALLOWABLE_SUPPORT_BOUND)
     zero = Fraction(0) if space_mode(space) == "exact" else 0.0
     best = zero
-    # one norm per piece; restrict reads a 2-tuple as an interval, a list not
-    piece_norm = functools.lru_cache(None)(
-        lambda p: norm(space, x.restrict(list(p))))
+    # one norm per piece
+    piece_norm = functools.lru_cache(None)(lambda p: norm(space, x.restrict(p)))
     for G in _walk(alpha, sp, [(e,) for e in sp], ()):
         rest = [e for e in sp if e not in G]
         # choice 0 drops a point, choice k joins it to the piece of G[k - 1]
@@ -779,9 +786,12 @@ def dual_norm(space, phi):
 
 
 def _count_or_alpha(n, alpha):
-    """alpha as an Ordinal, once exactly one of n and alpha is given."""
+    """alpha as an Ordinal, once exactly one of n and alpha is given and a
+    piece count n is at least 1."""
     if (n is None) == (alpha is None):
         raise SpaceError("give exactly one of n and alpha")
+    if n is not None and n < 1:
+        raise SpaceError("interval count must be >= 1")
     return alpha if alpha is None else Ordinal.of(alpha)
 
 
@@ -807,34 +817,16 @@ def dual_assoc_norm(space, phi, n=None, alpha=None):
 
 def minimax_admissible_cover(space, x, alpha):
     """min over alpha-admissible gap-free covers of supp x of the largest
-    piece norm; the first piece must start at min supp.  This min-max
-    fold is the one partition program not run on :class:`_Partitions`."""
+    piece norm; the first piece must start at min supp.  The min-max fold
+    of :class:`_Cover` over the pieces of the base norm's engine."""
     alpha = Ordinal.of(alpha)
-    sp = x.support
-    P = len(sp)
+    if x.is_zero():
+        return norm(space, x)
     dp = _partitions(space, x)
-    piece = dp.piece
-    memo = {}
-
-    def cover(l, state):
-        key = (l, state)
-        if key in memo:
-            return memo[key]
-        best = piece(l, P - 1)
-        for m in range(l + 1, P):
-            for s2 in _cursor_advance(state, sp[m], P - 1 - m):
-                v = max(piece(l, m - 1), cover(m, s2))
-                if v < best:
-                    best = v
-        memo[key] = best
-        return best
-
-    out = None
-    for s in _cursor_start(alpha, sp[0], P - 1):
-        v = cover(0, s)
-        if out is None or v < out:
-            out = v
-    return dp.unscale(out)
+    cover = _Cover(dp.sp, dp.piece)
+    last = len(dp.sp) - 1
+    return dp.unscale(min(cover.chain(0, s, last)
+                          for s in _cursor_start(alpha, dp.sp[0], last)))
 
 
 def primal_from_dual(space, x, n=None, alpha=None, candidates=None):

@@ -156,15 +156,6 @@ class TreeViolation:
     def ok(self):
         return False
 
-    def to_json(self):
-        return {
-            "ok": False,
-            "reason": self.reason,
-            "branch": [x.to_json() for x in self.branch],
-            "coefficients": [str(c) for c in self.coefficients],
-            "value": str(self.value) if self.value is not None else None,
-        }
-
 
 def certify_block_tree(block_tree, space):
     """Verify a block tree's invariants by exact norm evaluation.

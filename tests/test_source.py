@@ -50,6 +50,27 @@ def test_only_families_steps_the_cursor_by_hand(path):
     assert path.name == "families.py" or "_cursor_step" not in imported
 
 
+def partition_classes(tree):
+    """Names of the top-level classes of a module that are _Partitions or
+    derive from it."""
+    names = {"_Partitions"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in names for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+def test_only_the_partition_engine_advances_the_cursor_in_spaces():
+    # every partition program of spaces runs on _Partitions, so no other
+    # definition there cuts chains of its own (the import itself reads as
+    # the definition None)
+    path = SOURCES[[p.name for p in SOURCES].index("spaces.py")]
+    found = {name for _, name in readers(path, "_cursor_advance")} - {None}
+    assert "_Partitions" in found
+    assert found <= partition_classes(ast.parse(path.read_text()))
+
+
 def readers(path, name):
     """(module, top-level definition) pairs whose code reads `name`, by
     name, attribute or import."""

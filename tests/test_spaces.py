@@ -14,7 +14,7 @@ from conftest import (allowable_oracle, brute_s1, brute_s2, brute_schreier,
                       implicit_norm_oracle, interval_partitions,
                       successive_partitions, tsirelson_table_01)
 from schreierlab import spaces
-from schreierlab.families import _cursor_step
+from schreierlab.families import _cursor_start, _cursor_step
 from schreierlab.ordinal import Ordinal
 from schreierlab.ordinal import parse as parse_ordinal
 from schreierlab.spaces import (C0, L1, Bounds, Derived, FsVector,
@@ -135,9 +135,11 @@ class TestFsVector:
         assert (x + y.scale(-1))[2] == 0
 
     def test_restrict_and_pair(self):
-        x = FsVector.indicator([1, 2, 5])
+        x = FsVector.indicator([1, 2, 3, 5])
+        # a pair of ints is an index set like any other, not an interval
         assert x.restrict((2, 5)).support == (2, 5)
         assert x.restrict([1, 5]).support == (1, 5)
+        assert x.restrict(range(2, 6)).support == (2, 3, 5)
         assert x.pair(FsVector.basis(5)) == 1
         assert x.interval_support() == (1, 5)
 
@@ -249,8 +251,8 @@ class TestTsirelsonNorm:
             return
         lo, hi = x.interval_support()
         for cut in range(lo, hi + 1):
-            assert norm(T12, x.restrict((lo, cut))) <= norm(T12, x)
-            assert norm(T12, x.restrict((cut, hi))) <= norm(T12, x)
+            assert norm(T12, x.restrict(range(lo, cut + 1))) <= norm(T12, x)
+            assert norm(T12, x.restrict(range(cut, hi + 1))) <= norm(T12, x)
 
 
 class TestHigherAndMixed:
@@ -350,6 +352,11 @@ class TestDerivedNorms:
         x = FsVector.from_pairs([(2, 1), (5, "-1/2")])
         assert assoc_norm(T12, 0, x) == norm(T12, x)
 
+    def test_assoc_variant_is_checked_before_the_zero_shortcut(self):
+        with pytest.raises(SpaceError,
+                           match="^variant must be admissible or allowable$"):
+            assoc_norm(T12, 1, FsVector(), "foo")
+
     def test_allowable_guard(self):
         x = FsVector.indicator(range(1, 22))
         with pytest.raises(SpaceError):
@@ -436,7 +443,7 @@ class TestScaledArithmetic:
             sp = x.support
             P = len(sp)
             piece = {(i, j): implicit_norm_oracle(
-                x.restrict((sp[i], sp[j])).entries, levels)
+                x.restrict(range(sp[i], sp[j] + 1)).entries, levels)
                 for i in range(P) for j in range(i, P)}
             want = min(max(piece[p] for p in ps)
                        for ps in interval_partitions(0, P - 1)
@@ -452,7 +459,7 @@ class TestScaledArithmetic:
         # every interval restriction of every vector, normed as a sum of
         # its coordinate blocks by one block-sum scan, so over one Q and
         # one segment dict, in an order where shorter vectors come late
-        xs = [x.restrict((x.support[i], x.support[j]))
+        xs = [x.restrict(range(x.support[i], x.support[j] + 1))
               for x in COPRIME_VECTORS for i in range(len(x.entries))
               for j in range(len(x.entries) - 1, i - 1, -1)]
         want = {x: implicit_norm_oracle(x.entries, levels) for x in xs}
@@ -604,6 +611,47 @@ class TestSplitMemo:
                 assert v == implicit_norm_oracle(pairs, levels), (i, j)
 
 
+class TestPartitionEngine:
+    """The engine on its own, over seeded tables of integer piece values
+    that need not grow with the piece (as dual lower ends past
+    PATTERN_BOUND do not)."""
+
+    def test_against_explicit_partitions(self):
+        rng = random.Random(22)
+        alphas = [parse_ordinal(a) for a in ("0", "1", "2", "w")]
+        for _ in range(300):
+            P = rng.randint(1, 9)
+            sp = sorted(rng.sample(range(1, 13), P))
+            table = {(i, j): rng.randint(0, 20)
+                     for i in range(P) for j in range(i, P)}
+
+            def piece(i, j):
+                return table[i, j]
+
+            def minima(ps):
+                return tuple(sp[i] for i, _ in ps)
+
+            def total(ps):
+                return sum(table[p] for p in ps)
+
+            tilings = list(interval_partitions(0, P - 1))
+            dp = spaces._Partitions(sp, piece)
+            for n in (1, 2, 3):
+                want = max(total(ps) for ps in tilings if len(ps) <= n)
+                assert dp.at_most(n) == want, (sp, table, n)
+            for a in alphas:
+                want = max(total(ps) for l in range(P)
+                           for ps in interval_partitions(l, P - 1)
+                           if brute_schreier(a, minima(ps)))
+                assert dp.admissible(a) == want, (sp, table, a)
+                cover = spaces._Cover(sp, piece)
+                want = min(max(table[p] for p in ps) for ps in tilings
+                           if brute_schreier(a, minima(ps)))
+                got = min(cover.chain(0, s, P - 1)
+                          for s in _cursor_start(a, sp[0], P - 1))
+                assert got == want, (sp, table, a)
+
+
 class TestCursor:
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "3", "w", "w+1", "w*2",
                                        "w^2", "w^2*2", "w^3"])
@@ -652,7 +700,8 @@ class TestDuals:
         for phi in VECTORS:
             sp = phi.support
             P = len(sp)
-            piece = {(i, j): dual_norm(T12, phi.restrict((sp[i], sp[j])))
+            piece = {(i, j): dual_norm(T12,
+                                       phi.restrict(range(sp[i], sp[j] + 1)))
                      for i in range(P) for j in range(i, P)}
             by_n = dual_assoc_norm(T12, phi, n=2)
             by_alpha = dual_assoc_norm(T12, phi, alpha=1)
@@ -673,7 +722,7 @@ class TestDuals:
         for x in VECTORS:
             sp = x.support
             P = len(sp)
-            piece = {(i, j): norm(T12, x.restrict((sp[i], sp[j])))
+            piece = {(i, j): norm(T12, x.restrict(range(sp[i], sp[j] + 1)))
                      for i in range(P) for j in range(i, P)}
             for alpha in (1, 2):
                 want = min(max(piece[p] for p in ps)
@@ -696,6 +745,22 @@ class TestDuals:
     def test_exactly_one_of_n_and_alpha(self, bound, kw):
         with pytest.raises(SpaceError, match="^give exactly one of n and alpha$"):
             bound(T12, FsVector.indicator([2, 3, 4]), **kw)
+
+    @pytest.mark.parametrize("bound", [
+        dual_assoc_norm, primal_from_dual,
+        lambda space, x, n: norm_n(space, n, x)],
+        ids=["dual_assoc_norm", "primal_from_dual", "norm_n"])
+    def test_piece_count_below_one_is_refused(self, bound):
+        # at most 0 pieces would allow any number of them
+        phi = FsVector.from_pairs([(3, 1), (4, "1/2"), (6, -1)])
+        for n in (0, -1):
+            with pytest.raises(SpaceError,
+                               match="^interval count must be >= 1$"):
+                bound(T12, phi, n=n)
+
+    def test_minimax_cover_of_zero_is_its_norm(self):
+        assert minimax_admissible_cover(T12, FsVector(), 1) == 0
+        assert minimax_admissible_cover(Schlumprecht(), FsVector(), 1) == 0.0
 
     def test_lower_end_collapses_past_pattern_bound(self):
         # past PATTERN_BOUND points the witnesses are the signed
