@@ -8,8 +8,13 @@ the built-in check suites.
 Flags follow the subcommand and its action, and each one accepts only
 the flags its handler reads, plus --out and --json: --universe N only
 where a finite universe is measured.  Any other flag, or one given
-before the subcommand, is a usage error.  A report's config lists the
-command, its action and the flags it read.
+before the subcommand, is a usage error.  Before the command runs, each
+flag whose text denotes a value (an ordinal, family, space, rational,
+vector, block list or set) is read into it, in the order of the action's
+flag list, so of two bad flags the first listed is reported.  A
+report's config lists the command, its action and the flags as given;
+its mode is "float" when --space or --derived is the Schlumprecht space
+or derived from it, and "exact" otherwise.
 
 Exit codes: 0 pass/verified, 1 refuted/fail, 2 inconclusive, 64 parse
 or usage errors, 65 resource bounds.  Rationals cross the boundary as
@@ -26,6 +31,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import chain, combinations
 
 from . import __version__
 from .constructions import (ConstructionError, SCCInfeasibleError, build_scc,
@@ -33,13 +39,13 @@ from .constructions import (ConstructionError, SCCInfeasibleError, build_scc,
                             gluing_lemma1, gluing_lemma2, gluing_lemma3,
                             gluing_lemma4, measure_asymptoticity)
 from .families import (FamilyError, ResourceBoundError, index_symbolic,
-                       parse_family, tail_domination)
-from .ordinal import (NotALimitError, OrdinalError, ParseError,
+                       parse_family, schreier, tail_domination)
+from .ordinal import (NotALimitError, Ordinal, OrdinalError, ParseError,
                       fundamental_sequence)
 from .ordinal import compare as ordinal_compare
 from .ordinal import parse as parse_ordinal
-from .spaces import (FsVector, SpaceError, dual_norm, norm, parse_rational,
-                     parse_space, report_value, space_mode)
+from .spaces import (FsVector, SpaceError, Tsirelson, dual_norm, norm,
+                     parse_rational, parse_space, report_value, space_mode)
 from .trees import (BlockTree, SearchFailure, TreeError, family_as_tree,
                     index_lower_bound_search, order)
 
@@ -129,20 +135,30 @@ def _write_report(report, args):
         sys.stdout.write(payload)
 
 
-def _report(args, result, mode):
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func",) and v is not None}
+_READERS = {
+    **dict.fromkeys(("expr", "a", "b", "xi", "eta", "alpha"), parse_ordinal),
+    **dict.fromkeys(("family", "other"), parse_family),
+    **dict.fromkeys(("space", "derived"), parse_space),
+    **dict.fromkeys(("epsilon", "K", "C1", "C2", "C"), parse_rational),
+    "vec": _parse_vec, "blocks": _parse_blocks, "corpus": _parse_blocks,
+    "set": _parse_set,
+}
+
+
+def _report(args, result):
+    modes = {space_mode(getattr(args, k)) for k in ("space", "derived")
+             if hasattr(args, k)}
     return {
-        "config": cfg,
+        "config": args.config,
         "version": __version__,
         "fundamental_sequence_convention": CONVENTION,
-        "mode": mode,
+        "mode": "float" if "float" in modes else "exact",
         "result": result,
     }
 
 
-def _emit(args, result, terse, exit_code, mode="exact"):
-    _write_report(_report(args, result, mode=mode), args)
+def _emit(args, result, terse, exit_code):
+    _write_report(_report(args, result), args)
     if not args.json:
         print(terse)
     return exit_code
@@ -155,28 +171,25 @@ def _emit(args, result, terse, exit_code, mode="exact"):
 
 def _cmd_ord(args):
     if args.action == "parse":
-        a = parse_ordinal(args.expr)
-        result = {"cnf": str(a), "class": a.classify()}
+        result = {"cnf": str(args.expr), "class": args.expr.classify()}
         return _emit(args, result, "%s (%s)" % (result["cnf"], result["class"]),
                      EXIT_PASS)
     if args.action == "compare":
-        r = ordinal_compare(parse_ordinal(args.a), parse_ordinal(args.b))
+        r = ordinal_compare(args.a, args.b)
         return _emit(args, {"comparison": r}, r, EXIT_PASS)
     if args.n < 0:
         raise _UsageError("--n must be >= 0, got %d" % args.n)
     if args.n > FUNDSEQ_BOUND:
         raise ResourceBoundError("sequence length", args.n,
                                  "FUNDSEQ_BOUND", FUNDSEQ_BOUND)
-    a = parse_ordinal(args.expr)
-    seq = [str(fundamental_sequence(a, n)) for n in range(1, args.n + 1)]
+    seq = [str(fundamental_sequence(args.expr, n)) for n in range(1, args.n + 1)]
     return _emit(args, {"sequence": seq}, ", ".join(seq), EXIT_PASS)
 
 
 def _cmd_fam(args):
-    fam = parse_family(args.family)
+    fam = args.family
     if args.action == "member":
-        F = _parse_set(args.set)
-        ok = fam.member(F)
+        ok = fam.member(args.set)
         return _emit(args, {"member": ok}, "true" if ok else "false",
                      EXIT_PASS if ok else EXIT_FAIL)
     if args.action == "enumerate":
@@ -202,8 +215,7 @@ def _cmd_fam(args):
         return _emit(args, result, "regular within universe" if ok
                      else "not regular", EXIT_PASS if ok else EXIT_FAIL)
     if args.action == "tail":
-        other = parse_family(args.other)
-        n0 = tail_domination(fam, other, args.universe)
+        n0 = tail_domination(fam, args.other, args.universe)
         result = {"n0": n0}
         return _emit(args, result,
                      "none within %d" % args.universe if n0 is None else str(n0),
@@ -213,41 +225,31 @@ def _cmd_fam(args):
 
 def _cmd_tree(args):
     if args.action == "order":
-        fam = parse_family(args.family)
-        t = family_as_tree(fam, args.universe)
+        t = family_as_tree(args.family, args.universe)
         o = order(t)
         return _emit(args, {"order": o, "nodes": len(t)}, str(o), EXIT_PASS)
-    space = parse_space(args.space)
-    fam = parse_family(args.family)
-    res = index_lower_bound_search(space, fam, parse_rational(args.K),
+    res = index_lower_bound_search(args.space, args.family, args.K,
                                    args.universe, mode=args.tree_mode)
-    mode = space_mode(space)
     if isinstance(res, SearchFailure):
         return _emit(args, {"success": False, "stats": res.stats},
-                     "search failed", EXIT_FAIL, mode=mode)
+                     "search failed", EXIT_FAIL)
     bt, cert = res
     return _emit(args, {"success": True, "certificate": cert.to_json()},
-                 "certified depth %d" % order(bt.tree), EXIT_PASS, mode=mode)
+                 "certified depth %d" % order(bt.tree), EXIT_PASS)
 
 
 def _cmd_norm(args):
-    space = parse_space(args.space)
-    x = _parse_vec(args.vec)
-    mode = space_mode(space)
     if args.action == "eval":
-        v = norm(space, x)
-        return _emit(args, {"norm": report_value(v)}, str(v), EXIT_PASS,
-                     mode=mode)
-    b = dual_norm(space, x)
+        v = norm(args.space, args.vec)
+        return _emit(args, {"norm": report_value(v)}, str(v), EXIT_PASS)
+    b = dual_norm(args.space, args.vec)
     return _emit(args, {"dual": b.to_json()},
-                 "[%s, %s]" % (b.lower, b.upper), EXIT_PASS,
-                 mode=mode)
+                 "[%s, %s]" % (b.lower, b.upper), EXIT_PASS)
 
 
 def _cmd_scc(args):
     try:
-        scc = build_scc(parse_ordinal(args.xi), parse_ordinal(args.eta),
-                        parse_rational(args.epsilon), args.start)
+        scc = build_scc(args.xi, args.eta, args.epsilon, args.start)
     except SCCInfeasibleError as exc:
         result = {"status": "infeasible", "message": str(exc),
                   "minimal_start": exc.minimal_start}
@@ -263,73 +265,49 @@ _STATUS_EXIT = {"verified": EXIT_PASS, "refuted": EXIT_FAIL,
                 "precondition-failed": EXIT_FAIL}
 
 
-def _emit_gluing(args, report, mode):
-    return _emit(args, report.to_json(), report.status,
-                 _STATUS_EXIT[report.status], mode=mode)
-
-
-def _cmd_lemma1(args):
-    space = parse_space(args.space)
-    blocks = _parse_blocks(args.blocks)
-    rep = gluing_lemma1(space, args.n, blocks)
-    return _emit_gluing(args, rep, space_mode(space))
-
-
-def _cmd_weighted_gluing(args):
-    """Lemma 2 or 4 on the basis tree of the S_xi SCC at --start."""
-    lemma, mode = {"lemma2": (gluing_lemma2, "l1"),
-                   "lemma4": (gluing_lemma4, "c0")}[args.command]
-    space = parse_space(args.space)
-    xi, eta = parse_ordinal(args.xi), parse_ordinal(args.eta)
-    K, C1, C2 = (parse_rational(v) for v in (args.K, args.C1, args.C2))
-    if not C2:
-        raise _UsageError("--C2 must not be 0")
-    scc = build_scc(xi, eta, Fraction(1) / C2, args.start)
-    tree = BlockTree.from_branches(
-        [tuple(FsVector.basis(m) for m in scc.F)], mode, K)
-    rep = lemma(space, eta, tree, C1, C2, xi, start=args.start)
-    return _emit_gluing(args, rep, space_mode(space))
-
-
-def _cmd_lemma3(args):
-    space = parse_space(args.space)
-    blocks = _parse_blocks(args.blocks)
-    funcs = []
-    for b in blocks:
-        if len(b.entries) != 1 or b.entries[0][1] != 1:
+def _cmd_gluing(args):
+    """The four gluing lemmas.  Lemma 3 takes each basis block as its own
+    biorthogonal; lemmas 2 and 4 run on the basis tree of the S_xi SCC at
+    --start."""
+    if args.command == "lemma1":
+        rep = gluing_lemma1(args.space, args.n, args.blocks)
+    elif args.command == "lemma3":
+        if any(len(b.entries) != 1 or b.entries[0][1] != 1 for b in args.blocks):
             raise _UsageError("lemma3 CLI supports basis blocks only; use the "
                               "library for general biorthogonals")
-        funcs.append(FsVector.basis(b.entries[0][0]))
-    rep = gluing_lemma3(space, args.n, blocks, funcs)
-    return _emit_gluing(args, rep, space_mode(space))
+        rep = gluing_lemma3(args.space, args.n, args.blocks, args.blocks)
+    else:
+        lemma, mode = {"lemma2": (gluing_lemma2, "l1"),
+                       "lemma4": (gluing_lemma4, "c0")}[args.command]
+        if not args.C2:
+            raise _UsageError("--C2 must not be 0")
+        scc = build_scc(args.xi, args.eta, Fraction(1) / args.C2, args.start)
+        tree = BlockTree.from_branches(
+            [tuple(FsVector.basis(m) for m in scc.F)], mode, args.K)
+        rep = lemma(args.space, args.eta, tree, args.C1, args.C2, args.xi,
+                    start=args.start)
+    return _emit(args, rep.to_json(), rep.status, _STATUS_EXIT[rep.status])
 
 
 def _cmd_spreading(args):
-    space = parse_space(args.space)
     blocks = [FsVector.basis(i) for i in range(1, args.universe + 1)]
-    rep = check_spreading_model(space, blocks, parse_ordinal(args.alpha),
-                                parse_rational(args.C), args.universe)
+    rep = check_spreading_model(args.space, blocks, args.alpha, args.C,
+                                args.universe)
     return _emit(args, rep.to_json(), "pass" if rep.passed else "fail",
-                 EXIT_PASS if rep.passed else EXIT_FAIL,
-                 mode=space_mode(space))
+                 EXIT_PASS if rep.passed else EXIT_FAIL)
 
 
 def _cmd_asymp(args):
-    space = parse_space(args.space)
-    C = measure_asymptoticity(space, parse_ordinal(args.alpha), args.universe)
+    C = measure_asymptoticity(args.space, args.alpha, args.universe)
     result = {"C": report_value(C),
               "note": "section measurement at universe %d" % args.universe}
-    return _emit(args, result, str(C), EXIT_PASS, mode=space_mode(space))
+    return _emit(args, result, str(C), EXIT_PASS)
 
 
 def _cmd_distort(args):
-    space = parse_space(args.space)
-    derived = parse_space(args.derived)
-    corpus = _parse_blocks(args.corpus)
-    rep = distortion_scan(space, derived, corpus)
-    modes = {space_mode(space), space_mode(derived)}
+    rep = distortion_scan(args.space, args.derived, args.corpus)
     return _emit(args, rep.to_json(), "lambda = %s" % rep.empirical_lambda,
-                 EXIT_PASS, mode="float" if "float" in modes else "exact")
+                 EXIT_PASS)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +316,6 @@ def _cmd_distort(args):
 
 
 def _suite_schreier_core():
-    from itertools import chain, combinations
-
-    from .families import schreier
     checks = []
     s1 = schreier(1)
     universe = range(1, 13)
@@ -359,8 +334,6 @@ def _suite_schreier_core():
 
 
 def _suite_norms_exact():
-    from .ordinal import Ordinal
-    from .spaces import Tsirelson
     checks = []
     T = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
     checks.append({"name": "unit-vector",
@@ -405,7 +378,7 @@ def build_parser():
     command, names the flags its handler reads, and only the parser that
     runs it carries them, with --out and --json, and takes no abbreviation
     of them.  "--n=3" gives a flag that is otherwise required a default
-    for that one parser."""
+    for that one parser.  `main` reads the flags in the order listed."""
     need = {"required": True}
     flags = {
         "--universe": {"type": int, "default": 10},
@@ -421,7 +394,7 @@ def build_parser():
         "--C": need, "--derived": need, "--corpus": need,
         "--out": {}, "--json": {"action": "store_true"}, "name": {},
     }
-    weighted = "--space --eta --xi --K --C1 --C2 --start"
+    weighted = "--space --xi --eta --K --C1 --C2 --start"
     commands = {
         "ord": (_cmd_ord, {"parse": "--expr", "compare": "--a --b",
                            "fundseq": "--expr --n=3"}),
@@ -432,14 +405,14 @@ def build_parser():
                            "regular": "--family --universe",
                            "tail": "--family --other --universe"}),
         "tree": (_cmd_tree, {"order": "--family --universe",
-                             "search": "--family --space=L1 --K --tree-mode "
+                             "search": "--space=L1 --family --K --tree-mode "
                                        "--universe"}),
         "norm": (_cmd_norm, {"eval": "--space --vec", "dual": "--space --vec"}),
         "scc": (_cmd_scc, "--xi --eta --epsilon --start"),
-        "lemma1": (_cmd_lemma1, "--space --n --blocks"),
-        "lemma2": (_cmd_weighted_gluing, weighted),
-        "lemma3": (_cmd_lemma3, "--space --n --blocks"),
-        "lemma4": (_cmd_weighted_gluing, weighted),
+        "lemma1": (_cmd_gluing, "--space --n --blocks"),
+        "lemma2": (_cmd_gluing, weighted),
+        "lemma3": (_cmd_gluing, "--space --n --blocks"),
+        "lemma4": (_cmd_gluing, weighted),
         "spreading": (_cmd_spreading, "--space --alpha --C --universe"),
         "asymp": (_cmd_asymp, "--space --alpha --universe"),
         "distort": (_cmd_distort, "--space --derived --corpus"),
@@ -448,13 +421,14 @@ def build_parser():
 
     def add(parsers, name, func, reads):
         sp = parsers.add_parser(name, allow_abbrev=False)
+        dests = []
         for item in (reads + " --out --json").split():
             flag, _, default = item.partition("=")
             kw = flags[flag]
             if default:
                 kw = dict(kw, default=default, required=False)
-            sp.add_argument(flag, **kw)
-        sp.set_defaults(func=func)
+            dests.append(sp.add_argument(flag, **kw).dest)
+        sp.set_defaults(func=func, reads=tuple(dests))
 
     p = _Parser(prog="schreierlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -479,6 +453,11 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         if getattr(args, "universe", 0) < 0:
             raise _UsageError("--universe must be >= 0, got %d" % args.universe)
+        args.config = {k: v for k, v in sorted(vars(args).items())
+                       if k not in ("func", "reads") and v is not None}
+        for name in args.reads:
+            if name in _READERS:
+                setattr(args, name, _READERS[name](getattr(args, name)))
         return args.func(args)
     except _UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

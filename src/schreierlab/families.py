@@ -602,6 +602,8 @@ class Family:
         return self.iterated_derivative(1, universe_max)
 
     def iterated_derivative(self, k, universe_max):
+        if k < 0:
+            raise FamilyError("derivative order must be >= 0, got %d" % k)
         if k > DERIVATIVE_BOUND:
             raise ResourceBoundError("derivative depth", k,
                                      "DERIVATIVE_BOUND", DERIVATIVE_BOUND)
@@ -727,7 +729,7 @@ def index_symbolic(expr):
         return index_symbolic(expr.base).pow_natural(expr.n)
     if isinstance(expr, Bracket):
         return index_symbolic(expr.inner) * index_symbolic(expr.outer)
-    raise FamilyError("symbolic index undefined for %r; use brute force" % (expr,))
+    raise FamilyError("symbolic index undefined for %s; use brute force" % (expr,))
 
 
 def tail_domination(A, B, universe_max):

@@ -742,9 +742,6 @@ class Bounds:
     def exact(self):
         return self.lower == self.upper
 
-    def __add__(self, other):
-        return Bounds(self.lower + other.lower, self.upper + other.upper)
-
     def to_json(self):
         return {"lower": report_value(self.lower),
                 "upper": report_value(self.upper), "exact": self.exact}

@@ -334,6 +334,35 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 65 and out == "" and err == "resource bound: %s\n" % want
 
+    @pytest.mark.parametrize("family", ["S(1)", "EXPL[{1,2}]"])
+    def test_negative_derivative_order_is_usage_error(self, capsys, family):
+        # -1 steps once answered 8 members of S(1) and none of EXPL[{1,2}]
+        code, out, err = run(capsys, "fam", "derivative", "--family", family,
+                             "--steps", "-1", "--universe", "4")
+        assert code == 64 and out == ""
+        assert err == "error: derivative order must be >= 0, got -1\n"
+
+    def test_index_refusal_names_the_family(self, capsys):
+        code, out, err = run(capsys, "fam", "index", "--family", "EXPL[{1}]")
+        assert code == 64 and out == ""
+        assert err == ("error: symbolic index undefined for EXPL[{1}]; use "
+                       "brute force\n")
+
+    @pytest.mark.parametrize("argv,want", [
+        (("ord", "fundseq", "--expr", "w^w", "--n", "20000"),
+         "error: exponent 'w' is not a natural"),
+        (("tree", "search", "--family", "Q", "--space", "FOO"),
+         "error: cannot parse space descriptor 'FOO'"),
+        (("lemma2", "--space", "C0", "--eta", "x", "--xi", "q"),
+         "error: bad ordinal term 'q'")],
+        ids=["fundseq", "tree-search", "lemma2"])
+    def test_first_bad_flag_listed_is_reported(self, capsys, argv, want):
+        # flags are read in the action's flag order before the command
+        # runs: --n is checked after --expr, --space read before --family
+        # and --xi before --eta
+        code, out, err = run(capsys, *argv)
+        assert code == 64 and out == "" and err.startswith(want)
+
     def test_unknown_suite(self, capsys):
         code, _, _ = run(capsys, "suite", "nope")
         assert code == 64
@@ -611,11 +640,12 @@ READS = {
 ALL_FLAGS = sorted(set().union(*READS.values()))
 
 
-def argv_of(path):
+def argv_of(path, **values):
     """A runnable command line for a (command, action) path, every flag
-    it reads given."""
+    it reads given; `values` replaces some flags' values."""
     name = ["schreier-core"] if path == ("suite",) else []
-    return [*path, *name, *itertools.chain(*READS[path].items())]
+    reads = dict(READS[path], **values)
+    return [*path, *name, *itertools.chain(*reads.items())]
 
 
 def accepted_flags(parser, path=()):
@@ -668,6 +698,24 @@ class TestFlagTable:
                 *(["name"] if path == ("suite",) else [])}
         want |= {flag[2:].replace("-", "_") for flag in READS[path]}
         assert code in (0, 1) and set(config) == want
+
+    @pytest.mark.parametrize("path", sorted(READS), ids=" ".join)
+    def test_report_mode_follows_the_spaces_read(self, capsys, path):
+        # "float" exactly when --space or --derived is SCHL or built on it
+        cases = [({}, "exact")]
+        for flag, schl in (("--space", "SCHL"), ("--derived", "NN(SCHL,2)")):
+            if flag in READS[path]:
+                cases += [({flag: schl}, "float"),
+                          ({flag: "T(S(1),1/2)"}, "exact")]
+        for values, mode in cases:
+            code, out, _ = run(capsys, *argv_of(path, **values), "--json")
+            assert code in (0, 1, 2) and json.loads(out)["mode"] == mode, values
+
+    def test_the_lemmas_share_one_handler(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert {sub.choices["lemma%d" % k].get_default("func")
+                for k in (1, 2, 3, 4)} == {cli._cmd_gluing}
 
     @pytest.mark.parametrize("argv,flag", [
         (("--universe", "3", "fam", "enumerate", "--family", "S(1)"),

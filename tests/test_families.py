@@ -121,6 +121,17 @@ class TestDerivative:
         assert near.is_maximal((3,), 10)
         assert near.derivative(10).enumerate(10) == [()]
 
+    @pytest.mark.parametrize("text", ["S(1)", "POW(S(1),2)", "BR(S(1),S(2))",
+                                      "EXPL[{1,2}]"])
+    def test_negative_order_is_refused(self, text):
+        # -1 was read as a probe of no points (cursor families, every
+        # member kept) or as an extension by -1 points (explicit, none)
+        fam = parse_family(text)
+        with pytest.raises(FamilyError, match="derivative order must be >= 0, "
+                                              "got -1"):
+            fam.iterated_derivative(-1, 4)
+        assert fam.iterated_derivative(0, 4).enumerate(4) == fam.enumerate(4)
+
 
 class TestMaxMass:
     def test_explicit_beyond_enumeration_bound(self):

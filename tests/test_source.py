@@ -142,3 +142,50 @@ def test_every_refusal_names_its_module_bound():
         "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
         "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
         "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND"}
+
+
+FLAG_READERS = {"parse_ordinal", "parse_family", "parse_space", "parse_rational",
+                "_parse_vec", "_parse_blocks", "_parse_set"}
+
+
+def flag_reads(source):
+    """The top-level functions of a CLI source other than main and the
+    readers that call a flag reader by name, as (line, function); the
+    names its _READERS table reads; and the parameters of _emit and
+    _report."""
+    tree = ast.parse(source)
+    calls, table, params = [], set(), {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_READERS"
+                for t in node.targets):
+            table = {n.id for n in ast.walk(node.value)
+                     if isinstance(n, ast.Name)}
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node.name in ("_emit", "_report"):
+            params[node.name] = [a.arg for a in node.args.args]
+        if node.name != "main" and node.name not in FLAG_READERS:
+            calls += [(n.lineno, node.name) for n in ast.walk(node)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                      and n.func.id in FLAG_READERS]
+    return sorted(calls), table, params
+
+
+def test_the_check_sees_a_handler_that_reads_a_flag():
+    src = ("_READERS = {'space': parse_space}\n"
+           "def _emit(args, result, mode): pass\n"
+           "def _cmd_norm(args):\n    return norm(parse_space(args.space))\n"
+           "def main(argv):\n    parse_space(argv[0])\n")
+    assert flag_reads(src) == ([(4, "_cmd_norm")], {"parse_space"},
+                               {"_emit": ["args", "result", "mode"]})
+
+
+def test_only_main_reads_the_flags():
+    # every flag is read once, in main, before the handler runs; a report's
+    # mode follows from the spaces read, so no handler passes one
+    path = SOURCES[[p.name for p in SOURCES].index("cli.py")]
+    calls, table, params = flag_reads(path.read_text())
+    assert calls == [] and FLAG_READERS <= table
+    assert params == {"_emit": ["args", "result", "terse", "exit_code"],
+                      "_report": ["args", "result"]}
