@@ -40,6 +40,14 @@ segments included, reads one split: a suffix maximum over the starts of
 the first piece, stored per start, so each (start, cursor state, end) is
 cut once: O(k**3) cut steps per k-point vector, not O(k**4).
 
+In exact mode a segment's norm is at most the sum of its magnitudes
+(by induction: its peak is, each piece of a split is at most its own
+sum, and ``p * v // q <= v`` since every theta lies in (0, 1)), and a
+one-point segment's norm is its magnitude.  From the cursor's accept-all
+state FREE every partition of the rest of a segment is admissible, so the
+best chain there is all singletons: a suffix sum of the magnitudes, read
+from their prefix sums without cutting.
+
 Space descriptors are read by the reader of family descriptors,
 :func:`schreierlab.families.read_descriptor`, and :func:`parse_space`
 dispatches on the head and argument count it returns.
@@ -54,7 +62,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import (_ONE, ResourceBoundError, _cursor_advance,
+from .families import (_FREE_ID, _ONE, ResourceBoundError, _cursor_advance,
                        _cursor_start, _walk, read_descriptor)
 from .ordinal import Ordinal
 from .ordinal import parse as parse_ordinal
@@ -363,7 +371,11 @@ class _Partitions:
     (:meth:`split_admissible`) that the implicit norms split their
     segments with too.  Each start is cut once per end, O(k**3) for a
     k-point vector, and no rule assumes anything of the piece values
-    beyond their sign."""
+    beyond their sign, with one exception: the exact evaluator, whose
+    pieces are at most the sums of their magnitudes, sets the prefix
+    sums `_pre` of those, and its chains from FREE are read from them."""
+
+    _pre = None  # set by the exact evaluator only
 
     def __init__(self, sp, piece):
         self.sp = sp
@@ -388,12 +400,20 @@ class _Partitions:
     def cut(self, l, state, j, best):
         """max(best, best piece-sum over chains of [l..j] with at least
         two pieces)."""
-        sp, piece, memo = self.sp, self.piece, self._chain
+        sp, piece, memo, pre = self.sp, self.piece, self._chain, self._pre
+        # from FREE every partition is admissible, and the best is the
+        # all-singletons one (module docstring); no id matches free = None
+        free = None if pre is None else _FREE_ID
+        if state == free:
+            return max(best, pre[j + 1] - pre[l]) if j > l else best
         for m in range(l + 1, j + 1):
             for s2 in _cursor_advance(state, sp[m], j - m):
-                c = memo.get((m, s2, j))  # a hit skips the method call
-                if c is None:
-                    c = self.chain(m, s2, j)
+                if s2 == free:
+                    c = pre[j + 1] - pre[m]
+                else:
+                    c = memo.get((m, s2, j))  # a hit skips the method call
+                    if c is None:
+                        c = self.chain(m, s2, j)
                 v = piece(l, m - 1) + c
                 if v > best:
                     best = v
@@ -500,6 +520,7 @@ class _Evaluator(_Partitions):
                               for v in vals)
             self.levels = [(alpha, theta.numerator, theta.denominator)
                            for alpha, theta in levels]
+            self._pre = list(itertools.accumulate(self.mags, initial=0))
         self._shared = None if scan is None else scan.segments
         self._seg = {}
         self._chain = {}

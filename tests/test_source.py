@@ -189,3 +189,62 @@ def test_only_main_reads_the_flags():
     assert calls == [] and FLAG_READERS <= table
     assert params == {"_emit": ["args", "result", "terse", "exit_code"],
                       "_report": ["args", "result"]}
+
+
+def prefix_sum_stores(source):
+    """Each place that binds `_pre` (a name or an attribute, by
+    assignment or setattr) as (line, class, function, on self), the
+    innermost enclosing definitions or None."""
+    found = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+                continue
+            on_self = None
+            if isinstance(child, ast.Name) and child.id == "_pre" \
+                    and isinstance(child.ctx, ast.Store):
+                on_self = False
+            elif isinstance(child, ast.Attribute) and child.attr == "_pre" \
+                    and isinstance(child.ctx, ast.Store):
+                on_self = isinstance(child.value, ast.Name) \
+                    and child.value.id == "self"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "setattr" and len(child.args) > 1
+                  and isinstance(child.args[1], ast.Constant)
+                  and child.args[1].value == "_pre"):
+                on_self = False
+            if on_self is not None:
+                found.append((child.lineno, cls, fn, on_self))
+            visit(child, cls, fn)
+
+    visit(ast.parse(source), None, None)
+    return sorted(found)
+
+
+# the class default of the engine and the exact evaluator's own prefix sums
+PREFIX_SUM_STORES = {("_Partitions", None, False), ("_Evaluator", "__init__", True)}
+
+
+def test_the_check_sees_prefix_sums_given_to_other_engines():
+    src = ("class _Partitions:\n    _pre = None\n"
+           "class _Cover(_Partitions):\n"
+           "    def cut(self):\n        self._pre = [0]\n"
+           "def minimax(dp):\n    dp._pre = [0]\n"
+           "    setattr(dp, '_pre', [0])\n")
+    assert prefix_sum_stores(src) == [
+        (2, "_Partitions", None, False), (5, "_Cover", "cut", True),
+        (7, None, "minimax", False), (8, None, "minimax", False)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_exact_evaluator_sets_prefix_sums(path):
+    # FREE chains are suffix sums only where every piece is at most the
+    # sum of its magnitudes: the exact evaluator's segment norms, not the
+    # derived or dual pieces of the generic engine nor the min-max cover
+    stores = {site[1:] for site in prefix_sum_stores(path.read_text())}
+    assert stores == (PREFIX_SUM_STORES if path.name == "spaces.py" else set())

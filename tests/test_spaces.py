@@ -539,10 +539,10 @@ class TestSplitMemo:
     per (start, end, alpha)."""
 
     @pytest.mark.parametrize("space,k,shift,want", [
-        (T12, 20, 0, (Fraction(115, 12), 210, 749)),
-        (T12, 32, 1, (Fraction(733, 48), 528, 3073)),
-        (T22, 32, 1, (Fraction(137, 6), 528, 4069)),
-        (MT12, 32, 1, (Fraction(733, 48), 528, 4134)),
+        (T12, 20, 0, (Fraction(115, 12), 208, 640)),
+        (T12, 32, 1, (Fraction(733, 48), 526, 2789)),
+        (T22, 32, 1, (Fraction(137, 6), 526, 3613)),
+        (MT12, 32, 1, (Fraction(733, 48), 526, 3678)),
     ], ids=["T(S_1)-20", "T(S_1)-32", "T(S_2)-32", "MT-32"])
     def test_each_chain_start_is_cut_once(self, monkeypatch, space, k, shift,
                                           want):
@@ -609,6 +609,121 @@ class TestSplitMemo:
             for (i, j), v in ev._seg.items():
                 pairs = [(ev.sp[t], ev.mags[t]) for t in range(i, j + 1)]
                 assert v == implicit_norm_oracle(pairs, levels), (i, j)
+
+
+def free_vectors():
+    """Seeded signed rational vectors of 3 to 16 points, two from each
+    of the minima 1, 5, 9 and 13: one of at most 8 points, one of more."""
+    rng = random.Random(24)
+    out = []
+    for lo, small, large in zip((1, 5, 9, 13), (3, 5, 7, 8), (16, 13, 11, 9)):
+        for k in (small, large):
+            points = [lo]
+            while len(points) < k:
+                points.append(points[-1] + rng.randint(1, 2))
+            out.append(FsVector.from_pairs(
+                (p, Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                             rng.randint(1, 4))) for p in points))
+    return out
+
+
+FREE_SPACES = [Tsirelson(parse_ordinal(a), Fraction(1, 2))
+               for a in ("1", "2", "w", "w+1", "w^2")] + [MT12]
+
+
+class TestFreeChains:
+    """From the cursor's accept-all state every partition is admissible,
+    so the exact evaluator reads the best chain as a suffix sum of the
+    magnitudes instead of cutting it."""
+
+    @staticmethod
+    def evaluators(monkeypatch, space, x, scan, loop):
+        """The evaluators that norm x: one by `norm`, or with `scan` one
+        for each sum of a run of x's successive blocks of 1 to 3 points
+        in one _BlockSums scan.  With `loop` each has no prefix sums, so
+        its FREE chains are cut like any other."""
+        made = []
+
+        class Recorded(spaces._Evaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                if loop:
+                    self._pre = None
+                made.append(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_Evaluator", Recorded)
+            if not scan:
+                norm(space, x)
+                return made
+            sizes = itertools.cycle((1, 2, 3))
+            blocks, rest = [], list(x.entries)
+            while rest:
+                size = next(sizes)
+                blocks.append(FsVector(tuple(rest[:size])))
+                rest = rest[size:]
+            n = len(blocks)
+            sums = spaces._BlockSums(space, dict(enumerate(blocks)),
+                                     len(x.entries))
+            list(sums.norms(tuple(range(a, b + 1)) for a in range(n)
+                            for b in range(n - 1, a - 1, -1)))
+        return made
+
+    @pytest.mark.parametrize("space", FREE_SPACES, ids=str)
+    def test_closed_form_matches_the_loop(self, monkeypatch, space):
+        levels = [(lambda F, a=alpha: brute_schreier(a, F), theta)
+                  for alpha, theta in spaces._levels(space)]
+        oracle = {}
+        chains = {True: 0, False: 0}
+        for x in free_vectors():
+            for scan in (False, True):
+                runs = {loop: self.evaluators(monkeypatch, space, x, scan, loop)
+                        for loop in (False, True)}
+                assert len(runs[False]) == len(runs[True]) > 0
+                for closed, looped in zip(runs[False], runs[True]):
+                    assert closed._pre is not None and looped._pre is None
+                    seg = looped._seg
+                    for (i, j), v in closed._seg.items():
+                        assert seg.get((i, j), v) == v, (x, scan, i, j)
+                    for ev in (closed, looped):
+                        chains[ev is looped] += len(ev._chain)
+                        for (i, j), v in ev._seg.items():
+                            assert v <= sum(ev.mags[i:j + 1]), (x, i, j)
+                            if len(x.entries) > 8:
+                                continue
+                            pairs = tuple((ev.sp[t], ev.mags[t])
+                                          for t in range(i, j + 1))
+                            if pairs not in oracle:
+                                oracle[pairs] = implicit_norm_oracle(pairs,
+                                                                     levels)
+                            assert v == oracle[pairs], (x, scan, i, j)
+                    last = len(closed.sp) - 1
+                    assert closed.seg_norm(0, last) == looped.seg_norm(0, last)
+        # the closed form fires: the loop memoises chains it skips
+        assert chains[False] < chains[True]
+
+    def test_float_mode_keeps_the_loop(self):
+        # a rounded float sum could differ in its low bits from the loop's
+        rational = FsVector.from_pairs([(2, 1), (3, "1/2")])
+        floats = FsVector.from_pairs([(2, 0.5), (3, "1/3")])
+        assert spaces._Evaluator(T12, rational)._pre == [0, 4, 6]
+        assert spaces._Evaluator(T12, floats)._pre is None
+        assert spaces._Evaluator(Schlumprecht(), rational)._pre is None
+
+    @pytest.mark.parametrize("pairs,want", [
+        ([(1, 1), (2, 1)], 1.261859507142915),
+        ([(4, "-2/3"), (5, -1), (11, "-1/2"), (12, "4/3"), (13, "1/3"),
+          (14, -1), (15, "-5/3"), (17, "-2/3")], 2.277777777777778),
+        ([(7, 1), (8, "-1/4"), (12, "-2/3"), (14, 1), (15, "5/3"),
+          (17, "-5/2"), (20, "-2/3"), (22, "5/2"), (23, "2/3"), (24, "1/4")],
+         3.446394630357186),
+        ([(3, 1), (8, -1), (10, 1), (11, "5/4"), (13, "2/3"), (14, 1),
+          (16, -3), (17, -3), (19, 1), (21, "3/4"), (25, 1), (26, -4)],
+         5.215765871507903),
+    ], ids=["2", "8", "10", "12"])
+    def test_schlumprecht_values_are_pinned(self, pairs, want):
+        # float values of the loop, bit for bit
+        assert norm(Schlumprecht(), FsVector.from_pairs(pairs)) == want
 
 
 class TestPartitionEngine:
