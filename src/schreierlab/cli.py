@@ -203,7 +203,7 @@ def _cmd_fam(args):
                      "%d members after %d steps" % (len(members), args.steps),
                      EXIT_PASS)
     if args.action == "index":
-        idx = index_symbolic(fam.expr)
+        idx = index_symbolic(fam)
         return _emit(args, {"index": str(idx)}, str(idx), EXIT_PASS)
     if args.action == "regular":
         rep = fam.check_regular(args.universe)
@@ -329,7 +329,7 @@ def _suite_schreier_core():
     checks.append({"name": "s1-derivative",
                    "passed": set(d.enumerate(12)) == want})
     checks.append({"name": "s1-index",
-                   "passed": str(index_symbolic(s1.expr)) == "w^(1)"})
+                   "passed": str(index_symbolic(s1)) == "w^(1)"})
     return checks
 
 

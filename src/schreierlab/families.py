@@ -9,6 +9,12 @@ The bracket M[N] holds the unions of successive N-runs F_1 < ... < F_k
 with a witness (m_i) in M, max F_{i-1} < m_i <= min F_i; POW(M,1) is M
 and POW(M,k) is M[POW(M,k-1)].  M and N must be regular (not explicit).
 
+A family is its expression: :class:`Family` holds the queries, and each
+kind, Schreier, Bracket, Power and Explicit, is a frozen dataclass
+subclass of it whose operands are families.  A regular kind computes its
+cursor key once, when it is built, and keeps it as `_key`; only this
+module reads it.
+
 Membership, enumeration, derivatives, subset-mass maximization and the
 admissible-partition DPs of :mod:`schreierlab.spaces` all run one
 nondeterministic left-to-right "cursor" automaton over the sorted
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -48,7 +54,6 @@ from .ordinal import parse as parse_ordinal
 __all__ = [
     "FamilyError",
     "ResourceBoundError",
-    "FamilyExpr",
     "Schreier",
     "Bracket",
     "Power",
@@ -424,74 +429,8 @@ def _walk(key, points, values, zero):
 
 
 # ---------------------------------------------------------------------------
-# Family expressions
+# Families: each kind is its own expression
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FamilyExpr:
-    pass
-
-
-@dataclass(frozen=True)
-class Schreier(FamilyExpr):
-    alpha: Ordinal
-
-    def __str__(self):
-        return "S(%s)" % self.alpha
-
-
-@dataclass(frozen=True)
-class Bracket(FamilyExpr):
-    outer: FamilyExpr
-    inner: FamilyExpr
-
-    def __post_init__(self):
-        _refuse_explicit(self.outer, self.inner)
-
-    def __str__(self):
-        return "BR(%s,%s)" % (self.outer, self.inner)
-
-
-@dataclass(frozen=True)
-class Power(FamilyExpr):
-    base: FamilyExpr
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise FamilyError("power must be >= 1")
-        _refuse_explicit(self.base)
-
-    def __str__(self):
-        return "POW(%s,%d)" % (self.base, self.n)
-
-
-@dataclass(frozen=True)
-class Explicit(FamilyExpr):
-    sets: frozenset  # of element tuples
-
-    def __str__(self):
-        body = ",".join("{%s}" % ",".join(map(str, s)) for s in sorted(self.sets) if s)
-        return "EXPL[%s]" % body
-
-
-def _refuse_explicit(*operands):
-    """Brackets need regular operands, which explicit families need not be."""
-    if any(isinstance(expr, Explicit) for expr in operands):
-        raise FamilyError("brackets and powers need regular (non-explicit) families")
-
-
-def _cursor_key(expr):
-    """The cursor key of a non-explicit family expression."""
-    if isinstance(expr, Schreier):
-        return expr.alpha
-    if isinstance(expr, Bracket):
-        return ("br", _cursor_key(expr.outer), _cursor_key(expr.inner))
-    if isinstance(expr, Power):
-        base = _cursor_key(expr.base)
-        return base if expr.n == 1 else ("pow", base, expr.n)
-    raise FamilyError("unknown family expression %r" % (expr,))
 
 
 def hereditary_closure(sets):
@@ -511,32 +450,21 @@ def hereditary_closure(sets):
 class Family:
     """A family of finite subsets of N with a decidable membership oracle.
 
-    Immutable after construction; all queries are pure.
+    A family is its expression: the frozen dataclasses Schreier, Bracket,
+    Power and Explicit below derive from this class, so equality, hashing
+    and repr come from their fields.  A regular kind carries its cursor
+    key `_key`; an explicit one keeps None and lists its sets.  All
+    queries are pure.
     """
 
-    def __init__(self, expr):
-        self.expr = expr
-        # explicit families are plain lists of sets; the rest are cursors
-        self._key = None if isinstance(expr, Explicit) else _cursor_key(expr)
-
-    def __str__(self):
-        return str(self.expr)
-
-    def __repr__(self):
-        return "Family(%s)" % self
-
-    def __eq__(self, other):
-        return isinstance(other, Family) and self.expr == other.expr
-
-    def __hash__(self):
-        return hash(self.expr)
+    _key = None
 
     # -- membership -----------------------------------------------------
 
     def member(self, F):
         F = _finset(F)
         if self._key is None:
-            return F in self.expr.sets
+            return F in self.sets
         return not F or schreier_member(self._key, F)
 
     __contains__ = member
@@ -558,7 +486,7 @@ class Family:
                                      "ENUMERATION_BOUND", ENUMERATION_BOUND)
         if self._key is None:
             # explicit families need not be hereditary; list directly
-            yield from sorted(F for F in self.expr.sets
+            yield from sorted(F for F in self.sets
                               if all(e <= universe_max for e in F))
             return
         points = range(1, universe_max + 1)
@@ -580,7 +508,7 @@ class Family:
         extension.  An explicit family has only its listed sets."""
         if self._key is None:
             return any(len(G) == len(F) + k and G[:len(F)] == F
-                       for G in self.expr.sets)
+                       for G in self.sets)
         probe = (F[-1] if F else 0) + max(universe_max, 64) + 1
         return schreier_member(self._key, F + tuple(range(probe, probe + k)))
 
@@ -629,7 +557,7 @@ class Family:
         D, w = _int_weights(F, weights)
         if self._key is None:
             inside = set(F)
-            return Fraction(max((sum(w[g] for g in G) for G in self.expr.sets
+            return Fraction(max((sum(w[g] for g in G) for G in self.sets
                                  if inside.issuperset(G)), default=0), D)
         front = {}  # state id -> best mass of a member read so far
         for i, n in enumerate(F):
@@ -673,6 +601,63 @@ class Family:
         )
 
 
+@dataclass(frozen=True)
+class Schreier(Family):
+    alpha: Ordinal
+
+    def __post_init__(self):
+        object.__setattr__(self, "_key", self.alpha)
+
+    def __str__(self):
+        return "S(%s)" % self.alpha
+
+
+@dataclass(frozen=True)
+class Bracket(Family):
+    outer: Family
+    inner: Family
+
+    def __post_init__(self):
+        _refuse_explicit(self.outer, self.inner)
+        object.__setattr__(self, "_key",
+                           ("br", self.outer._key, self.inner._key))
+
+    def __str__(self):
+        return "BR(%s,%s)" % (self.outer, self.inner)
+
+
+@dataclass(frozen=True)
+class Power(Family):
+    base: Family
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise FamilyError("power must be >= 1")
+        _refuse_explicit(self.base)
+        key = self.base._key
+        object.__setattr__(self, "_key",
+                           key if self.n == 1 else ("pow", key, self.n))
+
+    def __str__(self):
+        return "POW(%s,%d)" % (self.base, self.n)
+
+
+@dataclass(frozen=True)
+class Explicit(Family):
+    sets: frozenset  # of element tuples
+
+    def __str__(self):
+        body = ",".join("{%s}" % ",".join(map(str, s)) for s in sorted(self.sets) if s)
+        return "EXPL[%s]" % body
+
+
+def _refuse_explicit(*operands):
+    """Brackets need regular operands, which explicit families need not be."""
+    if any(isinstance(family, Explicit) for family in operands):
+        raise FamilyError("brackets and powers need regular (non-explicit) families")
+
+
 @dataclass
 class RegularityReport:
     hereditary: bool
@@ -680,7 +665,6 @@ class RegularityReport:
     counterexamples: dict
     compactness: str
     universe_max: int
-    notes: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -689,47 +673,41 @@ class RegularityReport:
 
 
 def schreier(alpha):
-    return Family(Schreier(Ordinal.of(alpha)))
+    return Schreier(Ordinal.of(alpha))
 
 
 def explicit_family(sets, close=True):
     """Explicit family from listed sets, closed hereditarily unless
     close=False, which stores the sets as they are (useful for exhibiting
     regularity violations)."""
-    return Family(Explicit(hereditary_closure(sets) if close
-                           else frozenset(map(_finset, sets))))
+    return Explicit(hereditary_closure(sets) if close
+                    else frozenset(map(_finset, sets)))
 
 
-def bracket(outer, inner):
-    return Family(Bracket(outer.expr, inner.expr))
-
-
-def power(base, n):
-    return Family(Power(base.expr, n))
+bracket = Bracket
+power = Power
 
 
 def bracket_member(M, N, F):
     """Decide F in M[N] directly (module-level convenience)."""
-    return Family(Bracket(M.expr, N.expr)).member(F)
+    return Bracket(M, N).member(F)
 
 
-def index_symbolic(expr):
-    """Symbolic index iota of a constructor-built family expression.
+def index_symbolic(family):
+    """Symbolic index iota of a constructor-built family.
 
     Uses iota(S_a) = w^a and iota of the n-fold bracket power = w^(a*n).
     A general Bracket node is folded with the product rule
     iota(N)*iota(M), which is an oracle assumption beyond the power
     identity.
     """
-    if isinstance(expr, Family):
-        expr = expr.expr
-    if isinstance(expr, Schreier):
-        return symbolic_omega_pow(expr.alpha)
-    if isinstance(expr, Power):
-        return index_symbolic(expr.base).pow_natural(expr.n)
-    if isinstance(expr, Bracket):
-        return index_symbolic(expr.inner) * index_symbolic(expr.outer)
-    raise FamilyError("symbolic index undefined for %s; use brute force" % (expr,))
+    if isinstance(family, Schreier):
+        return symbolic_omega_pow(family.alpha)
+    if isinstance(family, Power):
+        return index_symbolic(family.base).pow_natural(family.n)
+    if isinstance(family, Bracket):
+        return index_symbolic(family.inner) * index_symbolic(family.outer)
+    raise FamilyError("symbolic index undefined for %s; use brute force" % (family,))
 
 
 def tail_domination(A, B, universe_max):

@@ -1,8 +1,10 @@
 """Exact evaluation of computable norms on finitely supported vectors.
 
-Base norms (l1, c0), Tsirelson-type implicit norms T(S_a, theta), mixed
-Tsirelson and Schlumprecht norms, the derived interval-count norms and
-associated admissible/allowable norms, and two-sided dual-norm bounds.
+Base norms (l1, c0), mixed Tsirelson and Schlumprecht norms, the derived
+interval-count norms and associated admissible/allowable norms, and
+two-sided dual-norm bounds.  The Tsirelson-type space T(S_a, theta) is
+the mixed Tsirelson space with the one level (a, theta): a
+:class:`Tsirelson` is a :class:`MixedTsirelson` that prints as T(...).
 
 Every answer is exact (a Fraction) except in float mode: the
 Schlumprecht norm, whose 1/log2(k+1) weights force floats, and vectors
@@ -239,19 +241,6 @@ class L1:
 
 
 @dataclass(frozen=True)
-class Tsirelson:
-    alpha: Ordinal
-    theta: Fraction
-
-    def __post_init__(self):
-        if not (0 < self.theta < 1):
-            raise SpaceError("theta must lie in (0,1)")
-
-    def __str__(self):
-        return "T(S(%s),%s)" % (self.alpha, self.theta)
-
-
-@dataclass(frozen=True)
 class MixedTsirelson:
     levels: tuple  # of (alpha, theta)
 
@@ -261,6 +250,18 @@ class MixedTsirelson:
 
     def __str__(self):
         return "MT[%s]" % ",".join("(S(%s),%s)" % (a, t) for a, t in self.levels)
+
+
+class Tsirelson(MixedTsirelson):
+    """T(S_alpha, theta), the mixed Tsirelson space with the one level
+    (alpha, theta).  Equality compares classes, so it is not equal to the
+    MT[...] descriptor of that level, and each prints as it is written."""
+
+    def __init__(self, alpha, theta):
+        super().__init__(((alpha, theta),))
+
+    def __str__(self):
+        return "T(S(%s),%s)" % self.levels[0]
 
 
 @dataclass(frozen=True)
@@ -389,10 +390,14 @@ class _Partitions:
         return v
 
     def chain(self, l, state, j):
-        """Best piece-sum over chains of [l..j] (one piece or more)."""
+        """Best piece-sum over chains of [l..j] (one piece or more); with
+        prefix sums, from FREE their suffix sum, neither cut nor stored."""
         key = (l, state, j)
         if key in self._chain:
             return self._chain[key]
+        pre = self._pre
+        if pre is not None and state == _FREE_ID:
+            return pre[j + 1] - pre[l]
         best = self.cut(l, state, j, self.piece(l, j))
         self._chain[key] = best
         return best
@@ -473,11 +478,7 @@ class _Cover(_Partitions):
 def _levels(space):
     """The (alpha, theta) levels of an implicit-norm space, () for any
     other space."""
-    if isinstance(space, Tsirelson):
-        return ((space.alpha, space.theta),)
-    if isinstance(space, MixedTsirelson):
-        return space.levels
-    return ()
+    return space.levels if isinstance(space, MixedTsirelson) else ()
 
 
 class _Evaluator(_Partitions):
@@ -684,7 +685,7 @@ def _partitions(space, x, rule=None):
     the norm of a restriction to an interval equals its segment norm, and
     its chains are the same quantities, so the memos are shared."""
     if rule is None:
-        if isinstance(space, (Tsirelson, MixedTsirelson, Schlumprecht)):
+        if isinstance(space, (MixedTsirelson, Schlumprecht)):
             return _Evaluator(space, x)
         rule = norm
     entries = x.entries

@@ -84,11 +84,11 @@ def test_criterion_03_derivative_closed_form():
 def test_criterion_04_symbolic_indices():
     with _Budget("criterion-04 symbolic indices", 5):
         for a in ("1", "2", "w", "w+1", "w^2"):
-            idx = index_symbolic(schreier(parse_ordinal(a)).expr)
+            idx = index_symbolic(schreier(parse_ordinal(a)))
             assert str(idx) == "w^(%s)" % a, a
         for a in ("1", "2", "w", "w^2"):
             for n in (1, 2, 3):
-                idx = index_symbolic(power(schreier(parse_ordinal(a)), n).expr)
+                idx = index_symbolic(power(schreier(parse_ordinal(a)), n))
                 want = parse_ordinal(a).times_natural(n)
                 assert str(idx) == "w^(%s)" % want, (a, n)
 

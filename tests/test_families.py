@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import brute_bracket, brute_s1, brute_s2, brute_schreier
 from schreierlab.constructions import _repeated_average
-from schreierlab.families import (Family, FamilyError, ResourceBoundError,
-                                  _longest, bracket, bracket_member,
-                                  explicit_family, index_symbolic,
-                                  parse_family, power, schreier,
-                                  schreier_member, tail_domination)
+from schreierlab.families import (Explicit, Family, FamilyError,
+                                  ResourceBoundError, _longest, bracket,
+                                  bracket_member, explicit_family,
+                                  index_symbolic, parse_family, power,
+                                  schreier, schreier_member, tail_domination)
 from schreierlab.ordinal import parse as parse_ordinal
 
 
@@ -162,7 +162,7 @@ class TestMaxMass:
             weights = {m: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                        for m in F}
             want = max(sum(weights[m] for m in G) for G in subsets(9)
-                       if set(G) <= set(F) and brute_bracket(fam.expr, G))
+                       if set(G) <= set(F) and brute_bracket(fam, G))
             assert fam.max_mass(F, weights) == want, (F, weights)
 
 
@@ -224,7 +224,7 @@ class TestBracketOracle:
     @pytest.mark.parametrize("text", DESCRIPTORS)
     def test_member_and_enumerate(self, text):
         fam = parse_family(text)
-        want = [F for F in self.ALL if brute_bracket(fam.expr, F)]
+        want = [F for F in self.ALL if brute_bracket(fam, F)]
         assert [F for F in self.ALL if fam.member(F)] == want
         assert fam.enumerate(10) == sorted(want)
 
@@ -240,7 +240,7 @@ class TestBracketOracle:
             weights = {m: Fraction(rng.randint(1, 9), rng.randint(1, 9))
                        for m in F}
             want = max(sum(weights[m] for m in G) for G in subsets(10)
-                       if set(G) <= set(F) and brute_bracket(fam.expr, G))
+                       if set(G) <= set(F) and brute_bracket(fam, G))
             assert fam.max_mass(F, weights) == want, F
 
     @pytest.mark.parametrize("text, k", [("POW(S(1),2)", 1), ("POW(S(1),2)", 2),
@@ -252,7 +252,7 @@ class TestBracketOracle:
         fam = parse_family(text)
         probe = tuple(range(20, 20 + k))
         got = fam.iterated_derivative(k, 8).enumerate(8)
-        want = [F for F in subsets(8) if brute_bracket(fam.expr, F + probe)]
+        want = [F for F in subsets(8) if brute_bracket(fam, F + probe)]
         assert sorted(got) == sorted(want)
 
     def test_power_two_derivative_keeps_late_sets(self):
@@ -264,7 +264,7 @@ class TestBracketOracle:
         # at most |F| of the 500 and stays inside the recursion limit
         high = parse_family("POW(S(1),40)")
         for F in subsets(8, 5):
-            want = brute_bracket(high.expr, F)
+            want = brute_bracket(high, F)
             assert high.member(F) == power(schreier(1), 500).member(F) == want, F
 
     def test_power_levels_past_bound_are_a_resource_bound(self):
@@ -289,7 +289,7 @@ class TestBracketOracle:
     def test_nested_powers_on_short_sets_answer(self):
         nested = parse_family("POW(POW(S(1),100),100)")
         for F in subsets(7, 4):
-            assert nested.member(F) == brute_bracket(nested.expr, F), F
+            assert nested.member(F) == brute_bracket(nested, F), F
         # 40 + 40 levels on 40 points
         assert nested.member(tuple(range(5, 45)))
         high = parse_family("POW(S(1),100000)")
@@ -308,17 +308,17 @@ class TestBracketOracle:
 
 class TestIndex:
     def test_schreier_indices(self):
-        assert str(index_symbolic(schreier(1).expr)) == "w^(1)"
-        assert str(index_symbolic(schreier(2).expr)) == "w^(2)"
-        assert str(index_symbolic(schreier(0).expr)) == "1"
+        assert str(index_symbolic(schreier(1))) == "w^(1)"
+        assert str(index_symbolic(schreier(2))) == "w^(2)"
+        assert str(index_symbolic(schreier(0))) == "1"
 
     def test_power_index(self):
         p = power(schreier(2), 3)
-        assert str(index_symbolic(p.expr)) == "w^(6)"
+        assert str(index_symbolic(p)) == "w^(6)"
 
     def test_explicit_has_no_symbolic_index(self):
         with pytest.raises(FamilyError):
-            index_symbolic(explicit_family([(1,)]).expr)
+            index_symbolic(explicit_family([(1,)]))
 
 
 def tail_oracle(in_A, in_B, universe):
@@ -382,11 +382,33 @@ class TestRegularity:
 
 
 class TestDescriptorGrammar:
-    @pytest.mark.parametrize("text", ["S(1)", "S(w^2+3)", "BR(S(1),S(2))",
-                                      "POW(S(1),3)", "EXPL[{1,2},{3}]"])
+    # each descriptor with the family its constructors build and its print
+    BUILT = {
+        "S(1)": (lambda: schreier(1), "S(1)"),
+        "S(w^2+3)": (lambda: schreier(parse_ordinal("w^2+3")), "S(w^2+3)"),
+        "BR(S(1),S(2))": (lambda: bracket(schreier(1), schreier(2)),
+                          "BR(S(1),S(2))"),
+        "POW(S(1),3)": (lambda: power(schreier(1), 3), "POW(S(1),3)"),
+        "POW(BR(S(1),POW(S(w),2)),2)": (
+            lambda: power(bracket(schreier(1),
+                                  power(schreier(parse_ordinal("w")), 2)), 2),
+            "POW(BR(S(1),POW(S(w),2)),2)"),
+        "POW(S(2),1)": (lambda: power(schreier(2), 1), "POW(S(2),1)"),
+        "EXPL[{1,2},{3}]": (lambda: explicit_family([(1, 2), (3,)]),
+                            "EXPL[{1},{1,2},{2},{3}]"),
+    }
+
+    @pytest.mark.parametrize("text", list(BUILT))
     def test_round_trip(self, text):
+        # a parsed family is the value its constructors build: equal, with
+        # equal hashes, and printed back to a descriptor of itself
+        build, printed = self.BUILT[text]
         fam = parse_family(text)
-        assert parse_family(str(fam.expr)).expr == fam.expr
+        assert fam == build() and hash(fam) == hash(build())
+        assert str(fam) == printed
+        again = parse_family(str(fam))
+        assert again == fam and hash(again) == hash(fam)
+        assert (fam._key is None) == isinstance(fam, Explicit)
 
     def test_explicit_parse_closes_hereditarily(self):
         fam = parse_family("EXPL[{1,2}]")

@@ -50,6 +50,32 @@ def test_only_families_steps_the_cursor_by_hand(path):
     assert path.name == "families.py" or "_cursor_step" not in imported
 
 
+def cursor_key_reads(source):
+    """The lines that read a `_key` attribute, directly or by getattr."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr == "_key"
+                  and isinstance(n.ctx, ast.Load)
+                  or isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "getattr" and len(n.args) > 1
+                  and isinstance(n.args[1], ast.Constant)
+                  and n.args[1].value == "_key")
+
+
+def test_the_check_sees_a_planted_cursor_key_read():
+    src = ("def start(fam, n):\n    return _cursor_start(fam._key, n, 0)\n"
+           "def keyed(fam):\n    fam._key = None\n    key = 1\n"
+           "    return getattr(fam, '_key')\n")
+    assert cursor_key_reads(src) == [2, 6]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_families_reads_cursor_keys(path):
+    # a family's cursor key is the cursor's own format, which no module
+    # but families sees (its module docstring)
+    reads = cursor_key_reads(path.read_text())
+    assert bool(reads) if path.name == "families.py" else reads == []
+
+
 def partition_classes(tree):
     """Names of the top-level classes of a module that are _Partitions or
     derive from it."""

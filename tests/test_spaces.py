@@ -195,6 +195,19 @@ class TestDescriptorParsing:
         with pytest.raises(SpaceError):
             parse_space(bad)
 
+    def test_tsirelson_is_the_one_level_mixed_space(self):
+        # T(S_1,1/2) norms as MT[(S(1),1/2)], but the two descriptors stay
+        # unequal values that print as they are written
+        one = ((Ordinal.from_int(1), Fraction(1, 2)),)
+        t, mt = Tsirelson(*one[0]), MixedTsirelson(one)
+        assert isinstance(t, MixedTsirelson) and t == T12
+        assert t != mt and mt != t
+        assert (str(t), str(mt)) == ("T(S(1),1/2)", "MT[(S(1),1/2)]")
+        assert parse_space(str(t)) == t and parse_space(str(mt)) == mt
+        assert spaces._levels(t) == spaces._levels(mt) == one
+        x = VECTORS[3]
+        assert norm(t, x) == norm(mt, x)
+
     def test_modes(self):
         assert space_mode(parse_space("SCHL")) == "float"
         assert space_mode(parse_space("NN(SCHL,2)")) == "float"
@@ -709,6 +722,21 @@ class TestFreeChains:
         assert spaces._Evaluator(T12, rational)._pre == [0, 4, 6]
         assert spaces._Evaluator(T12, floats)._pre is None
         assert spaces._Evaluator(Schlumprecht(), rational)._pre is None
+
+    @pytest.mark.parametrize("space", FREE_SPACES, ids=str)
+    def test_a_count_that_covers_the_support_reads_the_sum(self, space):
+        # at most n >= |supp x| pieces leaves the budget FREE: the best
+        # chain is all singletons, read without norming any segment
+        for x in free_vectors():
+            total = sum(abs(v) for v in x.values)
+            for n in (len(x.entries), len(x.entries) + 3):
+                assert norm_n(space, n, x) == total
+                closed = spaces._partitions(space, x)
+                looped = spaces._partitions(space, x)
+                looped._pre = None
+                assert closed.unscale(closed.at_most(n)) == total
+                assert closed._seg == {} and closed._chain == {}
+                assert looped.unscale(looped.at_most(n)) == total
 
     @pytest.mark.parametrize("pairs,want", [
         ([(1, 1), (2, 1)], 1.261859507142915),
