@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import ResourceBoundError, _int_weights, _longest, _walk, schreier
+from .families import (POWER_BOUND, ResourceBoundError, _int_weights,
+                       _least_powers, _longest, _walk, schreier)
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, norm,
+from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, _levels, norm,
                      norm_n, assoc_norm, primal_from_dual, report_value,
                      space_mode)
 from .trees import BlockTree, certify_block_tree
@@ -432,19 +433,64 @@ class SpreadingReport:
         return out
 
 
+def _lower_estimate(space, members, floor):
+    """The largest c = theta**n >= floor, over the levels (a, theta) of a
+    T or MT space and 1 <= n <= POWER_BOUND, such that every nonempty set
+    in `members` lies in POW(S_a, n) (S_a itself for n = 1); None if there
+    is none, in any other space, and when reading `members` or feeding
+    them to the cursor hits a resource bound.
+
+    Such a c certifies ||y_1 + ... + y_k|| >= c * (||y_1|| + ... + ||y_k||)
+    for successive nonzero blocks whose minima spread a member F,
+    min supp y_j >= F_j.  For n = 1 this is the defining lower estimate,
+    ||x|| >= theta * sum ||E_j x|| over S_a-admissible E_1 < ... < E_k:
+    the minima of the y_j spread F, and S_a is spreading.  For n > 1,
+    F in POW(S_a, n) = S_a[POW(S_a, n-1)] splits into runs in
+    POW(S_a, n-1) whose minima spread a set of S_a; the run sums are again
+    such blocks, so the estimate for n - 1 inside the runs and one theta
+    across them give theta**n.  Every level of MT has its own estimate."""
+    levels = _levels(space)
+    bases = []
+    for a, theta in levels:
+        n = 0  # the largest power, past POWER_BOUND skipped, whose factor passes
+        while n < POWER_BOUND and theta ** (n + 1) >= floor:
+            n += 1
+        bases.append((a, n))
+    if not any(n for _, n in bases):
+        return None
+    try:
+        least = _least_powers(bases, members)
+    except ResourceBoundError:
+        return None
+    return max((theta ** n for (_, theta), n in zip(levels, least) if n),
+               default=None)
+
+
 def check_spreading_model(space, blocks, alpha, C, universe_max):
     """For every F in S_alpha within {1..universe_max}: the subsequence
     (x_i)_{i in F} must satisfy the l1 lower estimate with constant C.
 
     Only the all-ones combination is evaluated: every built-in norm is
     1-unconditional and the blocks have disjoint supports, so every sign
-    pattern gives the same value.  Members are read lazily from
-    Family.members in lexicographic order and the first failing one is
-    the witness, so the scan stops there: a witness found before the
-    MEMBER_BOUND-th member is reported, and only a scan that reads past
-    it raises ResourceBoundError.  The sums x_F are normed by one
-    spaces._BlockSums scan; where its results are ints and C is exact,
-    each F is decided by one int comparison."""
+    pattern gives the same value.
+
+    In T and MT, exact C > 0 and exact values, the space's lower estimate
+    may pass every F at once (_lower_estimate).  The blocks are successive,
+    nonzero and positive, so min supp x_i >= i, and their minima spread F.
+    If every member of S_alpha within the universe lies in POW(S_a, n) for
+    a level (a, theta), the induction over POW(S_a, n) = S_a[POW(S_a, n-1)]
+    gives ||x_F|| >= theta**n * sum_{i in F} ||x_i|| >= theta**n * |F| * m,
+    m = min_i ||x_i||; so when C * theta**n * m >= 1 the check passes and
+    no x_F is normed.  The members are listed for that, and fed to the
+    cursor past schreier_member's cache.
+
+    Otherwise, and whenever the certificate meets a resource bound, the
+    members are scanned: read lazily from Family.members in lexicographic
+    order, the first failing one is the witness, so the scan stops there:
+    a witness found before the MEMBER_BOUND-th member is reported, and
+    only a scan that reads past it raises ResourceBoundError.  The sums
+    x_F are normed by one spaces._BlockSums scan; where its results are
+    ints and C is exact, each F is decided by one int comparison."""
     alpha = Ordinal.of(alpha)
     C = Fraction(C) if not isinstance(C, float) else C
     if len(blocks) < universe_max:
@@ -452,6 +498,15 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
     head = blocks[:universe_max]
+    if (_levels(space) and head and isinstance(C, Fraction) and C > 0
+            and not any(isinstance(v, float) for b in head for v in b.values)):
+        try:
+            floor = 1 / (C * min(norm(space, b) for b in head))
+        except ResourceBoundError:
+            floor = None
+        if floor and _lower_estimate(space, schreier(alpha).members(universe_max),
+                                     floor):
+            return SpreadingReport(True, alpha, C, universe_max)
     sums = _BlockSums(space, dict(enumerate(head, 1)),
                       sum(len(b.entries) for b in head))
     # a float C, or a float norm, is decided as C * ||x_F|| < |F|
@@ -481,6 +536,16 @@ def measure_asymptoticity(space, alpha, universe_max):
     size of the largest listed system in c0 and 1 in l1.  Elsewhere one
     spaces._BlockSums scan over the basis norms the interval units, and
     another over the units norms the systems as they are listed.
+
+    In T and MT the lower estimate caps the constant.  Block i of a
+    system starts at F[i], so if every listed F lies in POW(S_a, n) for
+    a level (a, theta), the induction over POW(S_a, n) =
+    S_a[POW(S_a, n-1)] (_lower_estimate) gives ||x_1 + ... + x_k|| >=
+    theta**n * k, and no ratio exceeds 1/theta**n.  The scan stops at
+    the first system whose ratio reaches that cap, which is then the
+    maximum.  No ratio exceeds its system's length either (the norm is
+    bimonotone), so a factor below 1/(longest F) is not sought.  Without
+    such a level, or below the cap, every system is normed.
     """
     alpha = Ordinal.of(alpha)
     N = universe_max
@@ -513,11 +578,16 @@ def measure_asymptoticity(space, alpha, universe_max):
     sums = _BlockSums(space, units, N)
     systems = (tuple(zip(F, b)) for F, ends in members
                for b in itertools.product(*ends))
+    longest = max((len(F) for F, _ in members), default=1)
+    c = _lower_estimate(space, (F for F, _ in members), Fraction(1, longest))
+    cap = c and 1 / c
     best = Fraction(1)
     for system, v in sums.norms(systems):
         ratio = len(system) / sums.value(v)
         if ratio > best:
             best = ratio
+            if best == cap:
+                break
     return best
 
 

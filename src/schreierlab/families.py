@@ -395,6 +395,28 @@ def schreier_member(alpha, F):
     return True
 
 
+def _least_powers(bases, sets):
+    """For each (a, cap) in `bases`, the least n <= cap with every nonempty
+    set of `sets` in POW(S_a, n), POW(S_a, 1) being S_a; None where there
+    is none.  One pass over `sets`.  POW(S_a, n) grows with n (a bracket
+    of families that hold the singletons contains both sides), so a
+    base's n only rises; and a set F outside POW(S_a, |F|) lies outside
+    every power, since POW(M,k) and POW(M,L), L <= k, agree on sets of
+    <= L points.  Each set is fed to the cursor past schreier_member's
+    cache, which would keep every set it is asked about."""
+    least = [1 if cap >= 1 else None for _, cap in bases]
+    for F in sets:
+        if not any(least):
+            break
+        for i, (a, cap) in enumerate(bases):
+            n = least[i]
+            while n and not schreier_member.__wrapped__(
+                    a if n == 1 else ("pow", a, n), F):
+                n = n + 1 if n < min(cap, len(F)) else None
+            least[i] = n
+    return least
+
+
 def _walk(key, points, values, zero):
     """Every nonempty member G of the family of cursor key `key` inside the
     increasing `points`, in lexicographic order, as zero plus the values[j]

@@ -245,8 +245,21 @@ class MixedTsirelson:
     levels: tuple  # of (alpha, theta)
 
     def __post_init__(self):
-        if not all(0 < theta < 1 for _, theta in self.levels):
+        """Each alpha is read by Ordinal.of and each theta as a Fraction;
+        an alpha that is neither an Ordinal nor an int, and a theta that is
+        neither an int nor a Fraction, are refused."""
+        levels = []
+        for alpha, theta in self.levels:
+            if not isinstance(alpha, (Ordinal, int)):
+                raise SpaceError("alpha must be an Ordinal or an int, got %r"
+                                 % (alpha,))
+            if not isinstance(theta, (int, Fraction)):
+                raise SpaceError("theta must be an int or a Fraction, got %r"
+                                 % (theta,))
+            levels.append((Ordinal.of(alpha), Fraction(theta)))
+        if not all(0 < theta < 1 for _, theta in levels):
             raise SpaceError("theta must lie in (0,1)")
+        object.__setattr__(self, "levels", tuple(levels))
 
     def __str__(self):
         return "MT[%s]" % ",".join("(S(%s),%s)" % (a, t) for a, t in self.levels)

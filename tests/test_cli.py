@@ -244,6 +244,7 @@ class TestExitCodes:
         # counted in closed form and refused before any is listed
         for space, alpha, universe, count in [
                 ("T(S(1),1/2)", "1", "24", 16614),
+                ("T(S(1),1/2)", "1", "15", 16391),
                 ("C0", "0", "1000000000", 500000000500000000),
                 ("T(S(1),1/2)", "w^5", "20000", 200010000)]:
             t0 = time.perf_counter()

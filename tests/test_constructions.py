@@ -560,17 +560,21 @@ class TestSpreadingOracle:
         assert rep.passed is (want == ()) and rep.witness == want
         assert [type(v) for v in rep.witness[2:]] == [type(v) for v in want[2:]]
 
-    @pytest.mark.parametrize("space,C,universe", [
-        (C0(), 10, 24), (L1(), 1, 24), (T12, 2, 8)], ids=["c0", "l1", "T"])
-    def test_norm_calls(self, monkeypatch, space, C, universe):
-        # c0 and l1 norm each block at most once; other spaces norm each
-        # x_F, through spaces.norm or one evaluator each
+    @pytest.mark.parametrize("space,alpha,C,universe,certified", [
+        (C0(), 1, 10, 24, False), (L1(), 1, 1, 24, False),
+        (T12, 2, Fraction(10, 3), 8, False), (T12, 1, 2, 8, True)],
+        ids=["c0", "l1", "T", "T-certified"])
+    def test_norm_calls(self, monkeypatch, space, alpha, C, universe,
+                        certified):
+        # c0 and l1 norm each block at most once.  In T the certificate's
+        # floor norms each block once; a scan then norms each x_F, through
+        # spaces.norm or one evaluator each, and a certified check none
         seen = []
         init = spaces._Evaluator.__init__
 
-        def counted_norm(sp, x):
+        def counted_norm(sp, x, **kw):
             seen.append(x)
-            return norm(sp, x)
+            return norm(sp, x, **kw)
 
         def counted_init(ev, sp, x, *args):
             seen.append(x)
@@ -578,12 +582,171 @@ class TestSpreadingOracle:
 
         monkeypatch.setattr(spaces, "norm", counted_norm)
         monkeypatch.setattr(spaces._Evaluator, "__init__", counted_init)
-        check_spreading_model(space, [FsVector.basis(i) for i in range(1, 25)],
-                              1, Fraction(C), universe)
+        basis = [FsVector.basis(i) for i in range(1, 25)]
+        rep = check_spreading_model(space, basis, alpha, Fraction(C), universe)
         if space == T12:
-            assert len(seen) == len(schreier(1).enumerate(universe)) - 1
+            assert rep.passed
+            sums = 0 if certified else len(schreier(alpha).enumerate(universe)) - 1
+            assert seen[:universe] == basis[:universe]
+            assert len(seen) == universe + sums
         else:
             assert len(seen) <= universe
+
+
+def _forced_scan(monkeypatch):
+    """The scan path: the lower estimate certifies nothing."""
+    monkeypatch.setattr(constructions, "_lower_estimate", lambda *args: None)
+
+
+def _refuse_block_sums(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a block sum was normed")
+
+    monkeypatch.setattr(constructions, "_BlockSums", refuse)
+
+
+# MT with a second level that certifies where the first does not: at
+# theta 1/2 the first level needs POW(S_1, 2) = S_2 for a factor 1/4
+MT_SECOND = MixedTsirelson(((Ordinal.from_int(1), Fraction(1, 2)),
+                            (Ordinal.from_int(2), Fraction(1, 3))))
+
+
+class TestLowerEstimate:
+    @pytest.mark.parametrize("name", ["T", "T13", "MT"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "w", "w+1"])
+    def test_spreading_certificate_against_forced_scan(self, monkeypatch,
+                                                       name, alpha):
+        space, alpha = ORACLE_NORMS[name][0], parse_ordinal(alpha)
+        cases = list(itertools.product(["basis", "avg", "mixed"], [5, 8],
+                                       [2, 3, 4, 9, 30]))
+        got = {}
+        calls = []
+        real = constructions._lower_estimate
+        monkeypatch.setattr(constructions, "_lower_estimate",
+                            lambda *args: calls.append(real(*args)) or calls[-1])
+        for kind, universe, C in cases:
+            rep = check_spreading_model(space, _oracle_blocks(kind, universe),
+                                        alpha, Fraction(C), universe)
+            got[kind, universe, C] = (rep.passed, rep.witness)
+        _forced_scan(monkeypatch)
+        for kind, universe, C in cases:
+            rep = check_spreading_model(space, _oracle_blocks(kind, universe),
+                                        alpha, Fraction(C), universe)
+            assert got[kind, universe, C] == (rep.passed, rep.witness)
+        # the certificate answers some of the checks and declines others
+        assert any(calls) and not all(calls)
+
+    @pytest.mark.parametrize("name", ["T", "T13", "MT"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "w", "w+1"])
+    def test_asymptoticity_cap_against_forced_scan(self, monkeypatch, name,
+                                                   alpha):
+        space, alpha = ORACLE_NORMS[name][0], parse_ordinal(alpha)
+        universes = [1, 4, 7, 10] if alpha < parse_ordinal("2") else [1, 4, 7, 9]
+        got = [measure_asymptoticity(space, alpha, N) for N in universes]
+        _forced_scan(monkeypatch)
+        assert got == [measure_asymptoticity(space, alpha, N) for N in universes]
+
+    def test_theta_suffices_but_inclusion_fails(self):
+        # C * theta * m = 1, but S_2 does not lie in S_1 and a factor 1/4
+        # from POW(S_1, 2) is below the floor 1/2: the scan reports its witness
+        basis = _oracle_blocks("basis", 8)
+        assert constructions._lower_estimate(
+            T12, schreier(2).members(8), Fraction(1, 2)) is None
+        rep = check_spreading_model(T12, basis, 2, Fraction(2), 8)
+        assert not rep.passed
+        assert (rep.passed, rep.witness) == spreading_oracle(
+            "T", 2, basis, Fraction(2), 8)
+
+    def test_certified_by_the_second_power(self, monkeypatch):
+        basis = _oracle_blocks("basis", 8)
+        assert constructions._lower_estimate(
+            T12, schreier(2).members(8), Fraction(1, 4)) == Fraction(1, 4)
+        want = spreading_oracle("T", 2, basis, Fraction(4), 8)
+        _refuse_block_sums(monkeypatch)
+        rep = check_spreading_model(T12, basis, 2, Fraction(4), 8)
+        assert want == (True, ()) == (rep.passed, rep.witness)
+
+    def test_mixed_space_certified_by_its_second_level_only(self,
+                                                            monkeypatch):
+        basis = _oracle_blocks("basis", 8)
+        members = schreier(2).enumerate(8)
+        assert constructions._lower_estimate(
+            MT_SECOND, members, Fraction(1, 3)) == Fraction(1, 3)
+        assert constructions._lower_estimate(
+            Tsirelson(*MT_SECOND.levels[0]), members, Fraction(1, 3)) is None
+        with monkeypatch.context() as m:
+            _forced_scan(m)
+            want = check_spreading_model(MT_SECOND, basis, 2, Fraction(3), 8)
+        _refuse_block_sums(monkeypatch)
+        assert check_spreading_model(MT_SECOND, basis, 2, Fraction(3), 8) == want
+        assert want.passed
+
+    def test_a_power_past_the_bound_is_skipped(self, monkeypatch):
+        basis = _oracle_blocks("basis", 8)
+        # a floor of 2**-150 admits powers up to 150; those past
+        # POWER_BOUND are not tried, and nothing is refused
+        huge = Fraction(2 ** 150)
+        assert constructions._lower_estimate(
+            T12, schreier(parse_ordinal("w")).members(8), 1 / huge) is not None
+        with monkeypatch.context() as m:
+            _refuse_block_sums(m)
+            assert check_spreading_model(T12, basis, parse_ordinal("w"), huge,
+                                         8).passed
+        # with the bound at 1, the power 2 that certifies alpha 2 at C = 4
+        # is skipped, and the scan answers
+        want = check_spreading_model(T12, basis, 2, Fraction(4), 8)
+        monkeypatch.setattr(constructions, "POWER_BOUND", 1)
+        assert constructions._lower_estimate(
+            T12, schreier(2).members(8), Fraction(1, 4)) is None
+        assert check_spreading_model(T12, basis, 2, Fraction(4), 8) == want
+
+    def test_a_resource_bound_in_the_pass_falls_back_to_the_scan(self):
+        # the members past ENUMERATION_BOUND are refused while listing, so
+        # the scan's own refusal is what the caller sees
+        assert constructions._lower_estimate(
+            T12, schreier(1).members(25), Fraction(1, 2)) is None
+        basis = [FsVector.basis(i) for i in range(1, 26)]
+        with pytest.raises(ResourceBoundError, match="ENUMERATION_BOUND"):
+            check_spreading_model(T12, basis, 1, Fraction(2), 25)
+
+    def test_certified_basis_check_at_universe_24(self, monkeypatch):
+        # about 121k members of S_1, none normed and none kept in
+        # schreier_member's cache
+        basis = [FsVector.basis(i) for i in range(1, 25)]
+        _refuse_block_sums(monkeypatch)
+        before = schreier_member.cache_info().currsize
+        t0 = time.perf_counter()
+        assert check_spreading_model(T12, basis, 1, 2, 24).passed
+        assert time.perf_counter() - t0 < 1
+        assert schreier_member.cache_info().currsize == before
+
+    def test_capped_scan_norms_the_systems_up_to_the_cap(self, monkeypatch):
+        # the first listed system whose ratio is 2 = 1/theta is the 16th,
+        # 24th and 28th at N = 8, 12 and 14; the basis scan norms the units
+        scanned = []
+        real = spaces._BlockSums.norms
+
+        def counted(sums, key_tuples):
+            scanned.append(0)
+            for item in real(sums, key_tuples):
+                scanned[-1] += 1
+                yield item
+
+        monkeypatch.setattr(spaces._BlockSums, "norms", counted)
+        for N, systems in [(8, 16), (12, 24), (14, 28)]:
+            scanned.clear()
+            assert measure_asymptoticity(T12, 1, N) == 2
+            assert scanned == [N * (N + 1) // 2, systems]
+
+    def test_universe_14_answers_fast_and_15_is_refused(self):
+        t0 = time.perf_counter()
+        assert measure_asymptoticity(T12, 1, 14) == 2
+        assert time.perf_counter() - t0 < 0.3
+        with pytest.raises(ResourceBoundError) as refused:
+            measure_asymptoticity(T12, 1, 15)
+        assert str(refused.value) == (
+            "S_1 block systems within universe 15: 16391 exceeds "
+            "ASYMPTOTICITY_SYSTEM_BOUND = 16384")
 
 
 def interval_systems(lo, N):
@@ -630,8 +793,13 @@ class TestAsymptoticity:
         ("T(S(2),1/2)", [(brute_s2, Fraction(1, 2))], 2, 6),
         ("T(S(1),1/3)", [(brute_s1, Fraction(1, 3))], 1, 7),
         ("T(S(1),1/3)", [(brute_s1, Fraction(1, 3))], 2, 5),
+        ("T(S(1),1/2)", [(brute_s1, Fraction(1, 2))], "w", 6),
+        ("T(S(1),1/2)", [(brute_s1, Fraction(1, 2))], "w+1", 6),
+        ("T(S(1),1/3)", [(brute_s1, Fraction(1, 3))], "w", 6),
+        ("T(S(1),1/3)", [(brute_s1, Fraction(1, 3))], "w+1", 6),
     ])
     def test_against_brute_force(self, desc, levels, alpha, N):
+        alpha = parse_ordinal(str(alpha))
         got = measure_asymptoticity(spaces.parse_space(desc), alpha, N)
         assert got == asymptoticity_oracle(
             lambda pairs: implicit_norm_oracle(pairs, levels), alpha, N)
@@ -652,10 +820,7 @@ class TestAsymptoticity:
                              ids=["c0", "l1"])
     def test_block_norms_build_no_units(self, monkeypatch, space, want):
         # 16,290 one-block systems within {1..180}, none of them normed
-        def refuse(*args):
-            raise AssertionError("a block sum was normed")
-
-        monkeypatch.setattr(constructions, "_BlockSums", refuse)
+        _refuse_block_sums(monkeypatch)
         t0 = time.perf_counter()
         assert measure_asymptoticity(space, 0, 180) == want
         assert time.perf_counter() - t0 < 0.2

@@ -208,6 +208,18 @@ class TestDescriptorParsing:
         x = VECTORS[3]
         assert norm(t, x) == norm(mt, x)
 
+    def test_constructors_coerce_their_levels(self):
+        # an int alpha is read as an ordinal and an int or Fraction theta
+        # as a Fraction; a float theta or a text alpha is refused
+        x = FsVector.from_pairs([(3, 1), (4, 1), (5, 1)])
+        assert Tsirelson(1, Fraction(1, 2)) == T12
+        assert norm(Tsirelson(1, Fraction(1, 2)), x) == Fraction(3, 2)
+        assert MixedTsirelson(((1, Fraction(1, 2)),)).levels == T12.levels
+        for alpha, theta in [(Ordinal.from_int(1), 0.5), ("1", Fraction(1, 2)),
+                             (1, 1)]:
+            with pytest.raises(SpaceError):
+                Tsirelson(alpha, theta)
+
     def test_modes(self):
         assert space_mode(parse_space("SCHL")) == "float"
         assert space_mode(parse_space("NN(SCHL,2)")) == "float"
