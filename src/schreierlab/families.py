@@ -9,11 +9,11 @@ The bracket M[N] holds the unions of successive N-runs F_1 < ... < F_k
 with a witness (m_i) in M, max F_{i-1} < m_i <= min F_i; POW(M,1) is M
 and POW(M,k) is M[POW(M,k-1)].  M and N must be regular (not explicit).
 
-A family is its expression: :class:`Family` holds the queries, and each
-kind, Schreier, Bracket, Power and Explicit, is a frozen dataclass
-subclass of it whose operands are families.  A regular kind computes its
-cursor key once, when it is built, and keeps it as `_key`; only this
-module reads it.
+A family is its expression: each kind, Schreier, Bracket, Power and
+Explicit, is a frozen dataclass subclass of :class:`Family` whose
+operands are families.  A regular kind computes its cursor key once, when
+it is built, and keeps it as `_key`; only this module reads it.  Family
+holds the cursor queries, and Explicit answers them from its listed sets.
 
 Membership, enumeration, derivatives, subset-mass maximization and the
 admissible-partition DPs of :mod:`schreierlab.spaces` all run one
@@ -46,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .ordinal import Ordinal, fundamental_sequence, symbolic_omega_pow
 from .ordinal import parse as parse_ordinal
@@ -455,6 +455,12 @@ def _walk(key, points, values, zero):
 # ---------------------------------------------------------------------------
 
 
+def _check_universe(universe_max):
+    if universe_max > ENUMERATION_BOUND:
+        raise ResourceBoundError("universe", universe_max,
+                                 "ENUMERATION_BOUND", ENUMERATION_BOUND)
+
+
 def hereditary_closure(sets):
     """The listed sets with all their subsets, the empty set among them.
     Sized first, as the sum of 2**len(S) over the listed sets S: past
@@ -474,19 +480,14 @@ class Family:
 
     A family is its expression: the frozen dataclasses Schreier, Bracket,
     Power and Explicit below derive from this class, so equality, hashing
-    and repr come from their fields.  A regular kind carries its cursor
-    key `_key`; an explicit one keeps None and lists its sets.  All
-    queries are pure.
+    and repr come from their fields.  Queries read the cursor of a regular
+    kind's key `_key`, and Explicit overrides those that do.  All are pure.
     """
-
-    _key = None
 
     # -- membership -----------------------------------------------------
 
     def member(self, F):
         F = _finset(F)
-        if self._key is None:
-            return F in self.sets
         return not F or schreier_member(self._key, F)
 
     __contains__ = member
@@ -503,14 +504,7 @@ class Family:
         the member it looks for.  A cursor family is read by _walk over
         1..universe_max; past MEMBER_BOUND nonempty members it raises
         ResourceBoundError."""
-        if universe_max > ENUMERATION_BOUND:
-            raise ResourceBoundError("universe", universe_max,
-                                     "ENUMERATION_BOUND", ENUMERATION_BOUND)
-        if self._key is None:
-            # explicit families need not be hereditary; list directly
-            yield from sorted(F for F in self.sets
-                              if all(e <= universe_max for e in F))
-            return
+        _check_universe(universe_max)
         points = range(1, universe_max + 1)
         yield ()
         for count, G in enumerate(_walk(self._key, points,
@@ -524,13 +518,9 @@ class Family:
     # -- maximality and derivatives ------------------------------------
 
     def _extends(self, F, k, universe_max):
-        """True when a member extends F by k elements on the right.  Exact
-        for a cursor family through k probes far above the universe: it is
-        spreading, and heredity collapses a k-step chain to one k-element
-        extension.  An explicit family has only its listed sets."""
-        if self._key is None:
-            return any(len(G) == len(F) + k and G[:len(F)] == F
-                       for G in self.sets)
+        """True when a member extends F by k elements on the right, exact
+        through k probes far above the universe: the family is spreading,
+        and heredity collapses a k-step chain to one k-element extension."""
         probe = (F[-1] if F else 0) + max(universe_max, 64) + 1
         return schreier_member(self._key, F + tuple(range(probe, probe + k)))
 
@@ -557,10 +547,6 @@ class Family:
         if k > DERIVATIVE_BOUND:
             raise ResourceBoundError("derivative depth", k,
                                      "DERIVATIVE_BOUND", DERIVATIVE_BOUND)
-        if self._key is None and k > 1:
-            # an explicit family is its own truncation: one step at a time
-            return self.derivative(universe_max).iterated_derivative(
-                k - 1, universe_max)
         kept = [F for F in self.enumerate(universe_max)
                 if self._extends(F, k, universe_max)]
         return explicit_family(kept, close=False)
@@ -573,14 +559,9 @@ class Family:
         folded left to right over F, keeping the best mass of a member read
         so far in each cursor state: skipping a point keeps every state,
         reading it steps each state (and the fresh cursor) through
-        _cursor_start/_cursor_advance.  An explicit family's listed sets
-        are summed directly."""
+        _cursor_start/_cursor_advance."""
         F = _finset(F)
         D, w = _int_weights(F, weights)
-        if self._key is None:
-            inside = set(F)
-            return Fraction(max((sum(w[g] for g in G) for G in self.sets
-                                 if inside.issuperset(G)), default=0), D)
         front = {}  # state id -> best mass of a member read so far
         for i, n in enumerate(F):
             rest = len(F) - 1 - i
@@ -640,7 +621,6 @@ class Bracket(Family):
     inner: Family
 
     def __post_init__(self):
-        _refuse_explicit(self.outer, self.inner)
         object.__setattr__(self, "_key",
                            ("br", self.outer._key, self.inner._key))
 
@@ -656,7 +636,6 @@ class Power(Family):
     def __post_init__(self):
         if self.n < 1:
             raise FamilyError("power must be >= 1")
-        _refuse_explicit(self.base)
         key = self.base._key
         object.__setattr__(self, "_key",
                            key if self.n == 1 else ("pow", key, self.n))
@@ -667,17 +646,46 @@ class Power(Family):
 
 @dataclass(frozen=True)
 class Explicit(Family):
+    """Listed sets, not necessarily hereditary, that answer every query."""
+
     sets: frozenset  # of element tuples
+
+    @property
+    def _key(self):
+        raise FamilyError("brackets and powers need regular (non-explicit) families")
+
+    @cached_property
+    def _children(self):
+        """The listed sets by their prefix G[:-1], the empty set by none."""
+        children = {}
+        for G in filter(None, self.sets):
+            children.setdefault(G[:-1], []).append(G)
+        return children
+
+    def member(self, F):
+        return _finset(F) in self.sets
+
+    __contains__ = member
+
+    def members(self, universe_max):
+        _check_universe(universe_max)
+        yield from sorted(F for F in self.sets if not F or F[-1] <= universe_max)
+
+    def _extends(self, F, k, universe_max):
+        """True when listed sets F = G_0, ..., G_k each add one point on the
+        right to the one before, all but G_k inside {1..universe_max}."""
+        return F in self.sets if k == 0 else any(
+            (k == 1 or G[-1] <= universe_max) and self._extends(G, k - 1, universe_max)
+            for G in self._children.get(F, ()))
+
+    def max_mass(self, F, weights):
+        D, w = _int_weights(_finset(F), weights)
+        return Fraction(max((sum(w[g] for g in G) for G in self.sets
+                             if w.keys() >= set(G)), default=0), D)
 
     def __str__(self):
         body = ",".join("{%s}" % ",".join(map(str, s)) for s in sorted(self.sets) if s)
         return "EXPL[%s]" % body
-
-
-def _refuse_explicit(*operands):
-    """Brackets need regular operands, which explicit families need not be."""
-    if any(isinstance(family, Explicit) for family in operands):
-        raise FamilyError("brackets and powers need regular (non-explicit) families")
 
 
 @dataclass

@@ -303,10 +303,14 @@ class TestExitCodes:
          "DESCENT_BOUND = 350"),
         (("fam", "enumerate", "--family", "S(1)", "--universe", "25"),
          "universe: 25 exceeds ENUMERATION_BOUND = 24"),
+        (("fam", "enumerate", "--family", "EXPL[{1,2}]", "--universe", "25"),
+         "universe: 25 exceeds ENUMERATION_BOUND = 24"),
         (("fam", "enumerate", "--family", "S(w+1)", "--universe", "24"),
          "members of S(w+1) within universe 24: 1048577 exceeds MEMBER_BOUND "
          "= 1048576"),
         (("fam", "derivative", "--family", "S(1)", "--steps", "65"),
+         "derivative depth: 65 exceeds DERIVATIVE_BOUND = 64"),
+        (("fam", "derivative", "--family", "EXPL[{1}]", "--steps", "65"),
          "derivative depth: 65 exceeds DERIVATIVE_BOUND = 64"),
         (("norm", "eval", "--space", "T(S(1),1/2)", "--vec",
           json.dumps([[i, "1"] for i in range(1, 74)])),
@@ -327,8 +331,9 @@ class TestExitCodes:
           "--set", "1,2"),
          "brackets nested in a descriptor: 101 exceeds NESTING_BOUND = 100"),
     ], ids=["LONGEST_WORK_BOUND", "POWER_BOUND", "DESCENT_BOUND",
-            "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
-            "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
+            "ENUMERATION_BOUND", "ENUMERATION_BOUND-explicit", "MEMBER_BOUND",
+            "DERIVATIVE_BOUND", "DERIVATIVE_BOUND-explicit", "SUPPORT_BOUND",
+            "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
             "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND"])
     def test_each_bound_refuses_in_one_format(self, capsys, argv, want):
         # what was counted, then the bound's name and limit
@@ -442,6 +447,16 @@ class TestSubcommands:
         got = json.loads(out)["result"]
         assert code == 0 and got["count"] == len(want)
         assert sorted(got["members"]) == want
+
+    def test_explicit_derivative_at_universe_14(self, capsys):
+        # 16,384 listed sets: a derivative finds each set's one-point right
+        # extensions under its prefix, so its work is linear in the sets
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "fam", "derivative", "--family",
+                           "EXPL[{%s}]" % ",".join(map(str, range(1, 15))),
+                           "--universe", "14", "--steps", "1")
+        assert code == 0 and out == "8192 members after 1 steps\n"
+        assert time.perf_counter() - t0 < 2
 
     def test_fam_tail(self, capsys):
         code, out, _ = run(capsys, "fam", "tail", "--family", "S(1)",

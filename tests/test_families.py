@@ -121,6 +121,45 @@ class TestDerivative:
         assert near.is_maximal((3,), 10)
         assert near.derivative(10).enumerate(10) == [()]
 
+    @pytest.mark.parametrize("close", [False, True])
+    def test_explicit_chains_are_derivatives_one_step_at_a_time(self, close):
+        # oracle: one derivative keeps the listed sets inside the universe
+        # that a listed set extends by one point on the right, and F is
+        # maximal when no listed set adds one point to F, inside the
+        # universe or on the right.  The sets are some of the prefixes of
+        # a few drawn sets, so chains run long with links missing, and
+        # points up to universe + 3 let extensions leave the universe
+        def inside(sets, universe):
+            return {F for F in sets if all(e <= universe for e in F)}
+
+        def one_step(sets, universe):
+            return {F for F in inside(sets, universe)
+                    if any(len(G) == len(F) + 1 and G[:len(F)] == F
+                           for G in sets)}
+
+        rng = random.Random(27)
+        for _ in range(150):
+            universe = rng.randint(1, 8)
+            drawn = [sorted(rng.sample(range(1, universe + 4),
+                                       rng.randint(0, min(6, universe + 3))))
+                     for _ in range(rng.randint(0, 12))]
+            sets = {tuple(G[:i]) for G in drawn for i in range(len(G) + 1)
+                    if rng.random() < 0.7}
+            fam = explicit_family(sets, close=close)
+            listed, stepped = set(fam.sets), fam
+            for k in range(5):
+                got = fam.iterated_derivative(k, universe)
+                assert got.sets == inside(listed, universe), (sets, universe, k)
+                assert got.enumerate(universe) == stepped.enumerate(universe)
+                listed = one_step(listed, universe)
+                stepped = stepped.derivative(universe)
+            for F in fam.enumerate(universe):
+                grown = [set(G) - set(F) for G in fam.sets
+                         if len(G) == len(F) + 1 and set(F) < set(G)]
+                assert fam.is_maximal(F, universe) == (not any(
+                    max(g) <= universe or not F or max(g) > F[-1]
+                    for g in grown)), (sets, universe, F)
+
     @pytest.mark.parametrize("text", ["S(1)", "POW(S(1),2)", "BR(S(1),S(2))",
                                       "EXPL[{1,2}]"])
     def test_negative_order_is_refused(self, text):
@@ -297,13 +336,17 @@ class TestBracketOracle:
         assert not high.member(tuple(range(1, 40)))
 
     def test_explicit_operands_refused(self):
+        # an explicit family has no cursor key for the bracket to read; a
+        # power of order 0 is refused for its order first
         expl = explicit_family([(2, 3)])
-        with pytest.raises(FamilyError):
-            bracket(expl, schreier(1))
-        with pytest.raises(FamilyError):
-            bracket(schreier(1), expl)
-        with pytest.raises(FamilyError):
-            power(expl, 2)
+        refusal = "brackets and powers need regular \\(non-explicit\\) families"
+        for build in (lambda: bracket(expl, schreier(1)),
+                      lambda: bracket(schreier(1), expl),
+                      lambda: power(expl, 2), lambda: power(expl, 1)):
+            with pytest.raises(FamilyError, match=refusal):
+                build()
+        with pytest.raises(FamilyError, match="power must be >= 1"):
+            power(expl, 0)
 
 
 class TestIndex:
@@ -408,7 +451,11 @@ class TestDescriptorGrammar:
         assert str(fam) == printed
         again = parse_family(str(fam))
         assert again == fam and hash(again) == hash(fam)
-        assert (fam._key is None) == isinstance(fam, Explicit)
+        if isinstance(fam, Explicit):
+            with pytest.raises(FamilyError, match="regular"):
+                fam._key
+        else:
+            assert fam._key is not None
 
     def test_explicit_parse_closes_hereditarily(self):
         fam = parse_family("EXPL[{1,2}]")

@@ -76,6 +76,30 @@ def test_only_families_reads_cursor_keys(path):
     assert bool(reads) if path.name == "families.py" else reads == []
 
 
+def key_none_tests(source):
+    """The lines that compare a `_key` attribute with None."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Compare)
+                  and any(isinstance(side, ast.Attribute) and side.attr == "_key"
+                          for side in [n.left, *n.comparators])
+                  and any(isinstance(side, ast.Constant) and side.value is None
+                          for side in [n.left, *n.comparators]))
+
+
+def test_the_check_sees_a_planted_key_none_test():
+    src = ("def member(fam, F):\n    if fam._key is None:\n"
+           "        return F in fam.sets\n    key = fam._key\n"
+           "    return None != self._key or key is None\n")
+    assert key_none_tests(src) == [2, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_query_branches_on_a_missing_cursor_key(path):
+    # an explicit family answers from its listed sets by its own methods,
+    # so no query tells the kinds apart by a key of None
+    assert key_none_tests(path.read_text()) == []
+
+
 def partition_classes(tree):
     """Names of the top-level classes of a module that are _Partitions or
     derive from it."""
