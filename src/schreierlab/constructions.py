@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import (POWER_BOUND, ResourceBoundError, _int_weights,
-                       _least_powers, _longest, _walk, schreier)
+from .families import (POWER_BOUND, ResourceBoundError, _check_universe,
+                       _int_weights, _least_powers, _longest, _walk, schreier)
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, _levels, norm,
                      norm_n, assoc_norm, primal_from_dual, report_value,
@@ -466,6 +466,24 @@ def _lower_estimate(space, members, floor):
                default=None)
 
 
+def _block_norm_pass(space, alpha, lhs, rhs, scaled):
+    """Whether the spreading check in c0 or l1 passes, from the scaled
+    block norms of an int _BlockSums scan, C * ||x_i|| = lhs * scaled[i] /
+    rhs (check_spreading_model); None when the c0 fold meets a resource
+    bound."""
+    if isinstance(space, L1):
+        return all(lhs * v >= rhs for v in scaled.values())
+    family = schreier(alpha)
+    try:
+        for t in sorted(set(scaled.values())):
+            A = [i for i in scaled if scaled[i] <= t]
+            if rhs * family.max_mass(A, dict.fromkeys(A, 1)) > lhs * t:
+                return False
+    except ResourceBoundError:
+        return None
+    return True
+
+
 def check_spreading_model(space, blocks, alpha, C, universe_max):
     """For every F in S_alpha within {1..universe_max}: the subsequence
     (x_i)_{i in F} must satisfy the l1 lower estimate with constant C.
@@ -473,6 +491,20 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     Only the all-ones combination is evaluated: every built-in norm is
     1-unconditional and the blocks have disjoint supports, so every sign
     pattern gives the same value.
+
+    In c0 and l1, exact C and exact values, the check is decided from the
+    block norms n_i = ||x_i|| (_block_norm_pass) before any member is
+    listed; only a failing check is scanned, for its witness.
+    - l1: it passes iff C * min_i n_i >= 1.  If so, ||x_F|| = sum_{i in F}
+      n_i >= |F| * min_i n_i >= |F| / C.  Conversely the singleton of the
+      least n_i is a member of S_alpha, and it needs C * n_i >= 1.
+    - c0: it passes iff, for each value t of the n_i, the longest member
+      of S_alpha inside A_t = {i : n_i <= t} has at most C * t points.  A
+      failing F with t = max_{i in F} n_i = ||x_F|| lies in A_t and has
+      |F| > C * t; conversely a member F of A_t with |F| > C * t has
+      C * ||x_F|| <= C * t < |F| when C >= 0, and every member fails when
+      C < 0.  The longest member is read by Family.max_mass with unit
+      weights.
 
     In T and MT, exact C > 0 and exact values, the space's lower estimate
     may pass every F at once (_lower_estimate).  The blocks are successive,
@@ -482,9 +514,10 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     gives ||x_F|| >= theta**n * sum_{i in F} ||x_i|| >= theta**n * |F| * m,
     m = min_i ||x_i||; so when C * theta**n * m >= 1 the check passes and
     no x_F is normed.  The members are listed for that, and fed to the
-    cursor past schreier_member's cache.
+    cursor past schreier_member's cache.  When C * m >= 1 every singleton
+    passes, so the scan below norms only the members of two or more points.
 
-    Otherwise, and whenever the certificate meets a resource bound, the
+    Otherwise, and whenever a decision meets a resource bound, the
     members are scanned: read lazily from Family.members in lexicographic
     order, the first failing one is the witness, so the scan stops there:
     a witness found before the MEMBER_BOUND-th member is reported, and
@@ -497,13 +530,15 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
         raise ConstructionError("need a block for every index up to %d" % universe_max)
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
+    _check_universe(universe_max)
     head = blocks[:universe_max]
+    floor = None
     if (_levels(space) and head and isinstance(C, Fraction) and C > 0
             and not any(isinstance(v, float) for b in head for v in b.values)):
         try:
             floor = 1 / (C * min(norm(space, b) for b in head))
         except ResourceBoundError:
-            floor = None
+            pass
         if floor and _lower_estimate(space, schreier(alpha).members(universe_max),
                                      floor):
             return SpreadingReport(True, alpha, C, universe_max)
@@ -513,7 +548,14 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     ints = sums.ints and isinstance(C, Fraction)
     if ints:
         lhs, rhs = C.numerator, C.denominator * sums.Q
-    for F, v in sums.norms(schreier(alpha).members(universe_max)):
+        if sums.scaled is not None and _block_norm_pass(space, alpha, lhs, rhs,
+                                                        sums.scaled):
+            return SpreadingReport(True, alpha, C, universe_max)
+    members = schreier(alpha).members(universe_max)
+    if floor and floor <= 1:
+        # C * ||x_i|| >= C * min_j ||x_j|| >= 1: every singleton passes
+        members = (F for F in members if len(F) > 1)
+    for F, v in sums.norms(members):
         if (lhs * v < len(F) * rhs) if ints else (C * sums.value(v) < len(F)):
             return SpreadingReport(False, alpha, C, universe_max,
                                    witness=(F, (1,) * len(F), sums.value(v)))

@@ -541,6 +541,25 @@ class TestSubcommands:
         assert got == code
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
+    @pytest.mark.parametrize("space,alpha,C", [("L1", "3", "1"),
+                                               ("C0", "w+1", "23")])
+    def test_passing_c0_l1_spreading_past_member_bound(self, capsys, space,
+                                                       alpha, C):
+        # decided from the block norms; listing the members, both exited 65
+        # at MEMBER_BOUND
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "spreading", "--space", space, "--alpha",
+                             alpha, "--C", C, "--universe", "24")
+        assert (code, out, err) == (0, "pass\n", "")
+        assert time.perf_counter() - t0 < 1
+
+    def test_failing_c0_spreading_keeps_its_witness(self, capsys):
+        code, out, _ = run(capsys, "spreading", "--space", "C0", "--alpha",
+                           "w+1", "--C", "22", "--universe", "24", "--json")
+        assert code == 1
+        assert json.loads(out)["result"]["witness"] == {
+            "F": list(range(2, 25)), "coefficients": [1] * 23, "value": "1"}
+
     def test_asymp(self, capsys):
         code, out, _ = run(capsys, "asymp", "--space", "T(S(1),1/2)",
                            "--alpha", "1", "--universe", "8")

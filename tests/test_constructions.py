@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import brute_s1, brute_s2, brute_schreier, implicit_norm_oracle
@@ -14,7 +14,7 @@ from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        distortion_scan, gluing_lemma1,
                                        gluing_lemma2, gluing_lemma3,
                                        gluing_lemma4, measure_asymptoticity)
-from schreierlab import constructions, spaces
+from schreierlab import constructions, families, spaces
 from schreierlab.families import (Family, ResourceBoundError, schreier,
                                   schreier_member)
 from schreierlab.ordinal import Ordinal, parse as parse_ordinal
@@ -433,15 +433,19 @@ ORACLE_NORMS = {
 }
 
 
+ORACLE_ALPHAS = st.sampled_from(["0", "1", "2", "w", "w+1"]).map(parse_ordinal)
+
+
 def spreading_oracle(name, alpha, blocks, C, universe):
-    """(passed, witness) by brute force: the members of S_alpha among all
-    subsets of {1..universe} in lexicographic order, each block sum built
-    as a plain list of pairs and normed by the oracle."""
+    """(passed, witness) by brute force: the members of S_alpha (an
+    Ordinal or a natural) among all subsets of {1..universe} in
+    lexicographic order, each block sum built as a plain list of pairs
+    and normed by the oracle."""
     oracle = ORACLE_NORMS[name][1]
     members = sorted(
         F for r in range(1, universe + 1)
         for F in itertools.combinations(range(1, universe + 1), r)
-        if brute_schreier(Ordinal.from_int(alpha), F))
+        if brute_schreier(Ordinal.of(alpha), F))
     for F in members:
         value = oracle([p for i in F for p in blocks[i - 1].entries])
         if C * value < len(F):
@@ -451,22 +455,29 @@ def spreading_oracle(name, alpha, blocks, C, universe):
 
 class TestSpreadingOracle:
     @pytest.mark.parametrize("name,alpha,kind,universe,C,passes", [
-        ("c0", 1, "basis", 10, 5, True),
-        ("c0", 1, "basis", 10, 4, False),
-        ("c0", 1, "mixed", 10, 10, True),
-        ("c0", 1, "mixed", 10, 4, False),
-        ("c0", 2, "avg", 10, 16, True),
-        ("c0", 2, "avg", 10, 15, False),
-        ("l1", 1, "avg", 10, 1, True),
-        ("l1", 2, "basis", 10, 1, True),
-        ("l1", 2, "basis", 10, Fraction(9, 10), False),
-        ("T", 1, "basis", 10, 2, True),
-        ("T", 1, "avg", 6, Fraction(8, 3), True),
-        ("T", 1, "avg", 6, Fraction(5, 2), False),
-        ("T", 2, "basis", 8, Fraction(10, 3), True),
-        ("T", 2, "basis", 8, 3, False),
+        ("c0", "1", "basis", 10, 5, True),
+        ("c0", "1", "basis", 10, 4, False),
+        ("c0", "1", "mixed", 10, 10, True),
+        ("c0", "1", "mixed", 10, 4, False),
+        ("c0", "2", "avg", 10, 16, True),
+        ("c0", "2", "avg", 10, 15, False),
+        ("l1", "1", "avg", 10, 1, True),
+        ("l1", "2", "basis", 10, 1, True),
+        ("l1", "2", "basis", 10, Fraction(9, 10), False),
+        ("T", "1", "basis", 10, 2, True),
+        ("T", "1", "avg", 6, Fraction(8, 3), True),
+        ("T", "1", "avg", 6, Fraction(5, 2), False),
+        ("T", "2", "basis", 8, Fraction(10, 3), True),
+        ("T", "2", "basis", 8, 3, False),
+        ("c0", "w", "basis", 10, 8, True),
+        ("c0", "w", "basis", 10, 7, False),
+        ("c0", "w+1", "mixed", 10, 10, True),
+        ("c0", "w+1", "mixed", 10, 9, False),
+        ("l1", "w", "avg", 10, 1, True),
+        ("l1", "w+1", "mixed", 10, Fraction(9, 10), False),
     ])
     def test_against_brute_force(self, name, alpha, kind, universe, C, passes):
+        alpha = parse_ordinal(alpha)
         blocks = _oracle_blocks(kind, universe)
         rep = check_spreading_model(ORACLE_NORMS[name][0], blocks, alpha,
                                     Fraction(C), universe)
@@ -474,8 +485,8 @@ class TestSpreadingOracle:
         assert want[0] is passes
         assert (rep.passed, rep.witness) == want
 
-    @given(st.sampled_from(["c0", "l1"]), st.integers(0, 2),
-           st.integers(1, 9), st.data())
+    @given(st.sampled_from(["c0", "l1"]), ORACLE_ALPHAS, st.integers(1, 9),
+           st.data())
     def test_block_norms_against_brute_force(self, name, alpha, universe, data):
         # c0 and l1 with exact values take the int block-norm path
         blocks = data.draw(signed_blocks(universe))
@@ -567,8 +578,9 @@ class TestSpreadingOracle:
     def test_norm_calls(self, monkeypatch, space, alpha, C, universe,
                         certified):
         # c0 and l1 norm each block at most once.  In T the certificate's
-        # floor norms each block once; a scan then norms each x_F, through
-        # spaces.norm or one evaluator each, and a certified check none
+        # floor norms each block once; with C * min ||x_i|| >= 1 a scan
+        # then norms each x_F of two or more points, through spaces.norm
+        # or one evaluator each, and a certified check none
         seen = []
         init = spaces._Evaluator.__init__
 
@@ -586,11 +598,85 @@ class TestSpreadingOracle:
         rep = check_spreading_model(space, basis, alpha, Fraction(C), universe)
         if space == T12:
             assert rep.passed
-            sums = 0 if certified else len(schreier(alpha).enumerate(universe)) - 1
             assert seen[:universe] == basis[:universe]
-            assert len(seen) == universe + sums
+            # S_2 has 127 nonempty members within {1..8}, 8 of them singletons
+            assert len(seen) == (8 if certified else 8 + 119)
         else:
             assert len(seen) <= universe
+
+
+class TestBlockNormDecision:
+    @given(st.sampled_from(["c0", "l1"]), ORACLE_ALPHAS, st.integers(1, 9),
+           st.data())
+    def test_decision_against_forced_scan(self, name, alpha, universe, data):
+        # the decision's verdict and the report against the scan of every
+        # member; C is drawn at, just below and just above the thresholds
+        # k / ||x_i||, k = 0 giving C <= 0
+        space = ORACLE_NORMS[name][0]
+        blocks = data.draw(signed_blocks(universe))
+        norms = {norm(space, b) for b in blocks}
+        assume(universe == 1 or len(norms) > 1)
+        thresholds = sorted({k / t for t in norms for k in range(universe + 1)})
+        eps = Fraction(1, 10 ** 6)
+        real = constructions._block_norm_pass
+        for _ in range(3):
+            C = (data.draw(st.sampled_from(thresholds))
+                 + data.draw(st.sampled_from([-eps, 0, eps])))
+            verdicts = []
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(constructions, "_block_norm_pass",
+                          lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+                got = check_spreading_model(space, blocks, alpha, C, universe)
+                m.setattr(constructions, "_block_norm_pass", lambda *args: None)
+                want = check_spreading_model(space, blocks, alpha, C, universe)
+            assert got == want
+            assert verdicts == [want.passed]
+
+    @pytest.mark.parametrize("space,alpha,kind,C", [
+        (C0(), "w+1", "basis", 23), (C0(), "w+1", "mixed", 24),
+        (C0(), "2", "avg", 42), (L1(), "3", "basis", 1),
+        (L1(), "w+1", "avg", 1)], ids=["c0", "c0-mixed", "c0-avg", "l1", "l1-avg"])
+    def test_a_passing_check_reads_no_member(self, monkeypatch, space, alpha,
+                                             kind, C):
+        # the longest members within {1..24} have 23 points in S_{w+1} and
+        # 21 in S_2, and the avg blocks have c0 norm 1/2 and l1 norm 1;
+        # each check was refused at MEMBER_BOUND while a pass listed the
+        # members
+        def refuse(*args):
+            raise AssertionError("a member was read")
+
+        monkeypatch.setattr(Family, "members", refuse)
+        monkeypatch.setattr(families, "_walk", refuse)
+        rep = check_spreading_model(space, _oracle_blocks(kind, 24),
+                                    parse_ordinal(alpha), Fraction(C), 24)
+        assert rep.passed
+
+    def test_c0_at_w_plus_1_passes_at_universe_24_in_time(self):
+        # the longest member of S_{w+1} within {1..24} has 23 points
+        basis = [FsVector.basis(i) for i in range(1, 25)]
+        t0 = time.perf_counter()
+        assert check_spreading_model(C0(), basis, parse_ordinal("w+1"), 23,
+                                     24).passed
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_past_the_universe_bound_is_refused_first(self):
+        basis = [FsVector.basis(i) for i in range(1, 26)]
+        for space in (C0(), L1()):
+            with pytest.raises(ResourceBoundError, match="ENUMERATION_BOUND"):
+                check_spreading_model(space, basis, 1, 100, 25)
+
+    def test_a_resource_bound_in_the_fold_falls_back_to_the_scan(self,
+                                                                 monkeypatch):
+        def bounded(*args):
+            raise ResourceBoundError("mass fold", 2, "SOME_BOUND", 1)
+
+        basis = [FsVector.basis(i) for i in range(1, 9)]
+        want = [check_spreading_model(C0(), basis, 1, C, 8) for C in (3, 4)]
+        monkeypatch.setattr(Family, "max_mass", bounded)
+        assert constructions._block_norm_pass(C0(), 1, 5, 1, {1: 1}) is None
+        assert [check_spreading_model(C0(), basis, 1, C, 8)
+                for C in (3, 4)] == want
+        assert [r.passed for r in want] == [False, True]
 
 
 def _forced_scan(monkeypatch):
