@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .families import (POWER_BOUND, ResourceBoundError, _check_universe,
                        _int_weights, _least_powers, _longest, _walk, schreier)
@@ -120,6 +121,15 @@ def _repeated_average(xi, s):
         n = out[-1][0] + 1
 
 
+@lru_cache(maxsize=8)
+def _literal_max(eta, elems, values):
+    """The largest int mass of a member of S_eta inside the increasing
+    points `elems`, each point carrying its int in `values`: a walk over
+    every member.  The memo keeps the last 8 distinct inputs, each at
+    most EXHAUSTIVE_SCC_BOUND points and their ints."""
+    return max(_walk(eta, elems, values, 0), default=0)
+
+
 def _eta_masses(eta, F, coeffs):
     """(DP maximum, literal maximum or None) of subset mass over members
     of S_eta contained in F.
@@ -129,15 +139,18 @@ def _eta_masses(eta, F, coeffs):
     inside F through families._walk, with the int masses of _int_weights
     added along each path; its transition table only saves repeating a
     cursor step, so the check shares nothing with the fold and a wrong
-    fold is refused."""
+    fold is refused.  The walk is memoized by _literal_max on eta, the
+    points and their exact scaled ints, so callers with the same set and
+    weights walk once; the fold and its comparison with the literal run
+    on every call."""
     weights = dict(coeffs)
     dp = schreier(eta).max_mass(F, weights)
     literal = None
     if len(F) <= EXHAUSTIVE_SCC_BOUND:
         D, scaled = _int_weights(F, weights)
-        elems = sorted(F)
-        literal = Fraction(max(_walk(eta, elems, [scaled[m] for m in elems], 0),
-                               default=0), D)
+        elems = tuple(sorted(F))
+        literal = Fraction(_literal_max(eta, elems,
+                                        tuple(scaled[m] for m in elems)), D)
         if literal != dp:
             raise ConstructionError(
                 "mass DP disagrees with literal enumeration: %s vs %s"

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from conftest import brute_schreier
-from schreierlab import cli
+from schreierlab import cli, constructions
 from schreierlab.cli import CONVENTION, main
 from schreierlab.ordinal import parse as parse_ordinal
 
@@ -493,6 +493,20 @@ class TestSubcommands:
                            "--eta", "1", "--xi", "2", "--K", "4",
                            "--C1", "2", "--C2", "2", "--start", "3")
         assert code == 0 and out.strip() == "verified"
+
+    def test_lemma2_walks_s_eta_once(self, capsys, monkeypatch):
+        # the CLI builds the SCC for the basis tree and the lemma fits the
+        # same one: the literal mass check walks S_eta once between them
+        walks = []
+        walk = constructions._walk
+        monkeypatch.setattr(constructions, "_walk",
+                            lambda *a: walks.append(a[1]) or walk(*a))
+        constructions._literal_max.cache_clear()
+        code, out, _ = run(capsys, "lemma2", "--space", "T(S(1),1/2)",
+                           "--eta", "1", "--xi", "2", "--K", "4",
+                           "--start", "3", "--C1", "2", "--C2", "2")
+        assert code == 0 and out.strip() == "verified"
+        assert len(walks) == 1 and len(walks[0]) == 21
 
     def test_lemma2_infeasible_start(self, capsys):
         code, out, err = run(capsys, "lemma2", "--space", "T(S(1),1/2)",

@@ -71,6 +71,46 @@ class TestSCC:
                                  "1000000003/3000000000 vs 1/3"):
             build_scc(2, 1, Fraction(1, 2), 3)
 
+    def test_literal_check_catches_a_wrong_dp_with_a_warm_memo(self, monkeypatch):
+        # the literal maximum comes from the memo, but the fold still runs
+        # and is compared with it
+        build_scc(2, 1, Fraction(1, 2), 3)
+        dp = Family.max_mass
+        monkeypatch.setattr(Family, "max_mass", lambda fam, F, weights:
+                            dp(fam, F, weights) + Fraction(1, 10 ** 9))
+        with pytest.raises(ConstructionError,
+                           match="mass DP disagrees with literal enumeration: "
+                                 "1000000003/3000000000 vs 1/3"):
+            build_scc(2, 1, Fraction(1, 2), 3)
+
+    def test_same_set_and_weights_walk_once(self, monkeypatch):
+        first = build_scc(2, 1, Fraction(1, 2), 3)
+
+        def refuse(*args):
+            raise AssertionError("S_eta walked again")
+
+        monkeypatch.setattr(constructions, "_walk", refuse)
+        again = build_scc(2, 1, Fraction(1, 2), 3)
+        assert again == first and again.exhaustive
+
+    def test_other_weights_on_the_same_set_miss_the_memo(self):
+        # on one F, the memo is keyed by the weights as well: each
+        # weighting gets its own brute-force maximum
+        alpha, F = Ordinal.from_int(1), (2, 3, 5, 6, 8)
+        for coeffs in ({2: Fraction(1, 2), 3: Fraction(1, 8), 5: Fraction(1, 8),
+                        6: Fraction(1, 8), 8: Fraction(1, 8)},
+                       {2: Fraction(1, 8), 3: Fraction(1, 8), 5: Fraction(1, 4),
+                        6: Fraction(1, 4), 8: Fraction(1, 4)}):
+            want = max(sum(coeffs[m] for m in G)
+                       for r in range(len(F) + 1)
+                       for G in itertools.combinations(F, r)
+                       if brute_schreier(alpha, G))
+            assert constructions._eta_masses(alpha, F, coeffs) == (want, want)
+
+    def test_literal_memo_is_bounded(self):
+        maxsize = constructions._literal_max.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
     @pytest.mark.parametrize("eta", ["0", "1", "2", "w"])
     def test_eta_masses_against_brute_force(self, eta):
         # the literal walk against every subset of F that
