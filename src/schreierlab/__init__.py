@@ -10,9 +10,8 @@ from .families import (Family, FamilyError, ResourceBoundError, bracket,
                        bracket_member, explicit_family, index_symbolic,
                        parse_family, power, schreier, schreier_member,
                        tail_domination)
-from .trees import (BlockTree, FiniteTree, TreeError, certify_block_tree,
-                    derivative, family_as_tree, index_lower_bound_search,
-                    order, tree_to_family)
+from .trees import (BlockTree, TreeError, certify_block_tree,
+                    index_lower_bound_search, tree_to_family)
 from .spaces import (C0, L1, Bounds, Derived, FsVector,
                      MixedTsirelson, Schlumprecht, SpaceError, Tsirelson,
                      assoc_norm, dual_assoc_norm, dual_norm, norm, norm_n,

@@ -46,8 +46,8 @@ from .ordinal import compare as ordinal_compare
 from .ordinal import parse as parse_ordinal
 from .spaces import (FsVector, SpaceError, Tsirelson, dual_norm, norm,
                      parse_rational, parse_space, report_value, space_mode)
-from .trees import (BlockTree, SearchFailure, TreeError, family_as_tree,
-                    index_lower_bound_search, order)
+from .trees import (BlockTree, SearchFailure, TreeError,
+                    index_lower_bound_search)
 
 __all__ = ["main", "build_parser", "CONVENTION"]
 
@@ -158,7 +158,8 @@ def _report(args, result):
 
 
 def _emit(args, result, terse, exit_code):
-    _write_report(_report(args, result), args)
+    if args.out or args.json:
+        _write_report(_report(args, result), args)
     if not args.json:
         print(terse)
     return exit_code
@@ -225,9 +226,10 @@ def _cmd_fam(args):
 
 def _cmd_tree(args):
     if args.action == "order":
-        t = family_as_tree(args.family, args.universe)
-        o = order(t)
-        return _emit(args, {"order": o, "nodes": len(t)}, str(o), EXIT_PASS)
+        # the families read here are hereditary: a node per nonempty member
+        sizes = [len(F) for F in args.family.members(args.universe) if F]
+        o = max(sizes, default=0)
+        return _emit(args, {"order": o, "nodes": len(sizes)}, str(o), EXIT_PASS)
     res = index_lower_bound_search(args.space, args.family, args.K,
                                    args.universe, mode=args.tree_mode)
     if isinstance(res, SearchFailure):
@@ -235,7 +237,8 @@ def _cmd_tree(args):
                      "search failed", EXIT_FAIL)
     bt, cert = res
     return _emit(args, {"success": True, "certificate": cert.to_json()},
-                 "certified depth %d" % order(bt.tree), EXIT_PASS)
+                 "certified depth %d" % max(map(len, bt.branches), default=0),
+                 EXIT_PASS)
 
 
 def _cmd_norm(args):

@@ -273,13 +273,6 @@ def gluing_lemma1(space, n, blocks):
                         {"norm": nx, "norm_n": nxn}, {"n": n})
 
 
-def _longest_branch(tree):
-    brs = tree.tree.branches()
-    if not brs:
-        raise ConstructionError("tree has no branches")
-    return max(brs, key=len)
-
-
 def _fit_scc(xi, eta, epsilon, branch, start):
     """SCC whose set is covered by the branch: |F| <= branch length and
     m_i >= max supp x_i pointwise."""
@@ -316,7 +309,9 @@ def _weighted_branch(lemma, mode, space, eta, tree, C1, C2, xi, start):
     failed = _certify(lemma, tree, space, params)
     if failed:
         return failed
-    branch = _longest_branch(tree)
+    if not tree.branches:
+        raise ConstructionError("tree has no branches")
+    branch = max(tree.branches, key=len)
     scc = _fit_scc(xi, eta, Fraction(1) / params["C2"], branch, start)
     params["scc_start"] = scc.start
     return params, scc, branch

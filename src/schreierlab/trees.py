@@ -1,9 +1,8 @@
-"""Finite well-founded trees, block trees with equivalence certificates,
-and the bridge from certified trees to combinatorial families.
+"""Block trees with equivalence certificates, and the bridge from
+certified trees to combinatorial families.
 
-A tree is stored as its set of nonempty nodes (finite sequences closed
-under initial segments); the empty sequence is always implicitly present
-as the root and is not counted by the order.
+A block tree is stored as its branches, the maximal sequences of labels;
+its nodes are their prefixes, and the empty sequence is the uncounted root.
 """
 
 from __future__ import annotations
@@ -13,18 +12,15 @@ from fractions import Fraction
 from functools import reduce
 
 from .families import ResourceBoundError, explicit_family
-from .spaces import FsVector, SpaceError, norm, report_value, space_mode
+from .spaces import (FsVector, SpaceError, _BlockSums, norm, report_value,
+                     space_mode)
 
 __all__ = [
     "TreeError",
-    "FiniteTree",
     "BlockTree",
     "TreeCertificate",
     "TreeViolation",
     "SearchFailure",
-    "derivative",
-    "order",
-    "family_as_tree",
     "certify_block_tree",
     "tree_to_family",
     "index_lower_bound_search",
@@ -37,66 +33,6 @@ class TreeError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteTree:
-    """Prefix-closed set of nonempty finite sequences."""
-
-    nodes: frozenset = frozenset()
-
-    def __post_init__(self):
-        for t in self.nodes:
-            if not isinstance(t, tuple) or len(t) == 0:
-                raise TreeError("nodes must be nonempty tuples, got %r" % (t,))
-            if len(t) > 1 and t[:-1] not in self.nodes:
-                raise TreeError("not prefix-closed at %r" % (t,))
-
-    @classmethod
-    def from_sequences(cls, seqs):
-        """Tree generated by the given sequences (prefix closure taken)."""
-        seqs = [tuple(s) for s in seqs]
-        return cls(frozenset(s[:k] for s in seqs for k in range(1, len(s) + 1)))
-
-    @classmethod
-    def chain(cls, labels):
-        return cls.from_sequences([tuple(labels)])
-
-    def is_empty(self):
-        return not self.nodes
-
-    def branches(self):
-        """Maximal nodes, sorted for determinism."""
-        parents = {u[:-1] for u in self.nodes}
-        out = [t for t in self.nodes if t not in parents]
-        try:
-            return sorted(out)
-        except TypeError:
-            return sorted(out, key=repr)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __contains__(self, t):
-        return tuple(t) in self.nodes
-
-
-def derivative(tree):
-    """Remove the maximal nodes: D(T) = {t : t extends to a longer node}."""
-    kept = frozenset(t[:-1] for t in tree.nodes if len(t) >= 2)
-    return FiniteTree(kept)
-
-
-def order(tree):
-    """Least k with D^k(T) = {t[:-k] : |t| > k} empty: the longest node's length."""
-    return max(map(len, tree.nodes), default=0)
-
-
-def family_as_tree(fam, universe_max):
-    """Members of the family within {1..universe_max}, each viewed as its
-    increasing enumeration; the empty set maps to the (uncounted) root."""
-    seqs = [tuple(sorted(F)) for F in fam.enumerate(universe_max) if F]
-    return FiniteTree.from_sequences(seqs)
-
-
 # ---------------------------------------------------------------------------
 # Block trees
 # ---------------------------------------------------------------------------
@@ -104,10 +40,10 @@ def family_as_tree(fam, universe_max):
 
 @dataclass(frozen=True)
 class BlockTree:
-    """Tree whose labels are finitely supported blocks, carrying the mode
-    of equivalence to certify (l1 or c0) and the constant K >= 1."""
+    """Tree of finitely supported blocks, given by its branches, carrying
+    the mode of equivalence to certify (l1 or c0) and the constant K >= 1."""
 
-    tree: FiniteTree
+    branches: tuple = ()
     mode: str = "l1"
     K: Fraction = Fraction(1)
 
@@ -119,7 +55,18 @@ class BlockTree:
 
     @classmethod
     def from_branches(cls, branches, mode="l1", K=Fraction(1)):
-        return cls(FiniteTree.from_sequences(branches), mode, Fraction(K))
+        """The sequences that are neither repeated nor a proper prefix of
+        another, in repr order: that of their first differing labels, since
+        a label's repr is balanced in its parentheses.  One object per label."""
+        ids = {}
+        seqs = {tuple(ids.setdefault(x, len(ids)) for x in br)
+                for br in branches if br}
+        labels = sorted(ids, key=repr)
+        rank = {ids[x]: r for r, x in enumerate(labels)}
+        inner = {key[:k] for key in seqs for k in range(1, len(key))}
+        keys = sorted(tuple(map(rank.get, key)) for key in seqs - inner)
+        return cls(tuple(tuple(labels[r] for r in key) for key in keys),
+                   mode, Fraction(K))
 
 
 @dataclass(frozen=True)
@@ -127,10 +74,7 @@ class TreeCertificate:
     mode: str
     K: Fraction
     branch_values: tuple  # ((branch, extremal value), ...)
-
-    @property
-    def ok(self):
-        return True
+    ok = True
 
     def to_json(self):
         return {
@@ -151,10 +95,7 @@ class TreeViolation:
     branch: tuple
     coefficients: tuple = ()
     value: object = None
-
-    @property
-    def ok(self):
-        return False
+    ok = False
 
 
 def certify_block_tree(block_tree, space):
@@ -169,22 +110,28 @@ def certify_block_tree(block_tree, space):
     bimonotone basis).  Every sign pattern gives the same norm, since all
     built-in norms are 1-unconditional and branch labels have disjoint
     supports, so one evaluation is exact.
+
+    Nodes are checked by depth, then repr; the branch sums by one scan.
     """
-    tree, mode, K = block_tree.tree, block_tree.mode, block_tree.K
+    branches, mode, K = block_tree.branches, block_tree.mode, block_tree.K
     tol = FLOAT_TOL if space_mode(space) == "float" else 0
-    for t in sorted(tree.nodes, key=lambda u: (len(u), repr(u))):
+    normed = {}  # the labels that passed
+    for t in (br[:d] for d in range(1, max(map(len, branches), default=0) + 1)
+              for br in branches if len(br) >= d):
         x = t[-1]
-        if x.is_zero():
-            return TreeViolation("zero label", t)
-        nx = norm(space, x)
-        if abs(nx - 1) > tol:
-            return TreeViolation("label not normalized", t, value=nx)
+        if x not in normed:
+            if x.is_zero():
+                return TreeViolation("zero label", t)
+            nx = normed[x] = norm(space, x)
+            if abs(nx - 1) > tol:
+                return TreeViolation("label not normalized", t, value=nx)
         if len(t) >= 2 and t[-2].max_support() >= x.min_support():
             return TreeViolation("supports not strictly increasing", t)
+    sums = _BlockSums(space, {x: x for x in normed}, max(
+        (sum(len(x.entries) for x in br) for br in branches), default=0))
     branch_values = []
-    for br in tree.branches():
-        k = len(br)
-        v = norm(space, sum(br, FsVector()))
+    for br, v in sums.norms(branches):
+        k, v = len(br), sums.value(v)
         if mode == "l1" and K * v < k - tol * k:
             return TreeViolation("l1 lower estimate fails", br,
                                  coefficients=(1,) * k, value=v)
@@ -201,9 +148,8 @@ def tree_to_family(block_tree, universe_max):
     spreading as grown: a subset (m_{i_1}, ..., m_{i_k}) has
     m_{i_t} >= m_t >= max supp x_t, so it grows from the node's prefix of
     length k, and a right shift only raises entries."""
-    caps = set()
-    for t in block_tree.tree.nodes:
-        caps.add(tuple(x.max_support() for x in t))
+    caps = {tuple(x.max_support() for x in br[:k])
+            for br in block_tree.branches for k in range(1, len(br) + 1)}
     sets = set()
 
     def grow(cap, prefix, lo):
@@ -229,10 +175,7 @@ def tree_to_family(block_tree, universe_max):
 @dataclass(frozen=True)
 class SearchFailure:
     stats: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return False
+    ok = False
 
 
 def _basis_branch(member, space):
@@ -261,7 +204,6 @@ def index_lower_bound_search(space, fam, K, universe_max, mode="l1"):
     first (BlockTree, TreeCertificate) pair that certifies, else a
     SearchFailure with statistics; failure is not a proof of absence.
     """
-    K = Fraction(K) if not isinstance(K, float) else K
     members = [tuple(sorted(F)) for F in fam.enumerate(universe_max)]
     # bit i of holds[p]: members[i] holds p; F is maximal iff its points share
     # only F's own bit
@@ -271,9 +213,6 @@ def index_lower_bound_search(space, fam, K, universe_max, mode="l1"):
             holds[p] = holds.get(p, 0) | 1 << i
     maximal = [F for i, F in enumerate(members)
                if F and reduce(int.__and__, map(holds.get, F)) == 1 << i]
-    if not maximal:
-        bt = BlockTree(FiniteTree(), mode, K)
-        return bt, TreeCertificate(mode, K, ())
     strategies = [("basis", _basis_branch), ("averages", _average_branch)]
     tried = []
     for name, strat in strategies:

@@ -6,6 +6,7 @@ iteration over explicitly enumerated admissible partitions.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -13,6 +14,7 @@ from hypothesis import settings
 
 from schreierlab.families import Bracket, Power, Schreier
 from schreierlab.ordinal import fundamental_sequence
+from schreierlab.trees import TreeError
 
 settings.register_profile("ci", deadline=None, derandomize=True,
                           max_examples=60)
@@ -224,3 +226,70 @@ def allowable_oracle(pairs, alpha, oracle):
     return max(sum(piece_norm(p) for p in family)
                for family in disjoint_families(tuple(sorted(x)))
                if family and brute_schreier(alpha, tuple(sorted(p[0] for p in family))))
+
+
+# Finite trees of sequences, the oracle for the branch lists of block trees
+# and for the member fold of `tree order`.  A tree is stored as its set of
+# nonempty nodes (finite sequences closed under initial segments); the
+# empty sequence is always implicitly present as the root and is not
+# counted by the order.
+
+
+@dataclass(frozen=True)
+class FiniteTree:
+    """Prefix-closed set of nonempty finite sequences."""
+
+    nodes: frozenset = frozenset()
+
+    def __post_init__(self):
+        for t in self.nodes:
+            if not isinstance(t, tuple) or len(t) == 0:
+                raise TreeError("nodes must be nonempty tuples, got %r" % (t,))
+            if len(t) > 1 and t[:-1] not in self.nodes:
+                raise TreeError("not prefix-closed at %r" % (t,))
+
+    @classmethod
+    def from_sequences(cls, seqs):
+        """Tree generated by the given sequences (prefix closure taken)."""
+        seqs = [tuple(s) for s in seqs]
+        return cls(frozenset(s[:k] for s in seqs for k in range(1, len(s) + 1)))
+
+    @classmethod
+    def chain(cls, labels):
+        return cls.from_sequences([tuple(labels)])
+
+    def is_empty(self):
+        return not self.nodes
+
+    def branches(self):
+        """Maximal nodes, sorted for determinism."""
+        parents = {u[:-1] for u in self.nodes}
+        out = [t for t in self.nodes if t not in parents]
+        try:
+            return sorted(out)
+        except TypeError:
+            return sorted(out, key=repr)
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def __contains__(self, t):
+        return tuple(t) in self.nodes
+
+
+def derivative(tree):
+    """Remove the maximal nodes: D(T) = {t : t extends to a longer node}."""
+    kept = frozenset(t[:-1] for t in tree.nodes if len(t) >= 2)
+    return FiniteTree(kept)
+
+
+def order(tree):
+    """Least k with D^k(T) = {t[:-k] : |t| > k} empty: the longest node's length."""
+    return max(map(len, tree.nodes), default=0)
+
+
+def family_as_tree(fam, universe_max):
+    """Members of the family within {1..universe_max}, each viewed as its
+    increasing enumeration; the empty set maps to the (uncounted) root."""
+    seqs = [tuple(sorted(F)) for F in fam.enumerate(universe_max) if F]
+    return FiniteTree.from_sequences(seqs)

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
-from conftest import brute_schreier
+from conftest import brute_schreier, family_as_tree, order
 from schreierlab import cli, constructions
 from schreierlab.cli import CONVENTION, main
+from schreierlab.families import parse_family
 from schreierlab.ordinal import parse as parse_ordinal
 
 
@@ -468,6 +469,25 @@ class TestSubcommands:
                            "--universe", "6")
         # longest member within {1..6} has 3 elements
         assert code == 0 and out.strip() == "3"
+
+    @pytest.mark.parametrize("family,universe", [
+        ("S(0)", 16), ("S(1)", 16), ("S(2)", 14), ("S(w)", 14),
+        ("S(w+1)", 16), ("BR(S(1),S(2))", 12), ("POW(S(1),3)", 14),
+        ("EXPL[{1,2,3},{2,5},{4,6,7,8}]", 16)])
+    def test_tree_order_against_the_prefix_closure(self, capsys, family,
+                                                   universe):
+        # the fold over the members against the tree of their enumerations
+        t = family_as_tree(parse_family(family), universe)
+        code, out, _ = run(capsys, "tree", "order", "--family", family,
+                           "--universe", str(universe), "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == {"order": order(t), "nodes": len(t)}
+
+    def test_tree_order_pinned(self, capsys):
+        code, out, _ = run(capsys, "tree", "order", "--family", "S(w+1)",
+                           "--universe", "16", "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == {"order": 15, "nodes": 32768}
 
     def test_tree_search_pass_and_fail(self, capsys):
         code, out, _ = run(capsys, "tree", "search", "--family", "S(1)",

@@ -210,6 +210,12 @@ class TestLemma2:
         assert rep.status == "verified"
         assert rep.values["norm"] == 1 and rep.values["assoc_norm"] == 1
 
+    def test_empty_tree_has_no_branch_to_weight(self):
+        # the empty tree certifies, and then no branch carries the SCC
+        tree = BlockTree.from_branches((), "l1", Fraction(2))
+        with pytest.raises(ConstructionError, match="tree has no branches"):
+            gluing_lemma2(T12, 1, tree, 2, 2, 2, start=3)
+
 
 class TestLemma3:
     def test_c0_exact(self):

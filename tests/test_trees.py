@@ -1,20 +1,23 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import FiniteTree, derivative, family_as_tree, order
 from schreierlab import trees
 from schreierlab.families import explicit_family, schreier
 from schreierlab.ordinal import Ordinal
 from schreierlab.spaces import C0, L1, FsVector, Tsirelson
-from schreierlab.trees import (BlockTree, FiniteTree, SearchFailure, TreeError,
-                               certify_block_tree, derivative, family_as_tree,
-                               index_lower_bound_search, order, tree_to_family)
+from schreierlab.trees import (BlockTree, SearchFailure, TreeError,
+                               certify_block_tree, index_lower_bound_search,
+                               tree_to_family)
 
 T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
+e = FsVector.basis
 
 # a non-hereditary family: (2,) lies in (2, 4, 6), (1, 3) in (1, 2, 3) and
 # (4, 5) in no other member
@@ -22,6 +25,14 @@ LISTED = explicit_family([(1,), (1, 3), (1, 2, 3), (2,), (2, 4, 6), (4, 5)],
                          close=False)
 listed_sets = st.lists(st.sets(st.integers(1, 9), min_size=1, max_size=4)
                        .map(lambda s: tuple(sorted(s))), max_size=12)
+
+# labels shared across branches; the zero and the unnormalized labels
+# matter to certification only
+LABELS = [FsVector.basis(1), FsVector.basis(2), FsVector.indicator([1, 2]),
+          FsVector.average([3, 4]), FsVector.basis(3).scale(2), FsVector(),
+          FsVector.from_pairs([(2, -1), (5, "1/3")])]
+label_seqs = st.lists(st.lists(st.sampled_from(LABELS), min_size=1,
+                               max_size=4).map(tuple), max_size=8)
 
 
 def pairwise_maximal(fam, universe_max):
@@ -39,7 +50,7 @@ def assert_search_branches_are_maximal(fam, universe_max):
     maximal = pairwise_maximal(fam, universe_max)
     bt, _ = index_lower_bound_search(L1(), fam, 1, universe_max)
     assert sorted(tuple(x.support[0] for x in br)
-                  for br in bt.tree.branches()) == maximal
+                  for br in bt.branches) == maximal
     res = index_lower_bound_search(C0(), fam, 1, universe_max)
     if isinstance(res, SearchFailure):
         assert res.stats["branches"] == len(maximal)
@@ -115,6 +126,26 @@ class TestFamilyAsTree:
         assert order(family_as_tree(schreier(1), 6)) <= o1
 
 
+class TestBranchList:
+    @given(label_seqs, st.lists(st.integers(0, 7), max_size=4),
+           st.lists(st.integers(0, 7), max_size=3))
+    def test_branches_match_the_prefix_closure(self, seqs, cut, repeat):
+        # proper prefixes and repeats of the drawn sequences, added in front
+        # and behind, are dropped as the prefix closure drops them
+        extra = [seqs[i][:len(seqs[i]) - 1] for i in cut if i < len(seqs)]
+        extra += [seqs[i] for i in repeat if i < len(seqs)]
+        bs = extra + seqs + extra[::-1]
+        got = BlockTree.from_branches(bs).branches
+        assert list(got) == FiniteTree.from_sequences(bs).branches()
+
+    def test_single_labels_prefixes_and_repeats(self):
+        bs = [(e(3),), (e(1), e(2)), (e(1),), (e(3),), (e(1), e(2), e(4)),
+              (e(2), e(3)), ()]
+        assert BlockTree.from_branches(bs).branches == (
+            (e(1), e(2), e(4)), (e(2), e(3)), (e(3),))
+        assert BlockTree.from_branches([(), ()]).branches == ()
+
+
 class TestCertification:
     def test_basis_branches_in_tsirelson(self):
         branches = [tuple(FsVector.basis(m) for m in F)
@@ -157,6 +188,41 @@ class TestCertification:
         v = certify_block_tree(bt, L1())
         assert v.reason == "supports not strictly increasing"
 
+    # the first fault in (depth, repr) node order is reported, as the
+    # prefix-closed node set orders its nodes
+    @pytest.mark.parametrize("branches,reason,node,value", [
+        # a zero label at depth 2, an unnormalized one at depth 1
+        ([(e(1), FsVector()), (e(3).scale(2), e(4))],
+         "label not normalized", (e(3).scale(2),), 2),
+        # two faulty labels at depth 2: the scaled one's repr comes first
+        ([(e(1), e(2).scale(3)), (e(1), FsVector()),
+          (e(3), FsVector.indicator([4, 5]))],
+         "label not normalized", (e(1), e(2).scale(3)), 3),
+        # a decreasing support and a zero label at depth 2
+        ([(e(5), e(2)), (e(6), e(9)), (e(4), FsVector())],
+         "zero label", (e(4), FsVector()), None),
+    ], ids=["depth-1-first", "repr-order", "zero-first"])
+    @pytest.mark.parametrize("space", [L1(), C0(), T12], ids=["L1", "C0", "T"])
+    def test_first_fault_of_several(self, branches, reason, node, value, space):
+        v = certify_block_tree(BlockTree.from_branches(branches, "l1", 2), space)
+        assert (v.reason, v.branch, v.value) == (reason, node, value)
+
+    @pytest.mark.parametrize("space", [L1(), C0(), T12], ids=["L1", "C0", "T"])
+    def test_labels_normed_once_and_sums_by_the_scan(self, monkeypatch, space):
+        normed = []
+        norm = trees.norm
+        monkeypatch.setattr(trees, "norm",
+                            lambda sp, x: normed.append(x) or norm(sp, x))
+        # every label sits on several branches, e(3) at two depths
+        branches = [tuple(e(m) for m in F) for F in
+                    [(2, 3), (2, 4), (3, 4, 5), (3, 5), (2, 5), (4, 5, 6)]]
+        cert = certify_block_tree(
+            BlockTree.from_branches(branches, "l1", 3), space)
+        assert cert.ok and len(cert.branch_values) == 6
+        assert Counter(normed) == Counter({e(m): 1 for m in range(2, 7)})
+        for br, v in cert.branch_values:
+            assert v == norm(space, sum(br, FsVector()))
+
 
 class TestTreeToFamily:
     def test_single_cap(self):
@@ -165,7 +231,7 @@ class TestTreeToFamily:
         assert sorted(fam.enumerate(5)) == [(), (3,), (4,), (5,)]
 
     def test_empty_tree(self):
-        bt = BlockTree(FiniteTree(), "l1", Fraction(1))
+        bt = BlockTree.from_branches((), "l1", Fraction(1))
         fam = tree_to_family(bt, 4)
         assert sorted(fam.enumerate(4)) == [()]
 
@@ -214,7 +280,7 @@ def brute_closure(bt, N):
     max supp x_i for a node (x_1, ..., x_l), closed under removing an
     entry and under raising one within {1..N}, until nothing changes."""
     out = {()}
-    for t in bt.tree.nodes:
+    for t in {br[:k] for br in bt.branches for k in range(1, len(br) + 1)}:
         caps = [x.max_support() for x in t]
         out.update(F for F in itertools.combinations(range(1, N + 1), len(t))
                    if all(m >= c for m, c in zip(F, caps)))
@@ -234,7 +300,7 @@ class TestSearch:
         assert not isinstance(res, SearchFailure)
         bt, cert = res
         assert cert.ok and bt.mode == "l1"
-        assert order(bt.tree) == 3  # longest maximal member within 6
+        assert max(map(len, bt.branches)) == 3  # longest maximal member within 6
 
     @pytest.mark.parametrize("fam,universe", [
         (schreier(1), 9), (schreier(2), 8), (LISTED, 6), (LISTED, 4)],
@@ -275,4 +341,12 @@ class TestSearch:
     def test_empty_family_trivial_success(self):
         fam = explicit_family([()], close=False)
         bt, cert = index_lower_bound_search(T12, fam, 2, 5)
-        assert cert.ok and bt.tree.is_empty()
+        assert cert.ok and bt.branches == () and cert.K == 2
+
+    @pytest.mark.parametrize("sets", [[()], [(1, 2), (3,)]],
+                             ids=["empty", "listed"])
+    def test_constant_is_one_fraction(self, sets):
+        # an empty family's tree gets the same exact constant as any other
+        bt, cert = index_lower_bound_search(L1(), explicit_family(sets), 1.5, 5)
+        assert bt.K == cert.K == Fraction(3, 2)
+        assert type(bt.K) is type(cert.K) is Fraction
