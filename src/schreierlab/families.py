@@ -31,7 +31,9 @@ The states are interned as ints; no other module sees their format.
 Derivatives ride on membership through probes above the universe.
 Every listing of members reads one walk over the cursor, `_walk`:
 enumeration, the SCC mass check, the block systems of an asymptoticity
-measurement and the pieces of the allowable associated norm.
+measurement and the minima sets of the allowable associated norm.  One
+filter, `_maximal`, keeps the maximal members of a listing: the minima
+sets the allowable norm tries and the branches of the tree search.
 
 Descriptors, of families here and of spaces in :mod:`schreierlab.spaces`,
 are read by one reader, :func:`read_descriptor`: it splits a text into
@@ -46,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .ordinal import Ordinal, fundamental_sequence, symbolic_omega_pow
 from .ordinal import parse as parse_ordinal
@@ -448,6 +450,19 @@ def _walk(key, points, values, zero):
                 if nxt][::-1]
         for nxt, j, value in row:
             stack.append((nxt, j, acc + value))
+
+
+def _maximal(members):
+    """The nonempty listed members that no other listed member contains,
+    in the order given: on a hereditary listing, those to which no point
+    can be added.  Bit i of holds[p] means members[i] holds p, so F is
+    maximal iff the AND over its points is F's own bit."""
+    holds = {}
+    for i, F in enumerate(members):
+        for p in F:
+            holds[p] = holds.get(p, 0) | 1 << i
+    return [F for i, F in enumerate(members)
+            if F and reduce(int.__and__, map(holds.get, F)) == 1 << i]
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .families import (_FREE_ID, _ONE, ResourceBoundError, _cursor_advance,
-                       _cursor_start, _walk, read_descriptor)
+                       _cursor_start, _maximal, _walk, read_descriptor)
 from .ordinal import Ordinal
 from .ordinal import parse as parse_ordinal
 
@@ -91,7 +91,7 @@ __all__ = [
 
 SUPPORT_BOUND = 72  # every built-in space answers within about 10 s (CHANGES.md)
 SEGMENT_MEMO_BOUND = 2 ** 15  # a scan's segment values are cleared when full
-ALLOWABLE_SUPPORT_BOUND = 8  # likewise; 9 points take about 2 s
+ALLOWABLE_SUPPORT_BOUND = 10  # worst of 300 measured 10-point cases 0.76 s; 11 take up to 4 s
 PATTERN_BOUND = 12  # largest support whose sign patterns the dual bounds try
 
 
@@ -738,29 +738,42 @@ def assoc_norm(space, alpha, x, variant="admissible"):
 
 
 def _assoc_allowable(space, alpha, x):
-    """Exhaustive search over families of pairwise disjoint pieces whose
-    minima form an S_alpha set.  The minima G are read by families._walk
-    over the support; every other support point is dropped or joins a
-    piece with a smaller minimum.  Exponential; guarded by support size."""
+    """Search over families of pairwise disjoint pieces whose minima form
+    an S_alpha set G.  Every built-in norm is 1-unconditional (C0, L1, T,
+    MT, SCHL, and the NN and ASSOC spaces, whose piece norms are), and two
+    facts of such norms cut the search without lowering its supremum:
+
+    - No point above min G need be left out: ||E x|| <= ||F x|| for E a
+      subset of F, so a left-out point e > min G may join the piece of
+      min G.
+    - Only maximal G need be tried.  If G + {e} is an S_alpha set for a
+      point e outside G, give e a piece {e} of its own, taking it out of
+      the piece P that held it, if any.  The sum does not fall, since
+      ||P x|| <= ||(P - {e}) x|| + ||e x||, and P - {e} keeps its minimum,
+      which is below e.  Repeating this reaches a maximal G.
+
+    So G runs over the maximal S_alpha sets inside the support, read by
+    families._walk and families._maximal (G is never empty: every singleton
+    is a member); every point e > min G outside G joins one of the pieces
+    whose minimum is below e; the points below min G stay out.  Exponential;
+    guarded by support size."""
     sp = x.support
     if len(sp) > ALLOWABLE_SUPPORT_BOUND:
         raise SupportBoundError("support of the allowable variant", len(sp),
                                 "ALLOWABLE_SUPPORT_BOUND", ALLOWABLE_SUPPORT_BOUND)
-    zero = Fraction(0) if space_mode(space) == "exact" else 0.0
-    best = zero
     # one norm per piece
     piece_norm = functools.lru_cache(None)(lambda p: norm(space, x.restrict(p)))
-    for G in _walk(alpha, sp, [(e,) for e in sp], ()):
-        rest = [e for e in sp if e not in G]
-        # choice 0 drops a point, choice k joins it to the piece of G[k - 1]
-        for picks in itertools.product(*(range(1 + sum(m < e for m in G))
-                                         for e in rest)):
-            pieces = [[]] + [[m] for m in G]
-            for e, k in zip(rest, picks):
-                pieces[k].append(e)
-            best = max(best, sum((piece_norm(tuple(p)) for p in pieces[1:]),
-                                 zero))
-    return best
+
+    def sums(G):
+        rest = [e for e in sp if e > G[0] and e not in G]
+        for picks in itertools.product(*([m for m in G if m < e] for e in rest)):
+            pieces = {m: (m,) for m in G}
+            for e, m in zip(rest, picks):
+                pieces[m] += (e,)
+            yield sum(map(piece_norm, pieces.values()))
+
+    return max(v for G in _maximal(list(_walk(alpha, sp, [(e,) for e in sp], ())))
+               for v in sums(G))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
-from .families import ResourceBoundError, explicit_family
+from .families import ResourceBoundError, _maximal, explicit_family
 from .spaces import (FsVector, SpaceError, _BlockSums, norm, report_value,
                      space_mode)
 
@@ -178,8 +177,9 @@ class SearchFailure:
     ok = False
 
 
-def _basis_branch(member, space):
-    return tuple(FsVector.basis(m) for m in member)
+def _basis_branch(member, labels):
+    """The basis vectors at the member's points, read from `labels`."""
+    return tuple(map(labels.__getitem__, member))
 
 
 def _average_branch(member, space):
@@ -204,20 +204,15 @@ def index_lower_bound_search(space, fam, K, universe_max, mode="l1"):
     first (BlockTree, TreeCertificate) pair that certifies, else a
     SearchFailure with statistics; failure is not a proof of absence.
     """
-    members = [tuple(sorted(F)) for F in fam.enumerate(universe_max)]
-    # bit i of holds[p]: members[i] holds p; F is maximal iff its points share
-    # only F's own bit
-    holds = {}
-    for i, F in enumerate(members):
-        for p in F:
-            holds[p] = holds.get(p, 0) | 1 << i
-    maximal = [F for i, F in enumerate(members)
-               if F and reduce(int.__and__, map(holds.get, F)) == 1 << i]
-    strategies = [("basis", _basis_branch), ("averages", _average_branch)]
+    maximal = _maximal(fam.enumerate(universe_max))  # in lexicographic order
+    # one label per point, so that equal labels are one object
+    labels = {m: FsVector.basis(m) for m in range(1, universe_max + 1)}
+    strategies = [("basis", lambda F: _basis_branch(F, labels)),
+                  ("averages", lambda F: _average_branch(F, space))]
     tried = []
     for name, strat in strategies:
         try:
-            branches = [strat(F, space) for F in sorted(maximal)]
+            branches = list(map(strat, maximal))
         except (SpaceError, ResourceBoundError) as exc:  # a refusal, not a bug
             tried.append({"strategy": name, "error": str(exc)})
             continue

@@ -148,8 +148,8 @@ class TestExitCodes:
         assert err == "resource bound: power levels: 300 exceeds POWER_BOUND = 100\n"
 
     @pytest.mark.parametrize("space,size,want", [
-        ("ASSOC(T(S(1),1/2),S(1),allow)", 21, "support of the allowable "
-         "variant: 21 exceeds ALLOWABLE_SUPPORT_BOUND = 8"),
+        ("ASSOC(T(S(1),1/2),S(1),allow)", 11, "support of the allowable "
+         "variant: 11 exceeds ALLOWABLE_SUPPORT_BOUND = 10"),
         ("T(S(1),1/2)", 257, "support: 257 exceeds SUPPORT_BOUND = 72")],
         ids=["allowable", "support"])
     def test_support_bounds_are_resource_bounds(self, space, size, want,
@@ -278,8 +278,8 @@ class TestExitCodes:
         assert code == 0 and out.strip() == "true"
 
     @pytest.mark.parametrize("space,size,want", [
-        ("ASSOC(T(S(1),1/2),S(1),allow)", 9, "support of the allowable "
-         "variant: 9 exceeds ALLOWABLE_SUPPORT_BOUND = 8"),
+        ("ASSOC(T(S(1),1/2),S(1),allow)", 11, "support of the allowable "
+         "variant: 11 exceeds ALLOWABLE_SUPPORT_BOUND = 10"),
         ("MT[(S(1),1/2),(S(2),1/4)]", 73, "support: 73 exceeds SUPPORT_BOUND "
          "= 72")],
         ids=["allowable", "support"])
@@ -291,6 +291,13 @@ class TestExitCodes:
                              "--vec", vec)
         assert code == 65 and out == "" and err == "resource bound: %s\n" % want
         assert time.perf_counter() - t0 < 1
+
+    def test_allowable_answers_at_its_support_bound(self, capsys):
+        # the bound itself answers; in l1 every point joins a piece
+        vec = json.dumps([[i, "1"] for i in range(1, 11)])
+        code, out, _ = run(capsys, "norm", "eval", "--space",
+                           "ASSOC(L1,S(1),allow)", "--vec", vec)
+        assert code == 0 and out.strip() == "10"
 
     @pytest.mark.parametrize("argv,want", [
         (("scc", "--xi", "w^400", "--eta", "1", "--epsilon", "1/2", "--start",
@@ -317,9 +324,9 @@ class TestExitCodes:
           json.dumps([[i, "1"] for i in range(1, 74)])),
          "support: 73 exceeds SUPPORT_BOUND = 72"),
         (("norm", "eval", "--space", "ASSOC(T(S(1),1/2),S(1),allow)", "--vec",
-          json.dumps([[i, "1"] for i in range(1, 10)])),
-         "support of the allowable variant: 9 exceeds ALLOWABLE_SUPPORT_BOUND "
-         "= 8"),
+          json.dumps([[i, "1"] for i in range(1, 12)])),
+         "support of the allowable variant: 11 exceeds ALLOWABLE_SUPPORT_BOUND "
+         "= 10"),
         (("scc", "--xi", "3", "--eta", "2", "--epsilon", "1/2", "--start",
           "2"), "points of the SCC set at start 2: 1025 exceeds SCC_SIZE_BOUND "
          "= 1024"),

@@ -1,13 +1,16 @@
 import ast
+import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 from schreierlab.families import ResourceBoundError
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" / "schreierlab")
-                 .glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "schreierlab").glob("*.py")
+                 if p.name != "__init__.py")
 
 
 def unused_imports(source):
@@ -192,6 +195,43 @@ def test_every_refusal_names_its_module_bound():
         "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
         "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
         "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND"}
+
+
+NUMBER_WORDS = ("zero one two three four five six seven eight nine ten eleven "
+                "twelve thirteen fourteen fifteen sixteen").split()
+
+
+def readme_constants(text):
+    """The rows of the "Conventions" table of a README as (module, name,
+    limit) with `2^20` read as 2**20, and the count its prose gives in
+    words before "module constants" (None when it gives none)."""
+    section = text.split("\n## Conventions\n", 1)[1].split("\n## ", 1)[0]
+    rows = [(module, name, int(base) ** int(power or 1))
+            for module, name, base, power in re.findall(
+                r"^\| `(\w+)\.(\w+)` \| (\d+)(?:\^(\d+))? \|", section, re.M)]
+    count = re.search(r"(\w+) module constants", section)
+    return rows, count and NUMBER_WORDS.index(count.group(1))
+
+
+def test_the_check_reads_a_conventions_table():
+    text = ("# x\n\n## Conventions\n\ncapped by three module constants:\n\n"
+            "| constant | limit | what |\n|---|---|---|\n"
+            "| `a.A_BOUND` | 2^20 | x |\n| `b.B_BOUND` | 72 | y |\n"
+            "\n## Next\n\n| `c.C_BOUND` | 1 | z |\n")
+    assert readme_constants(text) == (
+        [("a", "A_BOUND", 2 ** 20), ("b", "B_BOUND", 72)], 3)
+
+
+def test_readme_constants_are_the_module_bounds():
+    # each row's limit is its constant's value, the rows are the bounds
+    # the refusals name, and the prose counts them
+    rows, count = readme_constants((ROOT / "README.md").read_text())
+    for module, name, limit in rows:
+        assert getattr(importlib.import_module("schreierlab." + module),
+                       name) == limit, name
+    named = set().union(*(refusal_faults(p.read_text())[1] for p in SOURCES))
+    assert sorted(name for _, name, _ in rows) == sorted(named)
+    assert count == len(rows)
 
 
 FLAG_READERS = {"parse_ordinal", "parse_family", "parse_space", "parse_rational",

@@ -24,11 +24,20 @@ from schreierlab.spaces import (C0, L1, Bounds, Derived, FsVector,
                                 norm_n, parse_space, primal_from_dual,
                                 space_mode)
 
+
+def seeded_vector(rng, size, top):
+    """A signed rational vector on `size` seeded points of 1..top."""
+    return FsVector.from_pairs(
+        (i, Fraction(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 3)))
+        for i in sorted(rng.sample(range(1, top + 1), size)))
+
+
 T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
 T22 = Tsirelson(Ordinal.from_int(2), Fraction(1, 2))
 MT12 = MixedTsirelson(((Ordinal.from_int(1), Fraction(1, 2)),
                        (Ordinal.from_int(2), Fraction(1, 4))))
 MEMBER = {0: lambda F: len(F) <= 1, 1: brute_s1, 2: brute_s2}
+ALLOWABLE_ALPHAS = [parse_ordinal(a) for a in ("0", "1", "2", "w")]
 # fixed signed rational vectors for the partition-DP oracles
 VECTORS = [
     FsVector.from_pairs([(2, 1), (3, "-1/2"), (5, "3/4"), (6, 1)]),
@@ -410,6 +419,84 @@ class TestDerivedNorms:
                                         oracle)
                 assert assoc_norm(space, alpha, x, "allowable") == want, (
                     x, alpha)
+
+    @pytest.mark.parametrize("space,keep", [
+        (Derived(T12, ("nn", 2)), lambda pieces: len(pieces) <= 2),
+        (Derived(T12, ("assoc", Ordinal.from_int(1), "admissible")),
+         lambda pieces: brute_s1(tuple(p[0] for p in pieces)))],
+        ids=["NN", "ASSOC"])
+    def test_allowable_of_derived_spaces_against_brute_force(self, space,
+                                                             keep):
+        # each piece normed by the sup over its successive subsets that
+        # `keep` admits, with the subset oracle of T(S_1,1/2) on each
+        t_norm = lru_cache(maxsize=None)(lambda pairs: implicit_norm_oracle(
+            pairs, [(brute_s1, Fraction(1, 2))]))
+
+        def oracle(pairs):
+            x = dict(pairs)
+            return max(sum(t_norm(tuple((i, x[i]) for i in p)) for p in pieces)
+                       for pieces in successive_partitions(x) if keep(pieces))
+
+        rng = random.Random(23)
+        for size in (1, 2, 3, 4, 5, 6):
+            x = seeded_vector(rng, size, 10)
+            for alpha in ALLOWABLE_ALPHAS:
+                assert assoc_norm(space, alpha, x, "allowable") == \
+                    allowable_oracle(x.entries, alpha, oracle), (x, alpha)
+
+    def test_allowable_schlumprecht_against_brute_force(self):
+        # the subset oracle with one level per count of pieces k, of weight
+        # 1/log2(k+1); float sums in another order may pick another
+        # configuration, so the values agree to a relative 1e-12
+        def oracle(pairs):
+            return implicit_norm_oracle(pairs, [
+                (lambda F, k=k: len(F) == k, 1 / math.log2(k + 1))
+                for k in range(2, len(pairs) + 1)])
+
+        rng = random.Random(29)
+        for size in (1, 2, 3, 4, 5, 6):
+            x = seeded_vector(rng, size, 10)
+            for alpha in ALLOWABLE_ALPHAS:
+                want = allowable_oracle(x.entries, alpha, oracle)
+                assert assoc_norm(Schlumprecht(), alpha, x, "allowable") == \
+                    pytest.approx(want, rel=1e-12), (x, alpha)
+
+    @pytest.mark.parametrize("space,oracle,sizes", [
+        (C0(), lambda pairs: max(abs(v) for _, v in pairs), (7, 8)),
+        (L1(), lambda pairs: sum(abs(v) for _, v in pairs), (7, 8)),
+        (T12, lambda pairs: implicit_norm_oracle(
+            pairs, [(brute_s1, Fraction(1, 2))]), (7,))],
+        ids=["c0", "l1", "T1"])
+    def test_allowable_on_larger_supports_against_brute_force(
+            self, space, oracle, sizes):
+        # the oracle's piece norms are shared by the ordinals of one vector
+        oracle = lru_cache(maxsize=None)(oracle)
+        rng = random.Random(31)
+        for size in sizes:
+            x = seeded_vector(rng, size, 12)
+            for alpha in ALLOWABLE_ALPHAS:
+                want = allowable_oracle(x.entries, alpha,
+                                        lambda pairs: oracle(tuple(pairs)))
+                assert assoc_norm(space, alpha, x, "allowable") == want, (
+                    x, alpha)
+
+    @pytest.mark.parametrize("size", [9, 10])
+    def test_allowable_l1_is_the_l1_norm_up_to_the_bound(self, size):
+        # every point joins the piece of the least support point
+        rng = random.Random(size)
+        x = seeded_vector(rng, size, 20)
+        for alpha in ALLOWABLE_ALPHAS:
+            assert assoc_norm(L1(), alpha, x, "allowable") == sum(
+                map(abs, x.values)), (x, alpha)
+
+    def test_allowable_at_the_support_bound_is_pinned(self):
+        # computed by the search that also tried every dropped point and
+        # every S_1 set of minima, with its support bound lifted
+        x = FsVector.from_pairs(
+            (i, Fraction((-1) ** i * (1 + i % 4), 1 + i % 3))
+            for i in range(6, 16))
+        assert len(x.entries) == spaces.ALLOWABLE_SUPPORT_BOUND
+        assert assoc_norm(T12, 1, x, "allowable") == Fraction(89, 6)
 
 
 T1_23 = Tsirelson(Ordinal.from_int(1), Fraction(2, 3))

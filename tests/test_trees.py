@@ -314,6 +314,23 @@ class TestSearch:
         # past the universe drop their sets
         assert_search_branches_are_maximal(explicit_family(sets, close=False), 7)
 
+    def test_equal_points_share_one_label(self, monkeypatch):
+        # the basis strategy hands the tree one label object per point
+        seen = []
+
+        class Spy(BlockTree):
+            @classmethod
+            def from_branches(cls, branches, *args):
+                seen.extend(branches)
+                return BlockTree.from_branches(branches, *args)
+
+        monkeypatch.setattr(trees, "BlockTree", Spy)
+        index_lower_bound_search(L1(), schreier(1), 1, 9)
+        labels = {}
+        for x in itertools.chain.from_iterable(seen):
+            assert labels.setdefault(x.support, x) is x
+        assert sorted(labels) == [(m,) for m in range(1, 10)]
+
     def test_c0_failure_with_stats(self):
         res = index_lower_bound_search(C0(), schreier(1), Fraction(3, 2), 5)
         assert isinstance(res, SearchFailure)
