@@ -227,9 +227,8 @@ def _cmd_fam(args):
 def _cmd_tree(args):
     if args.action == "order":
         # the families read here are hereditary: a node per nonempty member
-        sizes = [len(F) for F in args.family.members(args.universe) if F]
-        o = max(sizes, default=0)
-        return _emit(args, {"order": o, "nodes": len(sizes)}, str(o), EXIT_PASS)
+        o, nodes = args.family.tree_order(args.universe)
+        return _emit(args, {"order": o, "nodes": nodes}, str(o), EXIT_PASS)
     res = index_lower_bound_search(args.space, args.family, args.K,
                                    args.universe, mode=args.tree_mode)
     if isinstance(res, SearchFailure):

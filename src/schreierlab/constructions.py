@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .families import (POWER_BOUND, ResourceBoundError, _check_universe,
-                       _int_weights, _least_powers, _longest, _walk, schreier)
+                       _fold, _int_weights, _least_powers, _longest, _walk,
+                       schreier)
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, _levels, norm,
                      norm_n, assoc_norm, primal_from_dual, report_value,
@@ -124,10 +125,11 @@ def _repeated_average(xi, s):
 @lru_cache(maxsize=8)
 def _literal_max(eta, elems, values):
     """The largest int mass of a member of S_eta inside the increasing
-    points `elems`, each point carrying its int in `values`: a walk over
-    every member.  The memo keeps the last 8 distinct inputs, each at
-    most EXHAUSTIVE_SCC_BOUND points and their ints."""
-    return max(_walk(eta, elems, values, 0), default=0)
+    points `elems`, each point carrying its int in `values`: families._fold
+    over the walk table of every member.  The memo keeps the last 8
+    distinct inputs, each at most EXHAUSTIVE_SCC_BOUND points and their
+    ints."""
+    return _fold(schreier(eta), elems, values)[0] or 0
 
 
 def _eta_masses(eta, F, coeffs):
@@ -135,14 +137,16 @@ def _eta_masses(eta, F, coeffs):
     of S_eta contained in F.
 
     The DP is the left-to-right fold of Family.max_mass.  For |F| up to
-    EXHAUSTIVE_SCC_BOUND the literal maximum visits every member of S_eta
-    inside F through families._walk, with the int masses of _int_weights
-    added along each path; its transition table only saves repeating a
-    cursor step, so the check shares nothing with the fold and a wrong
-    fold is refused.  The walk is memoized by _literal_max on eta, the
-    points and their exact scaled ints, so callers with the same set and
-    weights walk once; the fold and its comparison with the literal run
-    on every call."""
+    EXHAUSTIVE_SCC_BOUND the literal maximum is read from families._fold,
+    with the int masses of _int_weights added along each path of the walk
+    table whose listing visits every member of S_eta inside F.  The
+    table's nodes are (state set, position), so its maximum is the
+    listing's maximum by construction, and it shares nothing with
+    max_mass, which keeps one best mass per single cursor state: a wrong
+    DP is refused.  The literal maximum is memoized by _literal_max on
+    eta, the points and their exact scaled ints, so callers with the same
+    set and weights compute it once; the DP and its comparison with the
+    literal run on every call."""
     weights = dict(coeffs)
     dp = schreier(eta).max_mass(F, weights)
     literal = None
@@ -582,10 +586,12 @@ def measure_asymptoticity(space, alpha, universe_max):
     F[i] <= b_i < F[i+1] (b_k <= universe_max).  The systems are counted
     before any is normed; past ASYMPTOTICITY_SYSTEM_BOUND of them the
     measurement raises ResourceBoundError.  In c0 every system of
-    normalized blocks has norm 1 and in l1 norm k, so the constant is the
-    size of the largest listed system in c0 and 1 in l1.  Elsewhere one
-    spaces._BlockSums scan over the basis norms the interval units, and
-    another over the units norms the systems as they are listed.
+    normalized blocks has norm 1 and in l1 norm k, so the constant is 1 in
+    l1 and in c0 the size of the longest member of S_alpha within the
+    universe (1 when there is none), read from families._fold: neither
+    lists or norms a system.  Elsewhere one spaces._BlockSums scan over
+    the basis norms the interval units, and another over the units norms
+    the systems as they are listed.
 
     In T and MT the lower estimate caps the constant.  Block i of a
     system starts at F[i], so if every listed F lies in POW(S_a, n) for
@@ -600,6 +606,11 @@ def measure_asymptoticity(space, alpha, universe_max):
     alpha = Ordinal.of(alpha)
     N = universe_max
     points = range(1, N + 1)
+    if isinstance(space, L1):
+        return Fraction(1)
+    if isinstance(space, C0):
+        # the masses the fold also reads, here the points, go unused
+        return Fraction(max(_fold(schreier(alpha), points, points)[2], 1))
     # S_alpha holds every singleton, so there are N(N+1)/2 one-block
     # systems or more: past the bound, refuse before the walk builds its
     # first row of N cursor steps
@@ -617,10 +628,6 @@ def measure_asymptoticity(space, alpha, universe_max):
         raise ResourceBoundError(
             "S_%s block systems within universe %d" % (alpha, N), count,
             "ASYMPTOTICITY_SYSTEM_BOUND", ASYMPTOTICITY_SYSTEM_BOUND)
-    if isinstance(space, C0):
-        return Fraction(max((len(F) for F, _ in members), default=1))
-    if isinstance(space, L1):
-        return Fraction(1)
     basis = _BlockSums(space, {i: FsVector.basis(i) for i in points}, N)
     units = {(ab[0], ab[-1]): FsVector.indicator(ab, 1 / basis.value(v))
              for ab, v in basis.norms(range(a, b + 1) for a in points

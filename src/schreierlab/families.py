@@ -29,11 +29,17 @@ by its inner state.  Both keep what a state accepts from the next
 `remaining` elements and keep the state sets of limit ordinals small.
 The states are interned as ints; no other module sees their format.
 Derivatives ride on membership through probes above the universe.
-Every listing of members reads one walk over the cursor, `_walk`:
-enumeration, the SCC mass check, the block systems of an asymptoticity
-measurement and the minima sets of the allowable associated norm.  One
-filter, `_maximal`, keeps the maximal members of a listing: the minima
-sets the allowable norm tries and the branches of the tree search.
+Members are read from one transition table over the cursor, built
+lazily by `_row`: (state ids, next position) maps to the rows that pair
+can step to.  It has two readers.  The lexicographic listing, `_walk`,
+serves enumeration, the block systems of an asymptoticity measurement
+and the minima sets of the allowable associated norm.  One memoised
+fold over the table's pairs, `_fold`, gives the largest mass of a
+member, the member count and the longest member without listing any:
+the SCC mass check, the order of a family's tree and the c0
+asymptoticity constant read it.  One filter, `_maximal`, keeps the
+maximal members of a listing: the minima sets the allowable norm tries
+and the branches of the tree search.
 
 Descriptors, of families here and of spaces in :mod:`schreierlab.spaces`,
 are read by one reader, :func:`read_descriptor`: it splits a text into
@@ -81,6 +87,7 @@ POWER_BOUND = 100  # POW levels one cursor may nest in all, each a few stack fra
 LONGEST_WORK_BOUND = 10 ** 5  # normal-form terms one run sizing may look up
 DESCENT_BOUND = 350  # nested ordinal descents of one cursor start, two interpreter frames each
 NESTING_BOUND = 100  # brackets one descriptor may nest, a few stack frames each in its parse and its queries
+FOLD_CELL_BOUND = 2 ** 18  # walk-table cells (cursor steps) one fold may probe; S(1) within 100 probes 122,699 in 0.23 s
 
 
 class FamilyError(ValueError):
@@ -143,8 +150,8 @@ def _int_weights(F, weights):
 #
 # Callers outside the tuple-level functions step through _cursor_step,
 # which works on sets of interned state ids; None is the fresh cursor.
-# Other modules list members through _walk, and the DPs of spaces read
-# _cursor_start and _cursor_advance state by state.
+# Other modules read members through _walk and _fold, and the DPs of
+# spaces read _cursor_start and _cursor_advance state by state.
 # ---------------------------------------------------------------------------
 
 FREE = ("free",)
@@ -419,23 +426,35 @@ def _least_powers(bases, sets):
     return least
 
 
+def _row(key, points, values, states, i):
+    """One row of the transition table of walks over the family of cursor
+    key `key` inside the increasing `points`: for the state ids `states`
+    (None for the fresh cursor) and next position i, the entries of every
+    position j >= i whose point those states can read, as (the ids after
+    reading points[j] with len(points) - 1 - j points left to follow,
+    j + 1, values[j]), latest position first.  It costs one _cursor_step
+    per position.  Each reader keeps its own table, a dict from
+    (states, i) to rows built on first use, so a pair met again costs one
+    lookup.  The families are hereditary, so a member's extensions are
+    read from its own states: the members after a pair depend only on the
+    pair, and the table is a DAG, since positions only rise."""
+    last = len(points) - 1
+    return [(nxt, j + 1, values[j]) for j in range(i, last + 1)
+            for nxt in [_cursor_step(key, states, points[j], last - j)]
+            if nxt][::-1]
+
+
 def _walk(key, points, values, zero):
     """Every nonempty member G of the family of cursor key `key` inside the
     increasing `points`, in lexicographic order, as zero plus the values[j]
     of the positions j that G takes, added left to right: one-point tuples
     of the points give the members, ints give their masses.
 
-    A depth-first walk on an explicit stack of (state ids, next position,
-    value so far); popping an entry reads off its member.  The walk's
-    transition table, which lives only as long as the walk, maps
-    (state ids, next position i) to the entries of every position j >= i
-    whose point those states can read: the ids after reading points[j]
-    with len(points) - 1 - j points left to follow (one _cursor_step),
-    j + 1 and values[j].  A pair met again costs one dict lookup, not one
-    state-set union per point.  The families are hereditary, so a
-    member's extensions are read from its own states."""
+    A depth-first walk over the table of _row on an explicit stack of
+    (state ids, next position, value so far); popping an entry reads off
+    its member, and a row's latest position is pushed first, so that the
+    earliest is popped first."""
     table = {}
-    last = len(points) - 1
     stack = [(None, 0, zero)]
     while stack:
         states, i, acc = stack.pop()
@@ -443,13 +462,57 @@ def _walk(key, points, values, zero):
             yield acc
         row = table.get((states, i))
         if row is None:
-            # latest position first, so that the earliest is popped first
-            row = table[states, i] = [
-                (nxt, j + 1, values[j]) for j in range(i, last + 1)
-                for nxt in [_cursor_step(key, states, points[j], last - j)]
-                if nxt][::-1]
+            row = table[states, i] = _row(key, points, values, states, i)
         for nxt, j, value in row:
             stack.append((nxt, j, acc + value))
+
+
+def _fold(family, points, values):
+    """The members of a regular family inside the increasing `points`,
+    folded without listing any: (the largest sum of values[j] over the
+    positions j of a nonempty member, None when there is none; the number
+    of nonempty members; the size of the longest member, 0 when there is
+    none).  One memoised pass over the table of _row that _walk lists, so
+    each is the maximum, count or longest over the very paths the listing
+    takes: the single-source DAG pass in the max-plus and counting
+    semirings (Mohri, J. Autom. Lang. Comb. 7, 2002).
+
+    Post-order on an explicit stack: a pair is expanded (its row built,
+    its successors pushed), and once they are done it is folded into the
+    (best, number, longest) of the extensions of its prefix, the empty
+    extension included, since every prefix but the root's is a member.
+    Every row is sized before it is built: past FOLD_CELL_BOUND cells,
+    one cursor step each, the fold raises ResourceBoundError with the
+    cells it would have reached."""
+    key, table, done, stack, cells = family._key, {}, {}, [(None, 0)], 0
+    while True:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+        elif node not in table:
+            cells += len(points) - node[1]
+            if cells > FOLD_CELL_BOUND:
+                raise ResourceBoundError(
+                    "walk-table cells folding %s over %d points"
+                    % (family, len(points)),
+                    cells, "FOLD_CELL_BOUND", FOLD_CELL_BOUND)
+            table[node] = row = _row(key, points, values, *node)
+            stack.extend((nxt, j) for nxt, j, _ in row)
+        else:
+            stack.pop()
+            states = node[0]
+            # the root's prefix is empty, no member; any other pair's
+            # prefix is one, with the empty extension: mass 0, no points
+            best, count, longest = (None, 0, 0) if states is None else (0, 1, 0)
+            for nxt, j, value in table[node]:
+                b, c, l = done[nxt, j]
+                if best is None or value + b > best:
+                    best = value + b
+                count += c
+                longest = max(longest, l + 1)
+            if states is None:
+                return best, count, longest
+            done[node] = best, count, longest
 
 
 def _maximal(members):
@@ -529,6 +592,15 @@ class Family:
                     "members of %s within universe %d" % (self, universe_max),
                     count, "MEMBER_BOUND", MEMBER_BOUND)
             yield G
+
+    def tree_order(self, universe_max):
+        """(order, nodes) of the tree of members within {1..universe_max}:
+        the size of its longest member and the number of its nonempty
+        members.  A cursor family reads both from _fold, which lists no
+        member; the masses it also folds, here the points, go unread."""
+        points = range(1, universe_max + 1)
+        _, nodes, order = _fold(self, points, points)
+        return order, nodes
 
     # -- maximality and derivatives ------------------------------------
 
@@ -685,6 +757,10 @@ class Explicit(Family):
     def members(self, universe_max):
         _check_universe(universe_max)
         yield from sorted(F for F in self.sets if not F or F[-1] <= universe_max)
+
+    def tree_order(self, universe_max):
+        sizes = [len(F) for F in self.members(universe_max) if F]
+        return max(sizes, default=0), len(sizes)
 
     def _extends(self, F, k, universe_max):
         """True when listed sets F = G_0, ..., G_k each add one point on the

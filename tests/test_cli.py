@@ -242,20 +242,41 @@ class TestExitCodes:
     def test_asymptoticity_corpus_past_its_bound(self, capsys):
         # S_1 has 2**24 - 1 block systems within {1..24}, of which the walk
         # counts 16614; every S_alpha has the N(N+1)/2 one-block systems,
-        # counted in closed form and refused before any is listed
-        for space, alpha, universe, count in [
-                ("T(S(1),1/2)", "1", "24", 16614),
-                ("T(S(1),1/2)", "1", "15", 16391),
-                ("C0", "0", "1000000000", 500000000500000000),
-                ("T(S(1),1/2)", "w^5", "20000", 200010000)]:
+        # counted in closed form and refused before any is listed.  C0
+        # norms no system: it folds the walk table for the longest member,
+        # and its first row of 10**9 cursor steps is refused unbuilt
+        system = ("S_%s block systems within universe %s: %d exceeds "
+                  "ASYMPTOTICITY_SYSTEM_BOUND = 16384")
+        for space, alpha, universe, want in [
+                ("T(S(1),1/2)", "1", "24", system % ("1", "24", 16614)),
+                ("T(S(1),1/2)", "1", "15", system % ("1", "15", 16391)),
+                ("C0", "0", "1000000000", "walk-table cells folding S(0) over "
+                 "1000000000 points: 1000000000 exceeds FOLD_CELL_BOUND = "
+                 "262144"),
+                ("T(S(1),1/2)", "w^5", "20000",
+                 system % ("w^5", "20000", 200010000))]:
             t0 = time.perf_counter()
             code, out, err = run(capsys, "asymp", "--space", space,
                                  "--alpha", alpha, "--universe", universe)
             assert code == 65 and out == ""
-            assert err == ("resource bound: S_%s block systems within "
-                           "universe %s: %d exceeds ASYMPTOTICITY_SYSTEM_BOUND"
-                           " = 16384\n" % (alpha, universe, count))
+            assert err == "resource bound: %s\n" % want
             assert time.perf_counter() - t0 < 2
+
+    @pytest.mark.parametrize("alpha,universe,want", [
+        ("1", "100", "50"), ("0", "181", "1"), ("w+1", "60", "59")])
+    def test_c0_asymptoticity_reads_the_longest_member(self, capsys, alpha,
+                                                       universe, want):
+        # past the system bound: C0 folds for its longest member
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "asymp", "--space", "C0", "--alpha", alpha,
+                           "--universe", universe)
+        assert code == 0 and out.strip() == want
+        assert time.perf_counter() - t0 < 1
+
+    def test_l1_asymptoticity_is_one_at_any_universe(self, capsys):
+        code, out, _ = run(capsys, "asymp", "--space", "L1", "--alpha", "2",
+                           "--universe", "1000000000")
+        assert code == 0 and out.strip() == "1"
 
     @pytest.mark.parametrize("argv,alpha", [
         (("fam", "member", "--family", "S(w^500)", "--set", "2,3"), "w^500"),
@@ -330,19 +351,23 @@ class TestExitCodes:
         (("scc", "--xi", "3", "--eta", "2", "--epsilon", "1/2", "--start",
           "2"), "points of the SCC set at start 2: 1025 exceeds SCC_SIZE_BOUND "
          "= 1024"),
-        (("asymp", "--space", "C0", "--alpha", "0", "--universe", "181"),
-         "S_0 block systems within universe 181: 16471 exceeds "
+        (("asymp", "--space", "T(S(1),1/2)", "--alpha", "1", "--universe",
+          "15"), "S_1 block systems within universe 15: 16391 exceeds "
          "ASYMPTOTICITY_SYSTEM_BOUND = 16384"),
         (("ord", "fundseq", "--expr", "w", "--n", "10001"),
          "sequence length: 10001 exceeds FUNDSEQ_BOUND = 10000"),
         (("fam", "member", "--family", "BR(" * 200 + "S(1)" + ",S(1))" * 200,
           "--set", "1,2"),
          "brackets nested in a descriptor: 101 exceeds NESTING_BOUND = 100"),
+        (("tree", "order", "--family", "S(0)", "--universe", "724"),
+         "walk-table cells folding S(0) over 724 points: 262150 exceeds "
+         "FOLD_CELL_BOUND = 262144"),
     ], ids=["LONGEST_WORK_BOUND", "POWER_BOUND", "DESCENT_BOUND",
             "ENUMERATION_BOUND", "ENUMERATION_BOUND-explicit", "MEMBER_BOUND",
             "DERIVATIVE_BOUND", "DERIVATIVE_BOUND-explicit", "SUPPORT_BOUND",
             "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
-            "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND"])
+            "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND",
+            "FOLD_CELL_BOUND"])
     def test_each_bound_refuses_in_one_format(self, capsys, argv, want):
         # what was counted, then the bound's name and limit
         code, out, err = run(capsys, *argv)
@@ -496,6 +521,17 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["result"] == {"order": 15, "nodes": 32768}
 
+    @pytest.mark.parametrize("universe", [24, 60])
+    def test_tree_order_past_the_member_bound(self, capsys, universe):
+        # the fold over the walk table lists none of the 2**(N-1) members
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "tree", "order", "--family", "S(w+1)",
+                           "--universe", str(universe), "--json")
+        assert code == 0
+        assert json.loads(out)["result"] == {"order": universe - 1,
+                                             "nodes": 2 ** (universe - 1)}
+        assert time.perf_counter() - t0 < 0.5
+
     def test_tree_search_pass_and_fail(self, capsys):
         code, out, _ = run(capsys, "tree", "search", "--family", "S(1)",
                            "--space", "T(S(1),1/2)", "--K", "2",
@@ -523,11 +559,12 @@ class TestSubcommands:
 
     def test_lemma2_walks_s_eta_once(self, capsys, monkeypatch):
         # the CLI builds the SCC for the basis tree and the lemma fits the
-        # same one: the literal mass check walks S_eta once between them
+        # same one: the literal mass check folds S_eta's walk table once
+        # between them
         walks = []
-        walk = constructions._walk
-        monkeypatch.setattr(constructions, "_walk",
-                            lambda *a: walks.append(a[1]) or walk(*a))
+        fold = constructions._fold
+        monkeypatch.setattr(constructions, "_fold",
+                            lambda *a: walks.append(a[1]) or fold(*a))
         constructions._literal_max.cache_clear()
         code, out, _ = run(capsys, "lemma2", "--space", "T(S(1),1/2)",
                            "--eta", "1", "--xi", "2", "--K", "4",

@@ -87,9 +87,9 @@ class TestSCC:
         first = build_scc(2, 1, Fraction(1, 2), 3)
 
         def refuse(*args):
-            raise AssertionError("S_eta walked again")
+            raise AssertionError("S_eta's walk table folded again")
 
-        monkeypatch.setattr(constructions, "_walk", refuse)
+        monkeypatch.setattr(constructions, "_fold", refuse)
         again = build_scc(2, 1, Fraction(1, 2), 3)
         assert again == first and again.exhaustive
 

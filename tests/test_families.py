@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import brute_bracket, brute_s1, brute_s2, brute_schreier
+from schreierlab import families
 from schreierlab.constructions import _repeated_average
 from schreierlab.families import (Explicit, Family, FamilyError,
-                                  ResourceBoundError, _longest, bracket,
-                                  bracket_member, explicit_family,
+                                  ResourceBoundError, _fold, _longest, _walk,
+                                  bracket, bracket_member, explicit_family,
                                   index_symbolic, parse_family, power,
                                   schreier, schreier_member, tail_domination)
 from schreierlab.ordinal import parse as parse_ordinal
@@ -229,6 +230,56 @@ class TestSetSize:
                            match=r"^ordinal terms sizing a run of S_w\^400 from 2: "
                            "100087 exceeds LONGEST_WORK_BOUND = 100000$"):
             _longest(parse_ordinal("w^400"), 2, 1025)
+
+
+class TestFold:
+    """families._fold against _walk, the listing over the same table."""
+
+    @pytest.mark.parametrize("text", [
+        kind % alpha for kind in ["S(%s)", "BR(S(1),S(%s))", "POW(S(%s),2)"]
+        for alpha in ["0", "1", "2", "w", "w+1"]])
+    def test_against_the_listing(self, text):
+        fam = parse_family(text)
+        rng = random.Random(text)
+        for N in (0, 1, 6, 11, 16):
+            for points in (range(1, N + 1),
+                           tuple(sorted(rng.sample(range(1, 30), N)))):
+                values = [rng.randint(-9, 9) for _ in points]
+                members = list(_walk(fam._key, points,
+                                     [(p,) for p in points], ()))
+                assert _fold(fam, points, values) == (
+                    max(_walk(fam._key, points, values, 0), default=None),
+                    len(members), max(map(len, members), default=0)), points
+
+    def test_rows_are_sized_before_they_are_built(self, monkeypatch):
+        # the bound is exact: at the cells a fold probes it answers, and
+        # one below it the last row that probes any is refused unbuilt,
+        # with the cells the fold would have reached
+        built, row = [], families._row
+
+        def recording(key, points, values, states, i):
+            built.append((states, i))
+            return row(key, points, values, states, i)
+
+        monkeypatch.setattr(families, "_row", recording)
+        fam, points = parse_family("S(w+1)"), range(1, 21)
+        want = _fold(fam, points, points)
+        rows, cells = list(built), sum(len(points) - i for _, i in built)
+        monkeypatch.setattr(families, "FOLD_CELL_BOUND", cells)
+        built.clear()
+        assert _fold(fam, points, points) == want
+        monkeypatch.setattr(families, "FOLD_CELL_BOUND", cells - 1)
+        built.clear()
+        with pytest.raises(ResourceBoundError) as refused:
+            _fold(fam, points, points)
+        # the rows before the refused one were built, and after it come
+        # only rows at the end of the points, which probe no cell
+        assert built == rows[:len(built)]
+        (_, i), *after = rows[len(built):]
+        assert i < len(points) and all(j == len(points) for _, j in after)
+        assert str(refused.value) == (
+            "walk-table cells folding S(w+1) over 20 points: %d exceeds "
+            "FOLD_CELL_BOUND = %d" % (cells, cells - 1))
 
 
 class TestBracketAndPower:

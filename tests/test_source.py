@@ -47,7 +47,8 @@ def test_no_unused_top_level_import(path):
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_only_families_steps_the_cursor_by_hand(path):
-    # every other module lists S_alpha members through families._walk
+    # every other module reads S_alpha members through families._walk or
+    # families._fold
     imported = {alias.name for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert path.name == "families.py" or "_cursor_step" not in imported
@@ -194,7 +195,8 @@ def test_every_refusal_names_its_module_bound():
         "LONGEST_WORK_BOUND", "POWER_BOUND", "DESCENT_BOUND",
         "ENUMERATION_BOUND", "MEMBER_BOUND", "DERIVATIVE_BOUND",
         "SUPPORT_BOUND", "ALLOWABLE_SUPPORT_BOUND", "SCC_SIZE_BOUND",
-        "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND"}
+        "ASYMPTOTICITY_SYSTEM_BOUND", "FUNDSEQ_BOUND", "NESTING_BOUND",
+        "FOLD_CELL_BOUND"}
 
 
 NUMBER_WORDS = ("zero one two three four five six seven eight nine ten eleven "
