@@ -7,9 +7,8 @@ from .ordinal import (Ordinal, OrdinalError, ParseError, SymbolicOrdinal,
                       UnsupportedOrdinalError, compare, fundamental_sequence,
                       parse, symbolic_omega_pow, symbolic_product)
 from .families import (Family, FamilyError, ResourceBoundError, bracket,
-                       bracket_member, explicit_family, index_symbolic,
-                       parse_family, power, schreier, schreier_member,
-                       tail_domination)
+                       explicit_family, index_symbolic, parse_family, power,
+                       schreier, schreier_member, tail_domination)
 from .trees import (BlockTree, TreeError, certify_block_tree,
                     index_lower_bound_search, tree_to_family)
 from .spaces import (C0, L1, Bounds, Derived, FsVector,

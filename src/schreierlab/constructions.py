@@ -21,9 +21,9 @@ from .families import (POWER_BOUND, ResourceBoundError, _check_universe,
                        _fold, _int_weights, _least_powers, _longest, _walk,
                        schreier)
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, _levels, norm,
-                     norm_n, assoc_norm, primal_from_dual, report_value,
-                     space_mode)
+from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, _levels,
+                     _partitions, norm, norm_n, assoc_norm, primal_from_dual,
+                     report_value, space_mode)
 from .trees import BlockTree, certify_block_tree
 
 __all__ = [
@@ -589,9 +589,10 @@ def measure_asymptoticity(space, alpha, universe_max):
     normalized blocks has norm 1 and in l1 norm k, so the constant is 1 in
     l1 and in c0 the size of the longest member of S_alpha within the
     universe (1 when there is none), read from families._fold: neither
-    lists or norms a system.  Elsewhere one spaces._BlockSums scan over
-    the basis norms the interval units, and another over the units norms
-    the systems as they are listed.
+    lists or norms a system.  Elsewhere the unit on [a..b] is normed as
+    the piece over positions a - 1..b - 1 of one spaces._partitions
+    engine on the indicator of 1..universe_max, and one spaces._BlockSums
+    scan over the units norms the systems as they are listed.
 
     In T and MT the lower estimate caps the constant.  Block i of a
     system starts at F[i], so if every listed F lies in POW(S_a, n) for
@@ -606,7 +607,7 @@ def measure_asymptoticity(space, alpha, universe_max):
     alpha = Ordinal.of(alpha)
     N = universe_max
     points = range(1, N + 1)
-    if isinstance(space, L1):
+    if isinstance(space, L1) or not N:  # no system in an empty universe
         return Fraction(1)
     if isinstance(space, C0):
         # the masses the fold also reads, here the points, go unused
@@ -617,7 +618,7 @@ def measure_asymptoticity(space, alpha, universe_max):
     count, members = N * (N + 1) // 2, []
     if count <= ASYMPTOTICITY_SYSTEM_BOUND:
         count = 0
-        for F in _walk(alpha, points, [(a,) for a in points], ()):
+        for F in _walk(alpha, points):
             # the ends each block of F may take
             ends = [range(a, b) for a, b in zip(F, F[1:] + (N + 1,))]
             members.append((F, ends))
@@ -628,10 +629,10 @@ def measure_asymptoticity(space, alpha, universe_max):
         raise ResourceBoundError(
             "S_%s block systems within universe %d" % (alpha, N), count,
             "ASYMPTOTICITY_SYSTEM_BOUND", ASYMPTOTICITY_SYSTEM_BOUND)
-    basis = _BlockSums(space, {i: FsVector.basis(i) for i in points}, N)
-    units = {(ab[0], ab[-1]): FsVector.indicator(ab, 1 / basis.value(v))
-             for ab, v in basis.norms(range(a, b + 1) for a in points
-                                      for b in range(a, N + 1))}
+    dp = _partitions(space, FsVector.indicator(points))
+    units = {(a, b): FsVector.indicator(
+                 range(a, b + 1), 1 / dp.unscale(dp.piece(a - 1, b - 1)))
+             for a in points for b in range(a, N + 1)}
     sums = _BlockSums(space, units, N)
     systems = (tuple(zip(F, b)) for F, ends in members
                for b in itertools.product(*ends))

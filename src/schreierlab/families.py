@@ -30,12 +30,14 @@ by its inner state.  Both keep what a state accepts from the next
 The states are interned as ints; no other module sees their format.
 Derivatives ride on membership through probes above the universe.
 Members are read from one transition table over the cursor, built
-lazily by `_row`: (state ids, next position) maps to the rows that pair
-can step to.  It has two readers.  The lexicographic listing, `_walk`,
-serves enumeration, the block systems of an asymptoticity measurement
-and the minima sets of the allowable associated norm.  One memoised
-fold over the table's pairs, `_fold`, gives the largest mass of a
-member, the member count and the longest member without listing any:
+lazily by `_row`: (state ids, next position) maps to the pairs it can
+step to, and a row stops at the first position its states cannot
+read, since the families are spreading.  It has two readers.
+The lexicographic listing, `_walk`, gives the members as point tuples
+to enumeration, the block systems of an asymptoticity measurement and
+the minima sets of the allowable associated norm.  One memoised fold
+over the table's pairs, `_fold`, gives the largest mass of a member,
+the member count and the longest member without listing any:
 the SCC mass check, the order of a family's tree and the c0
 asymptoticity constant read it.  One filter, `_maximal`, keeps the
 maximal members of a listing: the minima sets the allowable norm tries
@@ -71,7 +73,6 @@ __all__ = [
     "explicit_family",
     "bracket",
     "power",
-    "bracket_member",
     "index_symbolic",
     "tail_domination",
     "read_descriptor",
@@ -87,7 +88,7 @@ POWER_BOUND = 100  # POW levels one cursor may nest in all, each a few stack fra
 LONGEST_WORK_BOUND = 10 ** 5  # normal-form terms one run sizing may look up
 DESCENT_BOUND = 350  # nested ordinal descents of one cursor start, two interpreter frames each
 NESTING_BOUND = 100  # brackets one descriptor may nest, a few stack frames each in its parse and its queries
-FOLD_CELL_BOUND = 2 ** 18  # walk-table cells (cursor steps) one fold may probe; S(1) within 100 probes 122,699 in 0.23 s
+FOLD_CELL_BOUND = 2 ** 18  # walk-table cells (the positions its rows span) one fold may read; S(1) within 100 spans 122,699 in 0.24 s
 
 
 class FamilyError(ValueError):
@@ -426,45 +427,46 @@ def _least_powers(bases, sets):
     return least
 
 
-def _row(key, points, values, states, i):
-    """One row of the transition table of walks over the family of cursor
-    key `key` inside the increasing `points`: for the state ids `states`
-    (None for the fresh cursor) and next position i, the entries of every
-    position j >= i whose point those states can read, as (the ids after
-    reading points[j] with len(points) - 1 - j points left to follow,
-    j + 1, values[j]), latest position first.  It costs one _cursor_step
-    per position.  Each reader keeps its own table, a dict from
-    (states, i) to rows built on first use, so a pair met again costs one
-    lookup.  The families are hereditary, so a member's extensions are
-    read from its own states: the members after a pair depend only on the
-    pair, and the table is a DAG, since positions only rise."""
-    last = len(points) - 1
-    return [(nxt, j + 1, values[j]) for j in range(i, last + 1)
-            for nxt in [_cursor_step(key, states, points[j], last - j)]
-            if nxt][::-1]
+def _row(key, points, states, i):
+    """One row of the walk table of the family of cursor key `key` inside
+    the increasing `points`: for the state ids `states` (None for the
+    fresh cursor) and next position i, a pair (the ids after reading
+    points[j] with len(points) - 1 - j points left to follow, j + 1) for
+    each position j >= i that those states can read, latest first.  The
+    families are spreading, so these positions are a suffix of i..: the
+    row reads down from the last and stops at the first it cannot read.
+    Each reader keeps its own table, a dict from (states, i) to rows
+    built on first use.  The families are hereditary, so the members
+    after a pair depend only on the pair, and the table is a DAG, since
+    positions only rise."""
+    last, row = len(points) - 1, []
+    for j in range(last, i - 1, -1):
+        nxt = _cursor_step(key, states, points[j], last - j)
+        if not nxt:
+            break
+        row.append((nxt, j + 1))
+    return row
 
 
-def _walk(key, points, values, zero):
-    """Every nonempty member G of the family of cursor key `key` inside the
-    increasing `points`, in lexicographic order, as zero plus the values[j]
-    of the positions j that G takes, added left to right: one-point tuples
-    of the points give the members, ints give their masses.
+def _walk(key, points):
+    """Every nonempty member of the family of cursor key `key` inside the
+    increasing `points`, in lexicographic order, as a tuple of points.
 
     A depth-first walk over the table of _row on an explicit stack of
-    (state ids, next position, value so far); popping an entry reads off
+    (state ids, next position, member so far); popping an entry reads off
     its member, and a row's latest position is pushed first, so that the
     earliest is popped first."""
-    table = {}
-    stack = [(None, 0, zero)]
+    table, singles = {}, [(p,) for p in points]
+    stack = [(None, 0, ())]
     while stack:
-        states, i, acc = stack.pop()
+        states, i, G = stack.pop()
         if states is not None:
-            yield acc
+            yield G
         row = table.get((states, i))
         if row is None:
-            row = table[states, i] = _row(key, points, values, states, i)
-        for nxt, j, value in row:
-            stack.append((nxt, j, acc + value))
+            row = table[states, i] = _row(key, points, states, i)
+        for nxt, j in row:
+            stack.append((nxt, j, G + singles[j - 1]))
 
 
 def _fold(family, points, values):
@@ -480,10 +482,11 @@ def _fold(family, points, values):
     Post-order on an explicit stack: a pair is expanded (its row built,
     its successors pushed), and once they are done it is folded into the
     (best, number, longest) of the extensions of its prefix, the empty
-    extension included, since every prefix but the root's is a member.
-    Every row is sized before it is built: past FOLD_CELL_BOUND cells,
-    one cursor step each, the fold raises ResourceBoundError with the
-    cells it would have reached."""
+    extension included, since every prefix but the root's is a member;
+    a step to (states, j) adds values[j - 1].  Every row is sized before
+    it is built by the len(points) - i cells it spans: past
+    FOLD_CELL_BOUND, the fold raises ResourceBoundError with the cells
+    it would have reached."""
     key, table, done, stack, cells = family._key, {}, {}, [(None, 0)], 0
     while True:
         node = stack[-1]
@@ -496,18 +499,19 @@ def _fold(family, points, values):
                     "walk-table cells folding %s over %d points"
                     % (family, len(points)),
                     cells, "FOLD_CELL_BOUND", FOLD_CELL_BOUND)
-            table[node] = row = _row(key, points, values, *node)
-            stack.extend((nxt, j) for nxt, j, _ in row)
+            table[node] = row = _row(key, points, *node)
+            stack.extend(row)
         else:
             stack.pop()
             states = node[0]
             # the root's prefix is empty, no member; any other pair's
             # prefix is one, with the empty extension: mass 0, no points
             best, count, longest = (None, 0, 0) if states is None else (0, 1, 0)
-            for nxt, j, value in table[node]:
+            for nxt, j in table[node]:
                 b, c, l = done[nxt, j]
-                if best is None or value + b > best:
-                    best = value + b
+                value = values[j - 1] + b
+                if best is None or value > best:
+                    best = value
                 count += c
                 longest = max(longest, l + 1)
             if states is None:
@@ -585,8 +589,7 @@ class Family:
         _check_universe(universe_max)
         points = range(1, universe_max + 1)
         yield ()
-        for count, G in enumerate(_walk(self._key, points,
-                                        [(n,) for n in points], ()), 1):
+        for count, G in enumerate(_walk(self._key, points), 1):
             if count > MEMBER_BOUND:
                 raise ResourceBoundError(
                     "members of %s within universe %d" % (self, universe_max),
@@ -807,11 +810,6 @@ def explicit_family(sets, close=True):
 
 bracket = Bracket
 power = Power
-
-
-def bracket_member(M, N, F):
-    """Decide F in M[N] directly (module-level convenience)."""
-    return Bracket(M, N).member(F)
 
 
 def index_symbolic(family):

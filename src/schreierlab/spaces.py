@@ -692,7 +692,8 @@ def _partitions(space, x, rule=None):
     """Partition engine over x's support points whose pieces are the
     values rule(space, x's entries at an interval of positions): one end
     of the dual bounds for the derived dual norms, the base norm when no
-    rule is given.
+    rule is given; then dp.unscale(dp.piece(i, j)) is the norm of x on
+    positions i..j, as the units of an asymptoticity measurement read it.
 
     For the norm of an implicit-norm space the evaluator itself is used:
     the norm of a restriction to an interval equals its segment norm, and
@@ -772,7 +773,7 @@ def _assoc_allowable(space, alpha, x):
                 pieces[m] += (e,)
             yield sum(map(piece_norm, pieces.values()))
 
-    return max(v for G in _maximal(list(_walk(alpha, sp, [(e,) for e in sp], ())))
+    return max(v for G in _maximal(list(_walk(alpha, sp)))
                for v in sums(G))
 
 

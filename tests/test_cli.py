@@ -262,6 +262,17 @@ class TestExitCodes:
             assert err == "resource bound: %s\n" % want
             assert time.perf_counter() - t0 < 2
 
+    def test_asymptoticity_units_past_the_support_bound(self, capsys):
+        # the units are pieces of one evaluator over the whole universe,
+        # so 100 points are refused before any unit is normed
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "asymp", "--space", "T(S(1),1/2)",
+                             "--alpha", "0", "--universe", "100")
+        assert code == 65 and out == ""
+        assert err == ("resource bound: support: 100 exceeds SUPPORT_BOUND "
+                       "= 72\n")
+        assert time.perf_counter() - t0 < 0.5
+
     @pytest.mark.parametrize("alpha,universe,want", [
         ("1", "100", "50"), ("0", "181", "1"), ("w+1", "60", "59")])
     def test_c0_asymptoticity_reads_the_longest_member(self, capsys, alpha,

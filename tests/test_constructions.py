@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import brute_s1, brute_s2, brute_schreier, implicit_norm_oracle
+from conftest import (brute_s1, brute_s2, brute_schreier, implicit_norm_oracle,
+                      successive_partitions)
 
 from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        build_scc, check_spreading_model,
@@ -854,8 +855,9 @@ class TestLowerEstimate:
 
     def test_capped_scan_norms_the_systems_up_to_the_cap(self, monkeypatch):
         # the first listed system whose ratio is 2 = 1/theta is the 16th,
-        # 24th and 28th at N = 8, 12 and 14; the basis scan norms the units
-        scanned = []
+        # 24th and 28th at N = 8, 12 and 14; the units are segments of one
+        # evaluator over 1..N, and each normed system has its own
+        scanned, built = [], []
         real = spaces._BlockSums.norms
 
         def counted(sums, key_tuples):
@@ -864,11 +866,20 @@ class TestLowerEstimate:
                 scanned[-1] += 1
                 yield item
 
+        class Evaluator(spaces._Evaluator):
+            def __init__(self, *args):
+                built.append(args[1].support)
+                super().__init__(*args)
+
         monkeypatch.setattr(spaces._BlockSums, "norms", counted)
+        monkeypatch.setattr(spaces, "_Evaluator", Evaluator)
         for N, systems in [(8, 16), (12, 24), (14, 28)]:
             scanned.clear()
+            built.clear()
             assert measure_asymptoticity(T12, 1, N) == 2
-            assert scanned == [N * (N + 1) // 2, systems]
+            assert scanned == [systems]
+            assert built[0] == tuple(range(1, N + 1))
+            assert len(built) == systems + 1
 
     def test_universe_14_answers_fast_and_15_is_refused(self):
         t0 = time.perf_counter()
@@ -936,6 +947,26 @@ class TestAsymptoticity:
         assert got == asymptoticity_oracle(
             lambda pairs: implicit_norm_oracle(pairs, levels), alpha, N)
         assert type(got) is Fraction
+
+    @pytest.mark.parametrize("alpha,N", [(1, 6), (2, 5), ("w", 5)])
+    def test_derived_space_against_brute_force(self, alpha, N):
+        # an interval's norm in ASSOC(T(S(1),1/2),S(1),adm) depends on
+        # where the interval starts, so a unit normed on another interval
+        # of its length would show here
+        t_norm = ORACLE_NORMS["T"][1]
+
+        def assoc_oracle(pairs):
+            # sum of T norms over successive pieces with S_1 minima
+            value = dict(pairs)
+            return max(sum(t_norm([(i, value[i]) for i in piece])
+                           for piece in pieces)
+                       for pieces in successive_partitions(value)
+                       if brute_s1(tuple(piece[0] for piece in pieces)))
+
+        alpha = parse_ordinal(str(alpha))
+        space = spaces.parse_space("ASSOC(T(S(1),1/2),S(1),adm)")
+        assert measure_asymptoticity(space, alpha, N) == asymptoticity_oracle(
+            assoc_oracle, alpha, N)
 
     @pytest.mark.parametrize("name", ["c0", "l1"])
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "w", "w+1"])

@@ -10,10 +10,11 @@ from conftest import brute_bracket, brute_s1, brute_s2, brute_schreier
 from schreierlab import families
 from schreierlab.constructions import _repeated_average
 from schreierlab.families import (Explicit, Family, FamilyError,
-                                  ResourceBoundError, _fold, _longest, _walk,
-                                  bracket, bracket_member, explicit_family,
-                                  index_symbolic, parse_family, power,
-                                  schreier, schreier_member, tail_domination)
+                                  ResourceBoundError, _cursor_step, _fold,
+                                  _longest, _row, _walk, bracket,
+                                  explicit_family, index_symbolic,
+                                  parse_family, power, schreier,
+                                  schreier_member, tail_domination)
 from schreierlab.ordinal import parse as parse_ordinal
 
 
@@ -232,24 +233,50 @@ class TestSetSize:
             _longest(parse_ordinal("w^400"), 2, 1025)
 
 
+FOLD_FAMILIES = [kind % alpha for kind in ["S(%s)", "BR(S(1),S(%s))",
+                                           "POW(S(%s),2)"]
+                 for alpha in ["0", "1", "2", "w", "w+1"]]
+
+
+def fold_point_sets(text):
+    """Consecutive and seeded point sets of 0 to 16 points."""
+    rng = random.Random(text)
+    for N in (0, 1, 6, 11, 16):
+        yield range(1, N + 1)
+        yield tuple(sorted(rng.sample(range(1, 30), N)))
+
+
 class TestFold:
     """families._fold against _walk, the listing over the same table."""
 
-    @pytest.mark.parametrize("text", [
-        kind % alpha for kind in ["S(%s)", "BR(S(1),S(%s))", "POW(S(%s),2)"]
-        for alpha in ["0", "1", "2", "w", "w+1"]])
+    @pytest.mark.parametrize("text", FOLD_FAMILIES)
     def test_against_the_listing(self, text):
         fam = parse_family(text)
         rng = random.Random(text)
-        for N in (0, 1, 6, 11, 16):
-            for points in (range(1, N + 1),
-                           tuple(sorted(rng.sample(range(1, 30), N)))):
-                values = [rng.randint(-9, 9) for _ in points]
-                members = list(_walk(fam._key, points,
-                                     [(p,) for p in points], ()))
-                assert _fold(fam, points, values) == (
-                    max(_walk(fam._key, points, values, 0), default=None),
-                    len(members), max(map(len, members), default=0)), points
+        for points in fold_point_sets(text):
+            values = [rng.randint(-9, 9) for _ in points]
+            mass = dict(zip(points, values))
+            members = list(_walk(fam._key, points))
+            assert _fold(fam, points, values) == (
+                max((sum(map(mass.get, G)) for G in members), default=None),
+                len(members), max(map(len, members), default=0)), points
+
+    @pytest.mark.parametrize("text", FOLD_FAMILIES)
+    def test_rows_are_the_readable_positions(self, text):
+        # a row stops at the first position it cannot read; probing every
+        # position and dropping the empty steps gives the same row, on
+        # every pair of the table
+        key = parse_family(text)._key
+        for points in fold_point_sets(text):
+            last, seen, todo = len(points) - 1, set(), [(None, 0)]
+            while todo:
+                states, i = todo.pop()
+                probed = [(nxt, j + 1) for j in range(last, i - 1, -1)
+                          for nxt in [_cursor_step(key, states, points[j],
+                                                   last - j)] if nxt]
+                assert _row(key, points, states, i) == probed, (points, i)
+                todo += [pair for pair in probed if pair not in seen]
+                seen.update(probed)
 
     def test_rows_are_sized_before_they_are_built(self, monkeypatch):
         # the bound is exact: at the cells a fold probes it answers, and
@@ -257,9 +284,9 @@ class TestFold:
         # with the cells the fold would have reached
         built, row = [], families._row
 
-        def recording(key, points, values, states, i):
+        def recording(key, points, states, i):
             built.append((states, i))
-            return row(key, points, values, states, i)
+            return row(key, points, states, i)
 
         monkeypatch.setattr(families, "_row", recording)
         fam, points = parse_family("S(w+1)"), range(1, 21)
@@ -283,12 +310,6 @@ class TestFold:
 
 
 class TestBracketAndPower:
-    def test_bracket_definition_small(self):
-        m, n = schreier(1), schreier(1)
-        b = bracket(m, n)
-        for F in subsets(6, 4):
-            assert b.member(F) == bracket_member(m, n, F), F
-
     def test_power_is_iterated_bracket(self):
         p2 = power(schreier(1), 2)
         b = bracket(schreier(1), schreier(1))

@@ -146,6 +146,25 @@ def test_only_sign_patterns_reads_the_pattern_bound():
         ("spaces.py", "_sign_patterns")}
 
 
+def test_the_check_sees_planted_row_readers(tmp_path):
+    path = tmp_path / "planted.py"
+    path.write_text("from .families import _row\n"
+                    "def listing(key, points):\n"
+                    "    return _row(key, points, None, 0)\n"
+                    "class Table:\n    def get(self, fam):\n"
+                    "        return fam._row\n")
+    assert readers(path, "_row") == {("planted.py", None),
+                                     ("planted.py", "listing"),
+                                     ("planted.py", "Table")}
+
+
+def test_only_the_walk_and_the_fold_read_rows():
+    # the one builder of walk-table rows is read by the listing and the
+    # fold alone; every other module reads members through those two
+    assert set().union(*(readers(p, "_row") for p in SOURCES)) == {
+        ("families.py", "_walk"), ("families.py", "_fold")}
+
+
 def refusal_faults(source):
     """Each ResourceBoundError or SupportBoundError call whose `limit` is
     not a module-level *_BOUND name or whose `bound` is not that name as a

@@ -893,6 +893,23 @@ class TestPartitionEngine:
                           for s in _cursor_start(a, sp[0], P - 1))
                 assert got == want, (sp, table, a)
 
+    @pytest.mark.parametrize("text", [
+        "T(S(1),1/2)", "T(S(2),1/3)", "MT[(S(1),1/2),(S(2),1/4)]",
+        "T(S(w),1/2)", "NN(T(S(1),1/2),2)", "ASSOC(T(S(1),1/2),S(1),adm)",
+        "SCHL"])
+    def test_pieces_of_an_indicator_are_interval_norms(self, text):
+        # the norm of an interval of a vector is that vector's piece over
+        # the interval: the units of an asymptoticity measurement are read
+        # from one engine; exact values, and SCHL floats bit for bit
+        space = parse_space(text)
+        for N in range(1, 11):
+            dp = spaces._partitions(space, FsVector.indicator(range(1, N + 1)))
+            for a in range(1, N + 1):
+                for b in range(a, N + 1):
+                    want = norm(space, FsVector.indicator(range(a, b + 1)))
+                    got = dp.unscale(dp.piece(a - 1, b - 1))
+                    assert got == want and type(got) is type(want), (N, a, b)
+
 
 class TestCursor:
     @pytest.mark.parametrize("alpha", ["0", "1", "2", "3", "w", "w+1", "w*2",
