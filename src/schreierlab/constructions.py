@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .families import (POWER_BOUND, ResourceBoundError, _check_universe,
-                       _fold, _int_weights, _least_powers, _longest, _walk,
+                       _escape, _fold, _int_weights, _longest, _walk, power,
                        schreier)
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, _levels,
@@ -445,12 +445,14 @@ class SpreadingReport:
         return out
 
 
-def _lower_estimate(space, members, floor):
+def _lower_estimate(space, alpha, points, floor):
     """The largest c = theta**n >= floor, over the levels (a, theta) of a
-    T or MT space and 1 <= n <= POWER_BOUND, such that every nonempty set
-    in `members` lies in POW(S_a, n) (S_a itself for n = 1); None if there
-    is none, in any other space, and when reading `members` or feeding
-    them to the cursor hits a resource bound.
+    T or MT space and 1 <= n <= min(POWER_BOUND, len(points)), such that
+    no nonempty member of S_alpha inside `points` escapes POW(S_a, n)
+    (families._escape; S_a itself for n = 1); None if there is none, in
+    any other space, and when a walk meets a resource bound.  POW(S_a, n)
+    grows with n, and on sets of at most L points it agrees with
+    POW(S_a, L), so each level takes the least n and no n past L is tried.
 
     Such a c certifies ||y_1 + ... + y_k|| >= c * (||y_1|| + ... + ||y_k||)
     for successive nonzero blocks whose minima spread a member F,
@@ -461,21 +463,18 @@ def _lower_estimate(space, members, floor):
     POW(S_a, n-1) whose minima spread a set of S_a; the run sums are again
     such blocks, so the estimate for n - 1 inside the runs and one theta
     across them give theta**n.  Every level of MT has its own estimate."""
-    levels = _levels(space)
-    bases = []
-    for a, theta in levels:
-        n = 0  # the largest power, past POWER_BOUND skipped, whose factor passes
-        while n < POWER_BOUND and theta ** (n + 1) >= floor:
-            n += 1
-        bases.append((a, n))
-    if not any(n for _, n in bases):
-        return None
+    family, best = schreier(alpha), None
     try:
-        least = _least_powers(bases, members)
+        for a, theta in _levels(space):
+            for n in range(1, min(POWER_BOUND, len(points)) + 1):
+                if theta ** n < floor:
+                    break
+                if not _escape(family, power(schreier(a), n), points):
+                    best = max(best or 0, theta ** n)
+                    break
     except ResourceBoundError:
         return None
-    return max((theta ** n for (_, theta), n in zip(levels, least) if n),
-               default=None)
+    return best
 
 
 def _block_norm_pass(space, alpha, lhs, rhs, scaled):
@@ -525,9 +524,8 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
     a level (a, theta), the induction over POW(S_a, n) = S_a[POW(S_a, n-1)]
     gives ||x_F|| >= theta**n * sum_{i in F} ||x_i|| >= theta**n * |F| * m,
     m = min_i ||x_i||; so when C * theta**n * m >= 1 the check passes and
-    no x_F is normed.  The members are listed for that, and fed to the
-    cursor past schreier_member's cache.  When C * m >= 1 every singleton
-    passes, so the scan below norms only the members of two or more points.
+    no x_F is normed, nor any member listed.  When C * m >= 1 every
+    singleton passes, so the scan norms only members of two or more points.
 
     Otherwise, and whenever a decision meets a resource bound, the
     members are scanned: read lazily from Family.members in lexicographic
@@ -551,8 +549,8 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
             floor = 1 / (C * min(norm(space, b) for b in head))
         except ResourceBoundError:
             pass
-        if floor and _lower_estimate(space, schreier(alpha).members(universe_max),
-                                     floor):
+        if floor and _lower_estimate(space, alpha,
+                                     range(1, universe_max + 1), floor):
             return SpreadingReport(True, alpha, C, universe_max)
     sums = _BlockSums(space, dict(enumerate(head, 1)),
                       sum(len(b.entries) for b in head))
@@ -591,18 +589,20 @@ def measure_asymptoticity(space, alpha, universe_max):
     universe (1 when there is none), read from families._fold: neither
     lists or norms a system.  Elsewhere the unit on [a..b] is normed as
     the piece over positions a - 1..b - 1 of one spaces._partitions
-    engine on the indicator of 1..universe_max, and one spaces._BlockSums
-    scan over the units norms the systems as they are listed.
+    engine on the indicator of 1..universe_max, the widest first (past a
+    support bound it is refused before any other is normed), and one
+    spaces._BlockSums scan over the units norms the systems as listed.
 
     In T and MT the lower estimate caps the constant.  Block i of a
-    system starts at F[i], so if every listed F lies in POW(S_a, n) for
-    a level (a, theta), the induction over POW(S_a, n) =
-    S_a[POW(S_a, n-1)] (_lower_estimate) gives ||x_1 + ... + x_k|| >=
-    theta**n * k, and no ratio exceeds 1/theta**n.  The scan stops at
-    the first system whose ratio reaches that cap, which is then the
-    maximum.  No ratio exceeds its system's length either (the norm is
-    bimonotone), so a factor below 1/(longest F) is not sought.  Without
-    such a level, or below the cap, every system is normed.
+    system starts at F[i], so if every member of S_alpha in the universe
+    lies in POW(S_a, n) for a level (a, theta), the induction over
+    POW(S_a, n) = S_a[POW(S_a, n-1)] (_lower_estimate, from the points)
+    gives ||x_1 + ... + x_k|| >= theta**n * k, and no ratio exceeds
+    1/theta**n.  The scan stops at the first system whose ratio reaches
+    that cap, which is then the maximum.  No ratio exceeds its system's
+    length either (the norm is bimonotone), so a factor below
+    1/(longest F) is not sought.  Without such a level, or below the cap,
+    every system is normed.
     """
     alpha = Ordinal.of(alpha)
     N = universe_max
@@ -630,6 +630,7 @@ def measure_asymptoticity(space, alpha, universe_max):
             "S_%s block systems within universe %d" % (alpha, N), count,
             "ASYMPTOTICITY_SYSTEM_BOUND", ASYMPTOTICITY_SYSTEM_BOUND)
     dp = _partitions(space, FsVector.indicator(points))
+    dp.piece(0, N - 1)  # the widest unit, refused first past a bound
     units = {(a, b): FsVector.indicator(
                  range(a, b + 1), 1 / dp.unscale(dp.piece(a - 1, b - 1)))
              for a in points for b in range(a, N + 1)}
@@ -637,7 +638,7 @@ def measure_asymptoticity(space, alpha, universe_max):
     systems = (tuple(zip(F, b)) for F, ends in members
                for b in itertools.product(*ends))
     longest = max((len(F) for F, _ in members), default=1)
-    c = _lower_estimate(space, (F for F, _ in members), Fraction(1, longest))
+    c = _lower_estimate(space, alpha, points, Fraction(1, longest))
     cap = c and 1 / c
     best = Fraction(1)
     for system, v in sums.norms(systems):
@@ -664,7 +665,6 @@ class DistortionReport:
     witness_max: FsVector
     empirical_lambda: object
     corpus_size: int
-    universe_note: str = ""
 
     def to_json(self):
         return {
@@ -676,7 +676,7 @@ class DistortionReport:
             "witness_max": self.witness_max.to_json(),
             "empirical_lambda": report_value(self.empirical_lambda),
             "corpus_size": self.corpus_size,
-            "note": self.universe_note or "section measurement, not a distortion proof",
+            "note": "section measurement, not a distortion proof",
         }
 
 

@@ -32,16 +32,18 @@ Derivatives ride on membership through probes above the universe.
 Members are read from one transition table over the cursor, built
 lazily by `_row`: (state ids, next position) maps to the pairs it can
 step to, and a row stops at the first position its states cannot
-read, since the families are spreading.  It has two readers.
+read, since the families are spreading.  It has three readers.
 The lexicographic listing, `_walk`, gives the members as point tuples
 to enumeration, the block systems of an asymptoticity measurement and
 the minima sets of the allowable associated norm.  One memoised fold
 over the table's pairs, `_fold`, gives the largest mass of a member,
 the member count and the longest member without listing any:
 the SCC mass check, the order of a family's tree and the c0
-asymptoticity constant read it.  One filter, `_maximal`, keeps the
-maximal members of a listing: the minima sets the allowable norm tries
-and the branches of the tree search.
+asymptoticity constant read it.  One walk over pairs of cursors,
+`_escape`, finds the largest minimum of a member outside a second
+family: tail domination and the lower estimate of T and MT read it.
+One filter, `_maximal`, keeps the maximal members of a listing: the
+minima sets the allowable norm tries and the branches of the tree search.
 
 Descriptors, of families here and of spaces in :mod:`schreierlab.spaces`,
 are read by one reader, :func:`read_descriptor`: it splits a text into
@@ -151,8 +153,8 @@ def _int_weights(F, weights):
 #
 # Callers outside the tuple-level functions step through _cursor_step,
 # which works on sets of interned state ids; None is the fresh cursor.
-# Other modules read members through _walk and _fold, and the DPs of
-# spaces read _cursor_start and _cursor_advance state by state.
+# Other modules read members through _walk, _fold and _escape, and the
+# DPs of spaces read _cursor_start and _cursor_advance state by state.
 # ---------------------------------------------------------------------------
 
 FREE = ("free",)
@@ -405,28 +407,6 @@ def schreier_member(alpha, F):
     return True
 
 
-def _least_powers(bases, sets):
-    """For each (a, cap) in `bases`, the least n <= cap with every nonempty
-    set of `sets` in POW(S_a, n), POW(S_a, 1) being S_a; None where there
-    is none.  One pass over `sets`.  POW(S_a, n) grows with n (a bracket
-    of families that hold the singletons contains both sides), so a
-    base's n only rises; and a set F outside POW(S_a, |F|) lies outside
-    every power, since POW(M,k) and POW(M,L), L <= k, agree on sets of
-    <= L points.  Each set is fed to the cursor past schreier_member's
-    cache, which would keep every set it is asked about."""
-    least = [1 if cap >= 1 else None for _, cap in bases]
-    for F in sets:
-        if not any(least):
-            break
-        for i, (a, cap) in enumerate(bases):
-            n = least[i]
-            while n and not schreier_member.__wrapped__(
-                    a if n == 1 else ("pow", a, n), F):
-                n = n + 1 if n < min(cap, len(F)) else None
-            least[i] = n
-    return least
-
-
 def _row(key, points, states, i):
     """One row of the walk table of the family of cursor key `key` inside
     the increasing `points`: for the state ids `states` (None for the
@@ -467,6 +447,31 @@ def _walk(key, points):
             row = table[states, i] = _row(key, points, states, i)
         for nxt, j in row:
             stack.append((nxt, j, G + singles[j - 1]))
+
+
+def _escape(family, other, points):
+    """The largest minimum of a nonempty member of the regular `family`
+    inside the increasing `points` not in the regular `other`, else 0: one
+    depth-first walk on an explicit stack over triples (family's ids,
+    other's ids, next position), Rabin–Scott's product construction (IBM
+    J. Res. Dev. 3, 1959).  Family steps by its rows (_row), other on the
+    same point with the same count left.  From each start, the last first,
+    it returns at the first triple whose other side is empty: its prefix
+    lies in family, and every member outside other has such a prefix with
+    its minimum, both being hereditary.  A FREE other side holds every
+    continuation and is dropped; each triple is visited once in all."""
+    fkey, okey, n, seen = family._key, other._key, len(points), set()
+    for start in _row(fkey, points, None, 0):
+        stack = [(None, start)]  # (other's ids before the point, a pair)
+        while stack:
+            o, (f, i) = stack.pop()
+            o = _cursor_step(okey, o, points[i - 1], n - i)
+            if not o:
+                return points[start[1] - 1]
+            if o != (_FREE_ID,) and (f, o, i) not in seen:
+                seen.add((f, o, i))
+                stack.extend((o, pair) for pair in _row(fkey, points, f, i))
+    return 0
 
 
 def _fold(family, points, values):
@@ -610,9 +615,11 @@ class Family:
     def _extends(self, F, k, universe_max):
         """True when a member extends F by k elements on the right, exact
         through k probes far above the universe: the family is spreading,
-        and heredity collapses a k-step chain to one k-element extension."""
+        and heredity collapses a k-step chain to one k-element extension.
+        No probe set recurs, so they skip schreier_member's cache."""
         probe = (F[-1] if F else 0) + max(universe_max, 64) + 1
-        return schreier_member(self._key, F + tuple(range(probe, probe + k)))
+        return schreier_member.__wrapped__(
+            self._key, F + tuple(range(probe, probe + k)))
 
     def is_maximal(self, F, universe_max):
         F = _finset(F)
@@ -830,11 +837,15 @@ def index_symbolic(family):
 
 
 def tail_domination(A, B, universe_max):
-    """Least n0 <= universe_max with every member of B starting at or
-    after n0 (within the universe) lying in A; None if there is none.
-    That is one past the largest minimum of a member of B outside A."""
-    n0 = 1 + max((F[0] for F in B.enumerate(universe_max)
-                  if F and not A.member(F)), default=0)
+    """Least n0 <= universe_max with every member of B in the universe
+    from n0 on lying in A, else None: one past the largest minimum of a
+    member of B outside A: by _escape, or by B's listing for listed sets."""
+    _check_universe(universe_max)
+    if isinstance(A, Explicit) or isinstance(B, Explicit):
+        n0 = 1 + max((F[0] for F in B.enumerate(universe_max)
+                      if F and not A.member(F)), default=0)
+    else:
+        n0 = 1 + _escape(B, A, range(1, universe_max + 1))
     return n0 if n0 <= universe_max else None
 
 

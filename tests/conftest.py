@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: set
 membership by brute-force decomposition, norms by naive fixed-point
-iteration over explicitly enumerated admissible partitions.
+iteration over explicitly enumerated admissible partitions.  The
+listing oracles at the end are the member listings that the walk over
+pairs of cursors replaced, kept to check it.
 """
 
 import itertools
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 from hypothesis import settings
 
-from schreierlab.families import Bracket, Power, Schreier
+from schreierlab.families import Bracket, Power, Schreier, schreier_member
 from schreierlab.ordinal import fundamental_sequence
 from schreierlab.trees import TreeError
 
@@ -293,3 +295,39 @@ def family_as_tree(fam, universe_max):
     increasing enumeration; the empty set maps to the (uncounted) root."""
     seqs = [tuple(sorted(F)) for F in fam.enumerate(universe_max) if F]
     return FiniteTree.from_sequences(seqs)
+
+
+@lru_cache(maxsize=2)
+def _listing(family, universe_max):
+    """A family's members within a universe, kept while a test compares
+    many `other` families against it."""
+    return family.enumerate(universe_max)
+
+
+def escape_by_listing(family, other, universe_max):
+    """The largest minimum of a nonempty member of the regular `family`
+    within {1..universe_max} that the regular `other` does not hold, 0
+    when there is none, by listing family's members and feeding each to
+    other's cursor past schreier_member's cache.  The listing is
+    lexicographic, so read backwards the minima never rise and the first
+    member outside `other` has the largest."""
+    members = _listing(family, universe_max)
+    return next((F[0] for F in reversed(members)
+                 if F and not schreier_member.__wrapped__(other._key, F)), 0)
+
+
+def tail_by_listing(A, B, universe_max):
+    """tail_domination(A, B, universe_max) for two regular families by
+    listing B's members."""
+    n0 = 1 + escape_by_listing(B, A, universe_max)
+    return n0 if n0 <= universe_max else None
+
+
+def least_power_by_listing(alpha, a, cap, universe_max):
+    """The least n <= cap with every nonempty member of S_alpha within
+    {1..universe_max} in POW(S_a, n), POW(S_a, 1) being S_a, by listing
+    S_alpha's members; None where there is none."""
+    family = Schreier(alpha)
+    return next((n for n in range(1, cap + 1)
+                 if not escape_by_listing(family, Power(Schreier(a), n),
+                                          universe_max)), None)

@@ -215,17 +215,20 @@ class TestExitCodes:
         assert code == 65 and out == "" and err == "resource bound: %s\n" % want
         assert time.perf_counter() - t0 < 1
 
-    @pytest.mark.parametrize("argv", [
-        ("fam", "tail", "--family", "S(w)", "--other", "S(w+1)"),
-        ("fam", "enumerate", "--family", "S(w+1)")], ids=["tail", "enumerate"])
-    def test_enumeration_past_member_bound(self, capsys, argv):
-        # S(w+1) has about 8.4M members within {1..24}
+    @pytest.mark.parametrize("argv,want,seconds", [
+        (("fam", "tail", "--family", "S(w)", "--other", "S(w+1)"),
+         (0, "3\n", ""), 0.5),
+        (("fam", "enumerate", "--family", "S(w+1)"),
+         (65, "", "resource bound: members of S(w+1) within universe 24: "
+          "1048577 exceeds MEMBER_BOUND = 1048576\n"), 10)],
+        ids=["tail", "enumerate"])
+    def test_enumeration_past_member_bound(self, capsys, argv, want, seconds):
+        # S(w+1) has about 8.4M members within {1..24}: a listing is
+        # refused, while tail domination walks pairs of cursor states and
+        # lists none
         t0 = time.perf_counter()
-        code, out, err = run(capsys, *argv, "--universe", "24")
-        assert code == 65 and out == ""
-        assert err == ("resource bound: members of S(w+1) within universe 24: "
-                       "1048577 exceeds MEMBER_BOUND = 1048576\n")
-        assert time.perf_counter() - t0 < 10
+        assert run(capsys, *argv, "--universe", "24") == want
+        assert time.perf_counter() - t0 < seconds
 
     @pytest.mark.parametrize("argv,at_zero", [
         (("fam", "tail", "--family", "S(1)", "--other", "S(2)"), 1),
@@ -267,6 +270,18 @@ class TestExitCodes:
         # so 100 points are refused before any unit is normed
         t0 = time.perf_counter()
         code, out, err = run(capsys, "asymp", "--space", "T(S(1),1/2)",
+                             "--alpha", "0", "--universe", "100")
+        assert code == 65 and out == ""
+        assert err == ("resource bound: support: 100 exceeds SUPPORT_BOUND "
+                       "= 72\n")
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_derived_asymptoticity_units_past_the_support_bound(self,
+                                                               capsys):
+        # a derived space norms its units one piece at a time; the widest
+        # is normed first, so 100 points are refused before any other
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "asymp", "--space", "NN(T(S(1),1/2),2)",
                              "--alpha", "0", "--universe", "100")
         assert code == 65 and out == ""
         assert err == ("resource bound: support: 100 exceeds SUPPORT_BOUND "
@@ -639,6 +654,16 @@ class TestSubcommands:
         t0 = time.perf_counter()
         code, out, err = run(capsys, "spreading", "--space", space, "--alpha",
                              alpha, "--C", C, "--universe", "24")
+        assert (code, out, err) == (0, "pass\n", "")
+        assert time.perf_counter() - t0 < 1
+
+    def test_certified_t_spreading_past_member_bound(self, capsys):
+        # the lower estimate certifies it, each power decided by a walk
+        # over pairs of cursor states; listing the members of S_{w+1},
+        # it exited 65 at MEMBER_BOUND after minutes
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "spreading", "--space", "T(S(1),1/2)",
+                             "--alpha", "w+1", "--C", "8", "--universe", "24")
         assert (code, out, err) == (0, "pass\n", "")
         assert time.perf_counter() - t0 < 1
 

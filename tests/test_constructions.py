@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import (brute_s1, brute_s2, brute_schreier, implicit_norm_oracle,
-                      successive_partitions)
+                      least_power_by_listing, successive_partitions)
 
 from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        build_scc, check_spreading_model,
@@ -16,8 +16,7 @@ from schreierlab.constructions import (ConstructionError, SCCInfeasibleError,
                                        gluing_lemma2, gluing_lemma3,
                                        gluing_lemma4, measure_asymptoticity)
 from schreierlab import constructions, families, spaces
-from schreierlab.families import (Family, ResourceBoundError, schreier,
-                                  schreier_member)
+from schreierlab.families import Family, ResourceBoundError, schreier_member
 from schreierlab.ordinal import Ordinal, parse as parse_ordinal
 from schreierlab.spaces import (C0, L1, Derived, FsVector, MixedTsirelson,
                                 Schlumprecht, Tsirelson, norm)
@@ -784,7 +783,7 @@ class TestLowerEstimate:
         # from POW(S_1, 2) is below the floor 1/2: the scan reports its witness
         basis = _oracle_blocks("basis", 8)
         assert constructions._lower_estimate(
-            T12, schreier(2).members(8), Fraction(1, 2)) is None
+            T12, 2, range(1, 9), Fraction(1, 2)) is None
         rep = check_spreading_model(T12, basis, 2, Fraction(2), 8)
         assert not rep.passed
         assert (rep.passed, rep.witness) == spreading_oracle(
@@ -793,7 +792,7 @@ class TestLowerEstimate:
     def test_certified_by_the_second_power(self, monkeypatch):
         basis = _oracle_blocks("basis", 8)
         assert constructions._lower_estimate(
-            T12, schreier(2).members(8), Fraction(1, 4)) == Fraction(1, 4)
+            T12, 2, range(1, 9), Fraction(1, 4)) == Fraction(1, 4)
         want = spreading_oracle("T", 2, basis, Fraction(4), 8)
         _refuse_block_sums(monkeypatch)
         rep = check_spreading_model(T12, basis, 2, Fraction(4), 8)
@@ -801,12 +800,11 @@ class TestLowerEstimate:
 
     def test_mixed_space_certified_by_its_second_level_only(self,
                                                             monkeypatch):
-        basis = _oracle_blocks("basis", 8)
-        members = schreier(2).enumerate(8)
+        basis, points = _oracle_blocks("basis", 8), range(1, 9)
         assert constructions._lower_estimate(
-            MT_SECOND, members, Fraction(1, 3)) == Fraction(1, 3)
+            MT_SECOND, 2, points, Fraction(1, 3)) == Fraction(1, 3)
         assert constructions._lower_estimate(
-            Tsirelson(*MT_SECOND.levels[0]), members, Fraction(1, 3)) is None
+            Tsirelson(*MT_SECOND.levels[0]), 2, points, Fraction(1, 3)) is None
         with monkeypatch.context() as m:
             _forced_scan(m)
             want = check_spreading_model(MT_SECOND, basis, 2, Fraction(3), 8)
@@ -820,7 +818,7 @@ class TestLowerEstimate:
         # POWER_BOUND are not tried, and nothing is refused
         huge = Fraction(2 ** 150)
         assert constructions._lower_estimate(
-            T12, schreier(parse_ordinal("w")).members(8), 1 / huge) is not None
+            T12, parse_ordinal("w"), range(1, 9), 1 / huge) is not None
         with monkeypatch.context() as m:
             _refuse_block_sums(m)
             assert check_spreading_model(T12, basis, parse_ordinal("w"), huge,
@@ -830,21 +828,47 @@ class TestLowerEstimate:
         want = check_spreading_model(T12, basis, 2, Fraction(4), 8)
         monkeypatch.setattr(constructions, "POWER_BOUND", 1)
         assert constructions._lower_estimate(
-            T12, schreier(2).members(8), Fraction(1, 4)) is None
+            T12, 2, range(1, 9), Fraction(1, 4)) is None
         assert check_spreading_model(T12, basis, 2, Fraction(4), 8) == want
 
-    def test_a_resource_bound_in_the_pass_falls_back_to_the_scan(self):
-        # the members past ENUMERATION_BOUND are refused while listing, so
-        # the scan's own refusal is what the caller sees
+    def test_a_resource_bound_in_the_pass_falls_back_to_the_scan(
+            self, monkeypatch):
+        # a walk that meets a bound certifies nothing, and the scan answers
+        basis = _oracle_blocks("basis", 8)
+        want = spreading_oracle("T", 1, basis, Fraction(2), 8)
+
+        def bounded(*args):
+            raise ResourceBoundError("pair walk", 2, "SOME_BOUND", 1)
+
+        monkeypatch.setattr(constructions, "_escape", bounded)
         assert constructions._lower_estimate(
-            T12, schreier(1).members(25), Fraction(1, 2)) is None
+            T12, 1, range(1, 9), Fraction(1, 2)) is None
+        rep = check_spreading_model(T12, basis, 1, Fraction(2), 8)
+        assert want == (True, ()) == (rep.passed, rep.witness)
+        # past ENUMERATION_BOUND the check is refused before any walk
         basis = [FsVector.basis(i) for i in range(1, 26)]
         with pytest.raises(ResourceBoundError, match="ENUMERATION_BOUND"):
             check_spreading_model(T12, basis, 1, Fraction(2), 25)
 
+    @pytest.mark.parametrize("alpha", ["0", "1", "2", "w", "w+1"])
+    def test_least_powers_against_the_listing(self, alpha):
+        # the least n, up to the cap 6 that the floor 2**-6 sets, with
+        # every member of S_alpha in POW(S_a, n), by the walk and by
+        # listing S_alpha
+        alpha = parse_ordinal(alpha)
+        for a in ("0", "1", "2", "w"):
+            space = Tsirelson(parse_ordinal(a), Fraction(1, 2))
+            for universe in (1, 4, 8, 12):
+                n = least_power_by_listing(alpha, parse_ordinal(a), 6,
+                                           universe)
+                assert constructions._lower_estimate(
+                    space, alpha, range(1, universe + 1),
+                    Fraction(1, 2 ** 6)) == (n and Fraction(1, 2 ** n)), (
+                        a, universe)
+
     def test_certified_basis_check_at_universe_24(self, monkeypatch):
-        # about 121k members of S_1, none normed and none kept in
-        # schreier_member's cache
+        # S_1 has about 121k members within 24: none is listed, normed or
+        # kept in schreier_member's cache
         basis = [FsVector.basis(i) for i in range(1, 25)]
         _refuse_block_sums(monkeypatch)
         before = schreier_member.cache_info().currsize

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import brute_bracket, brute_s1, brute_s2, brute_schreier
+from conftest import (brute_bracket, brute_s1, brute_s2, brute_schreier,
+                      escape_by_listing, tail_by_listing)
 from schreierlab import families
 from schreierlab.constructions import _repeated_average
 from schreierlab.families import (Explicit, Family, FamilyError,
-                                  ResourceBoundError, _cursor_step, _fold,
-                                  _longest, _row, _walk, bracket,
+                                  ResourceBoundError, _cursor_step, _escape,
+                                  _fold, _longest, _row, _walk, bracket,
                                   explicit_family, index_symbolic,
                                   parse_family, power, schreier,
                                   schreier_member, tail_domination)
@@ -99,6 +100,16 @@ class TestDerivative:
             want = {F for F in s1.enumerate(20)
                     if not F or len(F) + k <= F[0]}
             assert got == want, k
+
+    def test_probes_skip_the_membership_cache(self):
+        # each probe set lies far above the universe and is asked once,
+        # so caching it would only fill schreier_member's cache
+        fam = schreier(parse_ordinal("w+1"))
+        before = schreier_member.cache_info().currsize
+        kept = fam.iterated_derivative(1, 12).enumerate(12)
+        assert schreier_member.cache_info().currsize == before
+        assert kept == [F for F in fam.enumerate(12)
+                        if fam.member(F + (100,))]
 
     def test_s0_dies_in_two_steps(self):
         s0 = schreier(0)
@@ -480,6 +491,35 @@ class TestTailDomination:
                            lambda F: brute_schreier(parse_ordinal("0"), F), 5)
         assert want is None
         assert tail_domination(A, schreier(0), 5) is None
+
+
+class TestEscape:
+    """families._escape and tail_domination against the listings they
+    replace (conftest)."""
+
+    @pytest.mark.parametrize("b", FOLD_FAMILIES)
+    def test_tail_against_the_listing(self, b):
+        B = parse_family(b)
+        for universe in (0, 5, 10, 16):
+            for a in FOLD_FAMILIES:
+                A = parse_family(a)
+                assert tail_domination(A, B, universe) == tail_by_listing(
+                    A, B, universe), (a, universe)
+
+    @pytest.mark.parametrize("text", FOLD_FAMILIES)
+    def test_powers_against_the_listing(self, text):
+        fam = parse_family(text)
+        for universe in (4, 8, 12):
+            for a in ("0", "1", "2", "w"):
+                for n in range(1, 7):
+                    other = power(schreier(parse_ordinal(a)), n)
+                    assert _escape(fam, other, range(1, universe + 1)) == (
+                        escape_by_listing(fam, other, universe)), (a, n)
+
+    def test_past_the_universe_bound_is_refused(self):
+        # the walk lists no member, but its universe keeps the listing's cap
+        with pytest.raises(ResourceBoundError, match="ENUMERATION_BOUND"):
+            tail_domination(schreier(1), schreier(2), 25)
 
 
 class TestRegularity:

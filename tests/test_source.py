@@ -146,6 +146,11 @@ def test_only_sign_patterns_reads_the_pattern_bound():
         ("spaces.py", "_sign_patterns")}
 
 
+# the readers of walk-table rows: the listing, the fold and the pair walk
+ROW_READERS = {("families.py", "_walk"), ("families.py", "_fold"),
+               ("families.py", "_escape")}
+
+
 def test_the_check_sees_planted_row_readers(tmp_path):
     path = tmp_path / "planted.py"
     path.write_text("from .families import _row\n"
@@ -156,13 +161,20 @@ def test_the_check_sees_planted_row_readers(tmp_path):
     assert readers(path, "_row") == {("planted.py", None),
                                      ("planted.py", "listing"),
                                      ("planted.py", "Table")}
+    # a fourth reader beside the three admitted ones fails the guard
+    path = tmp_path / "families.py"
+    path.write_text("".join("def %s(key, points):\n    return _row(key, "
+                            "points, None, 0)\n" % name for name in
+                            ("_walk", "_fold", "_escape", "_fourth")))
+    assert readers(path, "_row") - ROW_READERS == {("families.py",
+                                                    "_fourth")}
 
 
 def test_only_the_walk_and_the_fold_read_rows():
-    # the one builder of walk-table rows is read by the listing and the
-    # fold alone; every other module reads members through those two
-    assert set().union(*(readers(p, "_row") for p in SOURCES)) == {
-        ("families.py", "_walk"), ("families.py", "_fold")}
+    # the one builder of walk-table rows is read by the listing, the fold
+    # and the pair walk alone; every other module reads members through
+    # those three
+    assert set().union(*(readers(p, "_row") for p in SOURCES)) == ROW_READERS
 
 
 def refusal_faults(source):
