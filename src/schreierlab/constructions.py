@@ -21,8 +21,8 @@ from .families import (POWER_BOUND, ResourceBoundError, _check_universe,
                        _escape, _fold, _int_weights, _longest, _walk, power,
                        schreier)
 from .ordinal import Ordinal, fundamental_sequence
-from .spaces import (C0, L1, FsVector, _BlockSums, _dual_upper, _levels,
-                     _partitions, norm, norm_n, assoc_norm, primal_from_dual,
+from .spaces import (C0, L1, FsVector, _BlockSums, _count_or_alpha,
+                     _dual_upper, _levels, _partitions, norm, primal_from_dual,
                      report_value, space_mode)
 from .trees import BlockTree, certify_block_tree
 
@@ -270,8 +270,11 @@ def gluing_lemma1(space, n, blocks):
     if failed:
         return failed
     x = sum(blocks, FsVector()).scale(Fraction(1, n * n))
-    nx = norm(space, x)
-    nxn = norm_n(space, n, x)
+    # ||x|| and ||x||_n from one engine: the whole support is one piece
+    dp = _partitions(space, x)
+    nx = dp.unscale(dp.piece(0, len(x.entries) - 1))
+    _count_or_alpha(n, None)  # at most n < 1 pieces is refused, as by norm_n
+    nxn = dp.unscale(dp.at_most(n))
     ok = Fraction(1, 2) <= nx <= nxn <= 2
     return GluingReport(1, "verified" if ok else "refuted", x,
                         {"norm": nx, "norm_n": nxn}, {"n": n})
@@ -330,8 +333,10 @@ def gluing_lemma2(space, eta, tree, C1, C2, xi, start=1):
     params, scc, branch = front
     x = sum((b.scale(scc.coefficients[m]) for m, b in zip(scc.F, branch)),
             FsVector())
-    nx = norm(space, x)
-    ax = assoc_norm(space, scc.eta, x)
+    # ||x|| and |x|_eta from one engine: the whole support is one piece
+    dp = _partitions(space, x)
+    nx = dp.unscale(dp.piece(0, len(x.entries) - 1))
+    ax = dp.unscale(dp.admissible(scc.eta))
     ok = Fraction(1) / tree.K <= nx <= ax <= 2 * params["C1"]
     return GluingReport(2, "verified" if ok else "refuted", x,
                         {"norm": nx, "assoc_norm": ax}, params,

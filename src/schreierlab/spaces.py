@@ -25,7 +25,10 @@ cut points, :class:`_Partitions`; the cover only folds its cuts by
 min-max instead of max-plus (:class:`_Cover`).  Each end of a dual
 bound is one rule, and each end of a derived dual bound one program
 over that rule's piece values (:func:`_partitions`), so a caller that
-reads one end computes only that end.  For bimonotone 1-unconditional
+reads one end computes only that end; outside l1 the upper end of exact
+values is sum |phi_i| with no program, since its pieces add up.  The
+sign-pattern witnesses of one dual call are normed once each, through
+one block-sum scan.  For bimonotone 1-unconditional
 norms the supremum over admissible successive sets is attained on
 gap-free partitions of the interval support whose piece minima are
 support points (enlarging a piece to the right never decreases its norm
@@ -615,11 +618,15 @@ def norm(space, x):
 
 class _BlockSums:
     """Norms of sums of disjoint successive blocks, for the scans that
-    norm many of them: spreading checks and asymptoticity constants.
+    norm many of them: spreading checks, asymptoticity constants, block
+    tree certificates, and the sign-pattern witnesses of one dual call
+    (:func:`_dual_lower`), whose blocks are phi's signed coordinate
+    vectors.
 
     `blocks` maps keys to nonzero blocks.  :meth:`norms` gives the norm
-    of each sum times Q, and :meth:`value` the number that stands for.
-    No sum has more than k points.
+    of each sum times Q, :meth:`sum_norm` that of one sum a caller has
+    built, and :meth:`value` the number that stands for.  No sum has more
+    than k points.
 
     - C0 and L1, exact values: the blocks are disjoint, so the norm of a
       sum is the max (c0) or the sum (l1) of the block norms.  Each block
@@ -668,15 +675,18 @@ class _BlockSums:
                     yield keys, fold(map(get, keys))
             return
         for keys in key_tuples:
-            if not keys:
-                continue
-            x = FsVector(tuple(itertools.chain.from_iterable(
-                self.blocks[key].entries for key in keys)))
-            if self.segments is None:
-                yield keys, norm(self.space, x)
-            else:
-                ev = _Evaluator(self.space, x, self)
-                yield keys, ev.seg_norm(0, len(x.entries) - 1)
+            if keys:
+                yield keys, self.sum_norm(FsVector(tuple(
+                    itertools.chain.from_iterable(
+                        self.blocks[key].entries for key in keys))))
+
+    def sum_norm(self, x):
+        """The norm times Q of x, a nonzero sum of blocks, in a scan that
+        is not C0 or L1 on exact values (those read their block norms in
+        :meth:`norms`)."""
+        if self.segments is None:
+            return norm(self.space, x)
+        return _Evaluator(self.space, x, self).seg_norm(0, len(x.entries) - 1)
 
     def value(self, v):
         """The norm a result of the scan stands for."""
@@ -796,11 +806,16 @@ class Bounds:
                 "upper": report_value(self.upper), "exact": self.exact}
 
 
+def _sign(v):
+    """The sign a witness gives the coordinate of value v: 1 or -1."""
+    return Fraction(1 if v >= 0 else -1)
+
+
 def _sign_patterns(x):
     """The vectors sum of sign(x_i) e_i over i in S for the nonempty
     subsets S of supp x, smaller sets first, each size in combinations
     order; past PATTERN_BOUND points only the singletons."""
-    sign = {i: Fraction(1 if v >= 0 else -1) for i, v in x.entries}
+    sign = {i: _sign(v) for i, v in x.entries}
     sizes = range(1, len(sign) + 1) if len(sign) <= PATTERN_BOUND else (1,)
     for r in sizes:
         for S in itertools.combinations(sign, r):
@@ -816,19 +831,45 @@ def _dual_upper(space, phi):
 
 
 def _dual_lower(space, phi):
-    """Lower end of the dual bounds: the exact upper end in c0 and l1,
-    else the best phi(xw)/||xw|| over the sign-pattern witnesses xw."""
+    """The lower-end rule of one dual call on phi: a rule, as
+    :func:`_dual_upper` is one, for phi and its restrictions psi to
+    intervals.  In c0 and l1, and for phi = 0, it is the exact upper end.
+    Elsewhere it is the best phi(xw)/||xw|| over the sign-pattern
+    witnesses xw of psi, which agree with phi in sign.
+
+    The witnesses of every psi are sums of phi's signed coordinate
+    vectors, so they are normed through one :class:`_BlockSums` scan over
+    those: the segment values of one pattern, themselves patterns, serve
+    all others.  One memo maps a witness's support to its ratio, so each
+    pattern is normed at most once per call however many pieces of a
+    derived dual bound contain it.  The numerator phi(xw) is the sum of
+    the |phi_i| over the support S of xw, kept per S and summed in the
+    order and from the Fraction(0) that FsVector.pair sums in (that of
+    S[:-1] plus |phi_i| at max S), so a float keeps its bits."""
     if phi.is_zero() or isinstance(space, (C0, L1)):
-        return _dual_upper(space, phi)
-    return max(phi.pair(xw) / norm(space, xw) for xw in _sign_patterns(phi))
+        return _dual_upper
+    scan = _BlockSums(space, {i: FsVector(((i, _sign(v)),))
+                              for i, v in phi.entries}, len(phi.entries))
+    mags = {i: abs(v) for i, v in phi.entries}  # phi_i * _sign(phi_i)
+    masses, ratios = {(): Fraction(0)}, {}
+
+    def ratio(xw):
+        S = xw.support
+        if S not in ratios:
+            # S[:-1] came first: _sign_patterns lists smaller sets first
+            masses[S] = masses[S[:-1]] + mags[S[-1]]
+            ratios[S] = masses[S] / scan.value(scan.sum_norm(xw))
+        return ratios[S]
+
+    return lambda _, psi: max(map(ratio, _sign_patterns(psi)))
 
 
 def dual_norm(space, phi):
     """Bounds on the dual norm of phi, one rule per end: exact in c0
     (dual l1) and l1 (dual l_inf); elsewhere sign-pattern witnesses from
-    below (only the coordinates past PATTERN_BOUND points) and sum|phi_i|
-    from above."""
-    return Bounds(_dual_lower(space, phi), _dual_upper(space, phi))
+    below, each normed once through one block-sum scan (only the
+    coordinates past PATTERN_BOUND points), and sum|phi_i| from above."""
+    return Bounds(_dual_lower(space, phi)(space, phi), _dual_upper(space, phi))
 
 
 def _count_or_alpha(n, alpha):
@@ -841,24 +882,42 @@ def _count_or_alpha(n, alpha):
     return alpha if alpha is None else Ordinal.of(alpha)
 
 
-def _dual_assoc_end(space, phi, end, n, alpha):
+def _dual_assoc_end(space, phi, rule, n, alpha):
     """One end of the derived dual bounds of a nonzero phi: the partition
-    program (at most n pieces, or alpha-admissible) over that end of the
-    pieces' dual bounds."""
-    dp = _partitions(space, phi, end)
+    program (at most n pieces, or alpha-admissible) over the pieces'
+    values under `rule`.
+
+    The rule _dual_upper (the upper end, and in c0 the lower end too)
+    needs no program on exact values outside l1.  There a piece's value
+    is the sum of its |phi_i|, so a chain is worth the sum of |phi_i|
+    over the points its pieces cover, at most the sum over the whole
+    support; and the whole support is itself a chain of both kinds (one
+    piece, n >= 1; an admissible chain may be one piece of any tail).
+    So the program's answer is the whole sum, _dual_upper(space, phi).
+    In l1 a piece's value is its max |phi_i|, which does not add up over
+    pieces, and with a float value the sum over a split may round above
+    the whole sum: both run the program."""
+    if rule is _dual_upper and not isinstance(space, L1) and not any(
+            isinstance(v, float) for v in phi.values):
+        return _dual_upper(space, phi)
+    dp = _partitions(space, phi, rule)
     return dp.at_most(n) if n is not None else dp.admissible(alpha)
 
 
 def dual_assoc_norm(space, phi, n=None, alpha=None):
     """Bounds on the derived dual norm: outer sup over interval partitions
     (count-limited for the n-variant, admissible for the alpha-variant)
-    of sums of per-piece dual norms, each end on its own."""
+    of sums of per-piece dual norms, each end on its own.  Every piece of
+    the lower end reads the one witness memo of the call (each sign
+    pattern normed at most once; past PATTERN_BOUND points a piece tries
+    only its coordinates); outside l1 the upper end is sum|phi_i|, with
+    no program (:func:`_dual_assoc_end`)."""
     alpha = _count_or_alpha(n, alpha)
     if phi.is_zero():
         z = Fraction(0)
         return Bounds(z, z)
-    return Bounds(*(_dual_assoc_end(space, phi, end, n, alpha)
-                    for end in (_dual_lower, _dual_upper)))
+    return Bounds(*(_dual_assoc_end(space, phi, rule, n, alpha)
+                    for rule in (_dual_lower(space, phi), _dual_upper)))
 
 
 def minimax_admissible_cover(space, x, alpha):
@@ -881,7 +940,9 @@ def primal_from_dual(space, x, n=None, alpha=None, candidates=None):
 
     Lower bound: the best phi(x) over the upper end of phi's derived dual
     bound, the only end computed, for the candidate functionals phi (sign
-    patterns of x plus any caller-supplied functionals).
+    patterns of x plus any caller-supplied functionals).  Outside l1 that
+    end of an exact phi is sum|phi_i|, read with no partition program
+    (:func:`_dual_assoc_end`).
     Upper bound: the base norm of x, refined for the alpha-variant by the
     min-max admissible-cover bound.
     """

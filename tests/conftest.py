@@ -16,6 +16,7 @@ from hypothesis import settings
 
 from schreierlab.families import Bracket, Power, Schreier, schreier_member
 from schreierlab.ordinal import fundamental_sequence
+from schreierlab.spaces import _sign_patterns, norm
 from schreierlab.trees import TreeError
 
 settings.register_profile("ci", deadline=None, derandomize=True,
@@ -331,3 +332,11 @@ def least_power_by_listing(alpha, a, cap, universe_max):
     return next((n for n in range(1, cap + 1)
                  if not escape_by_listing(family, Power(Schreier(a), n),
                                           universe_max)), None)
+
+
+def dual_lower_by_patterns(space, phi):
+    """The lower end of the dual bounds of a nonzero phi with each
+    sign-pattern witness xw normed on its own: the best phi(xw) / ||xw||
+    over spaces._sign_patterns(phi).  In c0 and l1 it is the exact dual
+    norm (the sum and the max of the |phi_i|)."""
+    return max(phi.pair(xw) / norm(space, xw) for xw in _sign_patterns(phi))

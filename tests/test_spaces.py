@@ -11,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (allowable_oracle, brute_s1, brute_s2, brute_schreier,
-                      implicit_norm_oracle, interval_partitions,
-                      successive_partitions, tsirelson_table_01)
+                      dual_lower_by_patterns, implicit_norm_oracle,
+                      interval_partitions, successive_partitions,
+                      tsirelson_table_01)
 from schreierlab import spaces
 from schreierlab.families import _cursor_start, _cursor_step
 from schreierlab.ordinal import Ordinal
@@ -36,6 +37,7 @@ T12 = Tsirelson(Ordinal.from_int(1), Fraction(1, 2))
 T22 = Tsirelson(Ordinal.from_int(2), Fraction(1, 2))
 MT12 = MixedTsirelson(((Ordinal.from_int(1), Fraction(1, 2)),
                        (Ordinal.from_int(2), Fraction(1, 4))))
+NN_T12 = Derived(T12, ("nn", 2))
 MEMBER = {0: lambda F: len(F) <= 1, 1: brute_s1, 2: brute_s2}
 ALLOWABLE_ALPHAS = [parse_ordinal(a) for a in ("0", "1", "2", "w")]
 # fixed signed rational vectors for the partition-DP oracles
@@ -952,28 +954,125 @@ class TestDuals:
         b = dual_assoc_norm(C0(), phi, alpha=1)
         assert b.exact and b.lower == 1
 
+    @pytest.mark.parametrize("text", [
+        "C0", "L1", "SCHL", "T(S(1),1/2)", "T(S(2),1/3)",
+        "MT[(S(1),1/2),(S(2),1/4)]", "NN(T(S(1),1/2),2)",
+        "ASSOC(T(S(1),1/2),S(1),adm)"])
+    def test_lower_end_against_the_pattern_oracle(self, text):
+        # oracle: each sign pattern normed on its own by norm; seeded
+        # signed rationals on 1-10 points, and 13 points, past
+        # PATTERN_BOUND (not in c0, whose lower end stays the exact sum
+        # there); exact values, and floats (SCHL, float coefficients) bit
+        # for bit
+        space = parse_space(text)
+        rng = random.Random(35)
+        vectors = [seeded_vector(rng, size, 14) for size in range(1, 11)]
+        if text != "C0":
+            vectors.append(seeded_vector(rng, 13, 20))
+        vectors.append(FsVector.from_pairs([(2, 0.1), (3, Fraction(-1, 3)),
+                                            (5, 0.7), (6, -0.2), (9, 0.3)]))
+        for phi in vectors:
+            got = dual_norm(space, phi).lower
+            want = dual_lower_by_patterns(space, phi)
+            assert got == want and type(got) is type(want), phi
+
     def test_dual_assoc_vs_brute_force(self):
         # oracle: the partition classes of the DPs over the per-piece
         # bounds: at most two gap-free pieces from the first support
         # point (n = 2); S_1-admissible gap-free pieces of a tail
-        for phi in VECTORS:
+        for space, phi in itertools.product([T12, MT12, NN_T12], VECTORS):
             sp = phi.support
             P = len(sp)
-            piece = {(i, j): dual_norm(T12,
+            piece = {(i, j): dual_norm(space,
                                        phi.restrict(range(sp[i], sp[j] + 1)))
                      for i in range(P) for j in range(i, P)}
-            by_n = dual_assoc_norm(T12, phi, n=2)
-            by_alpha = dual_assoc_norm(T12, phi, alpha=1)
+            by_n = dual_assoc_norm(space, phi, n=2)
+            by_alpha = dual_assoc_norm(space, phi, alpha=1)
             for side in ("lower", "upper"):
                 def total(parts):
                     return sum(getattr(piece[p], side) for p in parts)
                 want = max(total(ps) for ps in interval_partitions(0, P - 1)
                            if len(ps) <= 2)
-                assert getattr(by_n, side) == want, (phi, side)
+                assert getattr(by_n, side) == want, (space, phi, side)
                 want = max(total(ps) for l in range(P)
                            for ps in interval_partitions(l, P - 1)
                            if brute_s1(tuple(sp[i] for i, _ in ps)))
-                assert getattr(by_alpha, side) == want, (phi, side)
+                assert getattr(by_alpha, side) == want, (space, phi, side)
+
+    @pytest.mark.parametrize("kw", [{"alpha": 1}, {"n": 2}],
+                             ids=["alpha=1", "n=2"])
+    def test_each_pattern_is_normed_once_per_call(self, kw, monkeypatch):
+        # 8 points have 255 sign patterns; normed once for every piece
+        # that holds them, they took 968 evaluators (alpha 1) and 749
+        # (n = 2)
+        built = []
+        real = spaces._Evaluator.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(spaces._Evaluator, "__init__", counted)
+        phi = FsVector.from_pairs([(2, 1), (3, "-1/2"), (5, "3/4"), (6, 1),
+                                   (7, "-2/3"), (9, "1/3"), (10, -2),
+                                   (12, "5/2")])
+        dual_assoc_norm(T12, phi, **kw)
+        assert 0 < len(built) <= 255
+
+    @pytest.fixture
+    def partition_rules(self, monkeypatch):
+        """The rule of each partition engine built from here on."""
+        rules = []
+        real = spaces._partitions
+
+        def recorded(space, x, rule=None):
+            rules.append(rule)
+            return real(space, x, rule)
+
+        monkeypatch.setattr(spaces, "_partitions", recorded)
+        return rules
+
+    def test_primal_builds_no_upper_end_program_outside_l1(self,
+                                                           partition_rules):
+        rules = partition_rules
+        for space in (C0(), T12, MT12, NN_T12, Schlumprecht()):
+            for kw in ({"n": 2}, {"alpha": 1}):
+                primal_from_dual(space, VECTORS[2], **kw)
+        assert spaces._dual_upper not in rules
+        primal_from_dual(L1(), VECTORS[2], n=2)
+        assert spaces._dual_upper in rules
+
+    @pytest.mark.parametrize("text", [
+        "C0", "SCHL", "T(S(1),1/2)", "MT[(S(1),1/2),(S(2),1/4)]",
+        "NN(T(S(1),1/2),2)", "ASSOC(T(S(1),1/2),S(1),adm)"])
+    def test_upper_end_shortcut_is_the_program(self, text, monkeypatch):
+        # outside l1 the pieces' upper ends add up, so the whole support
+        # is the best tiling: the same value, read without a program
+        space = parse_space(text)
+        real = spaces._partitions
+        ends = [(n, None) for n in (1, 2, 3)] + [
+            (None, parse_ordinal(a)) for a in ("0", "1", "2", "w")]
+        for phi in VECTORS + [FsVector.from_pairs([(3, "-2/3")])]:
+            for n, alpha in ends:
+                dp = real(space, phi, spaces._dual_upper)
+                want = dp.at_most(n) if n else dp.admissible(alpha)
+                with monkeypatch.context() as m:
+                    m.setattr(spaces, "_partitions", None)
+                    got = spaces._dual_assoc_end(space, phi, spaces._dual_upper,
+                                                 n, alpha)
+                assert got == want and type(got) is type(want), (phi, n, alpha)
+
+    def test_l1_and_float_upper_ends_run_the_program(self, partition_rules):
+        # l1 pieces are maxima, which do not add up; a float sum over a
+        # split may round above the whole sum
+        rules = partition_rules
+        # two pieces: 3/2 (at 10) and 1 (at 1 or 8); the whole is 3/2
+        assert dual_assoc_norm(L1(), VECTORS[2], n=2).upper == Fraction(5, 2)
+        assert rules == [spaces._dual_upper] * 2  # l1's ends are both exact
+        rules.clear()
+        phi = FsVector.from_pairs([(2, 0.1), (3, 0.2), (4, 0.3)])
+        primal_from_dual(T12, phi, n=2, candidates=[phi])
+        assert rules.count(spaces._dual_upper) == 1
 
     def test_minimax_cover_vs_brute_force(self):
         # oracle: min over admissible gap-free covers from the first
