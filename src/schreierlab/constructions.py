@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .families import (POWER_BOUND, ResourceBoundError, _check_universe,
-                       _escape, _fold, _int_weights, _longest, _walk, power,
-                       schreier)
+                       _escape, _fold, _int_weights, _longest, _universe,
+                       _walk, power, schreier)
 from .ordinal import Ordinal, fundamental_sequence
 from .spaces import (C0, L1, FsVector, _BlockSums, _count_or_alpha,
                      _dual_upper, _levels, _partitions, norm, primal_from_dual,
@@ -244,9 +244,11 @@ def _is_block_sequence(blocks):
 
 
 def _check_n2_blocks(n, blocks):
-    """Lemmas 1 and 3 take n^2 nonzero successive blocks."""
+    """Lemmas 1 and 3 take n >= 1 and n^2 nonzero successive blocks."""
     if len(blocks) != n * n:
         raise ConstructionError("need n^2 = %d blocks, got %d" % (n * n, len(blocks)))
+    if n < 1:
+        raise ConstructionError("n must be >= 1, got %d" % n)
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
 
@@ -545,7 +547,7 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
         raise ConstructionError("need a block for every index up to %d" % universe_max)
     if not _is_block_sequence(blocks):
         raise ConstructionError("blocks must be nonzero, with strictly increasing supports")
-    _check_universe(universe_max)
+    points = _check_universe(universe_max)
     head = blocks[:universe_max]
     floor = None
     if (_levels(space) and head and isinstance(C, Fraction) and C > 0
@@ -554,8 +556,7 @@ def check_spreading_model(space, blocks, alpha, C, universe_max):
             floor = 1 / (C * min(norm(space, b) for b in head))
         except ResourceBoundError:
             pass
-        if floor and _lower_estimate(space, alpha,
-                                     range(1, universe_max + 1), floor):
+        if floor and _lower_estimate(space, alpha, points, floor):
             return SpreadingReport(True, alpha, C, universe_max)
     sums = _BlockSums(space, dict(enumerate(head, 1)),
                       sum(len(b.entries) for b in head))
@@ -611,7 +612,7 @@ def measure_asymptoticity(space, alpha, universe_max):
     """
     alpha = Ordinal.of(alpha)
     N = universe_max
-    points = range(1, N + 1)
+    points = _universe(N)
     if isinstance(space, L1) or not N:  # no system in an empty universe
         return Fraction(1)
     if isinstance(space, C0):

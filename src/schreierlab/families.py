@@ -129,7 +129,10 @@ def _int_weights(F, weights):
 #   FREE                      -- accepts every continuation
 #   ("one",)                  -- S_0 after consuming its single element
 #   ("blk", alpha_b, left, s) -- inside S_{b+1}: current S_b block in state
-#                                s, `left` further blocks may be opened
+#                                s, `left` further blocks may be opened;
+#                                for b = 0, s is ("one",) and the level is
+#                                a counter of the points it may still
+#                                read, stepped in closed form (_counter)
 #   ("br", M, N, outer, inner) -- inside M[N]: ids of the M cursor after
 #                                the run minima and of the N cursor inside
 #                                the current run
@@ -185,9 +188,9 @@ def _run(beta, blocks, m, cap):
     down are the next frame.  Every _longest value is kept in _LONGEST.
     Each (ordinal, point) looked up costs the terms of the ordinal's normal
     form, which its hash, comparison and fundamental sequence each read;
-    more than LONGEST_WORK_BOUND in one call raise ResourceBoundError."""
-    if beta.is_zero():
-        return min(blocks, cap)
+    more than LONGEST_WORK_BOUND in one call raise ResourceBoundError.
+    Its callers size blocks of S_beta for beta >= 1: an S_0 level is a
+    counter (_counter)."""
     # frames: [beta, blocks left, first point, total, keys the run answers]
     stack = [[beta, blocks, m, 0, ()]]
     work = 0
@@ -230,10 +233,19 @@ def _run(beta, blocks, m, cap):
 
 
 def _absorbs(beta, blocks, n, remaining):
-    """True when `blocks` fresh S_beta blocks opened after n can take any
-    `remaining` further elements.  The run n+1, n+2, ... is the hardest
-    such input, since S_beta is spreading."""
+    """True when `blocks` fresh S_beta blocks, beta >= 1, opened after n
+    can take any `remaining` further elements.  The run n+1, n+2, ... is
+    the hardest such input, since S_beta is spreading."""
     return _run(beta, blocks, n + 1, remaining) >= remaining
+
+
+def _counter(beta, left, remaining):
+    """Canonical states of an S_1 level (beta = 0) whose current one-point
+    block is read, with `left` further blocks: a counter of the points it
+    may still read, FREE when they cover the `remaining` ones."""
+    if left >= remaining:
+        return (FREE,)
+    return (("one",),) if left == 0 else (("blk", beta, left, ("one",)),)
 
 
 def _blocks(beta, left, inner, n, remaining):
@@ -304,6 +316,8 @@ def _start(alpha, n, remaining):
     try:
         if alpha.is_successor():
             beta = alpha.predecessor()
+            if beta.is_zero():
+                return _counter(beta, n - 1, remaining)
             if _absorbs(beta, n - 1, n, remaining):
                 return (FREE,)
             return _blocks(beta, n - 1, _start(beta, n, remaining), n,
@@ -335,6 +349,9 @@ def _advance(state, n, remaining):
         return _bracket(M, N, _cursor_step(M, outer, n, remaining),
                         _cursor_step(N, None, n, remaining))
     _, beta, left, inner = state
+    if beta.is_zero():
+        # n opens the next one-point block
+        return _counter(beta, left - 1, remaining)
     # opening a fresh block at n leaves left - 1 fresh blocks after it
     if _absorbs(beta, left - 1, n, remaining):
         return (FREE,)
@@ -542,10 +559,21 @@ def _maximal(members):
 # ---------------------------------------------------------------------------
 
 
+def _universe(universe_max):
+    """The points 1..universe_max of a universe; a negative one is refused."""
+    if universe_max < 0:
+        raise FamilyError("universe must be >= 0, got %d" % universe_max)
+    return range(1, universe_max + 1)
+
+
 def _check_universe(universe_max):
+    """The points of a universe whose members are listed, which
+    ENUMERATION_BOUND caps."""
+    points = _universe(universe_max)
     if universe_max > ENUMERATION_BOUND:
         raise ResourceBoundError("universe", universe_max,
                                  "ENUMERATION_BOUND", ENUMERATION_BOUND)
+    return points
 
 
 def hereditary_closure(sets):
@@ -591,8 +619,7 @@ class Family:
         the member it looks for.  A cursor family is read by _walk over
         1..universe_max; past MEMBER_BOUND nonempty members it raises
         ResourceBoundError."""
-        _check_universe(universe_max)
-        points = range(1, universe_max + 1)
+        points = _check_universe(universe_max)
         yield ()
         for count, G in enumerate(_walk(self._key, points), 1):
             if count > MEMBER_BOUND:
@@ -606,7 +633,7 @@ class Family:
         the size of its longest member and the number of its nonempty
         members.  A cursor family reads both from _fold, which lists no
         member; the masses it also folds, here the points, go unread."""
-        points = range(1, universe_max + 1)
+        points = _universe(universe_max)
         _, nodes, order = _fold(self, points, points)
         return order, nodes
 
@@ -625,7 +652,7 @@ class Family:
         F = _finset(F)
         if not self.member(F):
             raise FamilyError("%r is not a member of %s" % (F, self))
-        for n in range(1, universe_max + 1):
+        for n in _universe(universe_max):
             if n in F:
                 continue
             G = tuple(sorted(F + (n,)))
@@ -655,18 +682,20 @@ class Family:
         Fraction, on the int weights of _int_weights.  A cursor family is
         folded left to right over F, keeping the best mass of a member read
         so far in each cursor state: skipping a point keeps every state,
-        reading it steps each state (and the fresh cursor) through
-        _cursor_start/_cursor_advance."""
+        reading it starts the fresh cursor (_cursor_start) and steps each
+        state (_cursor_advance)."""
         F = _finset(F)
         D, w = _int_weights(F, weights)
         front = {}  # state id -> best mass of a member read so far
         for i, n in enumerate(F):
-            rest = len(F) - 1 - i
+            rest, wn = len(F) - 1 - i, w[n]
             nxt = dict(front)
-            for state, mass in [(None, 0), *front.items()]:
-                mass += w[n]
-                for s in (_cursor_start(self._key, n, rest) if state is None
-                          else _cursor_advance(state, n, rest)):
+            for s in _cursor_start(self._key, n, rest):
+                if s not in nxt or wn > nxt[s]:
+                    nxt[s] = wn
+            for state, mass in front.items():
+                mass += wn
+                for s in _cursor_advance(state, n, rest):
                     if s not in nxt or mass > nxt[s]:
                         nxt[s] = mass
             front = nxt
@@ -840,12 +869,12 @@ def tail_domination(A, B, universe_max):
     """Least n0 <= universe_max with every member of B in the universe
     from n0 on lying in A, else None: one past the largest minimum of a
     member of B outside A: by _escape, or by B's listing for listed sets."""
-    _check_universe(universe_max)
+    points = _check_universe(universe_max)
     if isinstance(A, Explicit) or isinstance(B, Explicit):
         n0 = 1 + max((F[0] for F in B.enumerate(universe_max)
                       if F and not A.member(F)), default=0)
     else:
-        n0 = 1 + _escape(B, A, range(1, universe_max + 1))
+        n0 = 1 + _escape(B, A, points)
     return n0 if n0 <= universe_max else None
 
 

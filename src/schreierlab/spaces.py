@@ -249,8 +249,8 @@ class MixedTsirelson:
 
     def __post_init__(self):
         """Each alpha is read by Ordinal.of and each theta as a Fraction;
-        an alpha that is neither an Ordinal nor an int, and a theta that is
-        neither an int nor a Fraction, are refused."""
+        no levels, an alpha that is neither an Ordinal nor an int, and a
+        theta that is neither an int nor a Fraction, are refused."""
         levels = []
         for alpha, theta in self.levels:
             if not isinstance(alpha, (Ordinal, int)):
@@ -260,6 +260,8 @@ class MixedTsirelson:
                 raise SpaceError("theta must be an int or a Fraction, got %r"
                                  % (theta,))
             levels.append((Ordinal.of(alpha), Fraction(theta)))
+        if not levels:
+            raise SpaceError("MT needs at least one level")
         if not all(0 < theta < 1 for _, theta in levels):
             raise SpaceError("theta must lie in (0,1)")
         object.__setattr__(self, "levels", tuple(levels))

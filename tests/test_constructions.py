@@ -168,6 +168,11 @@ class TestLemma1:
         with pytest.raises(ConstructionError):
             gluing_lemma1(T12, 2, [FsVector.basis(1)])
 
+    def test_zero_n_is_refused(self):
+        # zero blocks for n = 0 would average with weight 1/0
+        with pytest.raises(ConstructionError, match="^n must be >= 1, got 0$"):
+            gluing_lemma1(T12, 0, [])
+
     def test_uncertifiable_blocks_reported(self):
         rep = gluing_lemma1(C0(), 2, [FsVector.basis(i) for i in (1, 2, 3, 4)])
         assert rep.status == "precondition-failed"
@@ -231,6 +236,10 @@ class TestLemma3:
         funcs = [FsVector.basis(2 * i) for i in (1, 2, 3, 4)]
         rep = gluing_lemma3(T12, 2, blocks, funcs)
         assert rep.status == "precondition-failed"
+
+    def test_zero_n_is_refused(self):
+        with pytest.raises(ConstructionError, match="^n must be >= 1, got 0$"):
+            gluing_lemma3(T12, 0, [], [])
 
     def test_malformed_biorthogonals(self):
         blocks = [FsVector.basis(i) for i in (1, 2, 3, 4)]
@@ -438,6 +447,27 @@ class TestSpreadingModel:
             check_spreading_model(C0(), [FsVector.basis(1), FsVector()], 1, 2, 2)
         with pytest.raises(ConstructionError):
             check_spreading_model(C0(), [FsVector(), FsVector.basis(2)], 1, 2, 2)
+
+
+@pytest.mark.parametrize("query", [
+    lambda: measure_asymptoticity(T12, 1, -1),
+    lambda: measure_asymptoticity(C0(), 1, -1),
+    lambda: measure_asymptoticity(L1(), 1, -1),
+    lambda: check_spreading_model(T12, [FsVector.basis(3)], 1, 2, -1),
+    lambda: families.tail_domination(families.schreier(1),
+                                     families.schreier(2), -1),
+    lambda: families.schreier(1).tree_order(-1),
+    lambda: families.explicit_family([(1,)]).tree_order(-1),
+    lambda: families.schreier(1).enumerate(-1),
+    lambda: families.schreier(1).is_maximal((1,), -1),
+], ids=["asymptoticity-T", "asymptoticity-C0", "asymptoticity-L1",
+        "spreading-model", "tail-domination", "tree-order",
+        "tree-order-explicit", "enumerate", "is-maximal"])
+def test_negative_universe_is_refused(query):
+    # one check, before any bound or shortcut that would answer
+    with pytest.raises(families.FamilyError,
+                       match="^universe must be >= 0, got -1$"):
+        query()
 
 
 def _oracle_blocks(kind, universe):

@@ -52,7 +52,7 @@ class TestSchreierMembership:
         a = parse_ordinal(alpha)
         assert schreier_member(a, F) is brute_schreier(a, F) is True
 
-    @pytest.mark.parametrize("alpha", ["1", "2", "w"])
+    @pytest.mark.parametrize("alpha", ["1", "2", "3", "w", "w+1", "w*2"])
     def test_enumerate_in_lexicographic_order(self, alpha):
         # a spreading scan's witness is the first failing member, so the
         # order itself is checked, not just the set
@@ -215,6 +215,26 @@ class TestMaxMass:
                        for m in F}
             want = max(sum(weights[m] for m in G) for G in subsets(9)
                        if set(G) <= set(F) and brute_bracket(fam, G))
+            assert fam.max_mass(F, weights) == want, (F, weights)
+
+
+    @pytest.mark.parametrize("text", ["S(1)", "S(2)", "S(w)",
+                                      "BR(S(1),S(2))", "POW(S(1),2)"])
+    def test_signed_and_zero_weights_against_the_definition(self, text):
+        # the subsets of F, up to 12 points, decided by the definition; the
+        # families are hereditary, so a subset whose prefix is no member is
+        # none and is not decided
+        fam = parse_family(text)
+        rng = random.Random(text)
+        for size in range(1, 13):
+            F = tuple(sorted(rng.sample(range(1, 16), size)))
+            weights = {m: Fraction(rng.choice((-1, 0, 1)) * rng.randint(1, 9),
+                                   rng.randint(1, 9)) for m in F}
+            members = {()}
+            for r in range(1, size + 1):
+                members |= {G for G in itertools.combinations(F, r)
+                            if G[:-1] in members and brute_bracket(fam, G)}
+            want = max(sum(weights[m] for m in G) for G in members)
             assert fam.max_mass(F, weights) == want, (F, weights)
 
 

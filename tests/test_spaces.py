@@ -221,7 +221,7 @@ class TestDescriptorParsing:
 
     def test_constructors_coerce_their_levels(self):
         # an int alpha is read as an ordinal and an int or Fraction theta
-        # as a Fraction; a float theta or a text alpha is refused
+        # as a Fraction; a float theta, a text alpha or no level is refused
         x = FsVector.from_pairs([(3, 1), (4, 1), (5, 1)])
         assert Tsirelson(1, Fraction(1, 2)) == T12
         assert norm(Tsirelson(1, Fraction(1, 2)), x) == Fraction(3, 2)
@@ -230,6 +230,8 @@ class TestDescriptorParsing:
                              (1, 1)]:
             with pytest.raises(SpaceError):
                 Tsirelson(alpha, theta)
+        with pytest.raises(SpaceError, match="^MT needs at least one level$"):
+            MixedTsirelson(())
 
     def test_modes(self):
         assert space_mode(parse_space("SCHL")) == "float"
