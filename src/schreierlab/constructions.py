@@ -273,10 +273,10 @@ def gluing_lemma1(space, n, blocks):
         return failed
     x = sum(blocks, FsVector()).scale(Fraction(1, n * n))
     # ||x|| and ||x||_n from one engine: the whole support is one piece
-    dp = _partitions(space, x)
-    nx = dp.unscale(dp.piece(0, len(x.entries) - 1))
+    dp, last = _partitions(space, x), len(x.entries) - 1
+    nx = dp.unscale(dp.piece(0, last))
     _count_or_alpha(n, None)  # at most n < 1 pieces is refused, as by norm_n
-    nxn = dp.unscale(dp.at_most(n))
+    nxn = dp.unscale(dp.at_most(n, 0, last))
     ok = Fraction(1, 2) <= nx <= nxn <= 2
     return GluingReport(1, "verified" if ok else "refuted", x,
                         {"norm": nx, "norm_n": nxn}, {"n": n})
@@ -336,9 +336,9 @@ def gluing_lemma2(space, eta, tree, C1, C2, xi, start=1):
     x = sum((b.scale(scc.coefficients[m]) for m, b in zip(scc.F, branch)),
             FsVector())
     # ||x|| and |x|_eta from one engine: the whole support is one piece
-    dp = _partitions(space, x)
-    nx = dp.unscale(dp.piece(0, len(x.entries) - 1))
-    ax = dp.unscale(dp.admissible(scc.eta))
+    dp, last = _partitions(space, x), len(x.entries) - 1
+    nx = dp.unscale(dp.piece(0, last))
+    ax = dp.unscale(dp.admissible(scc.eta, 0, last))
     ok = Fraction(1) / tree.K <= nx <= ax <= 2 * params["C1"]
     return GluingReport(2, "verified" if ok else "refuted", x,
                         {"norm": nx, "assoc_norm": ax}, params,

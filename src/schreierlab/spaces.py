@@ -22,7 +22,8 @@ instead, so that its sums can share segment values.
 The partition programs (the implicit norms, the derived norms, the
 dual bounds and the min-max cover) all run on one dynamic program over
 cut points, :class:`_Partitions`; the cover only folds its cuts by
-min-max instead of max-plus (:class:`_Cover`).  Each end of a dual
+min-max instead of max-plus (:class:`_Cover`); a derived norm is a
+program over its base's one engine on the vector.  Each end of a dual
 bound is one rule, and each end of a derived dual bound one program
 over that rule's piece values (:func:`_partitions`), so a caller that
 reads one end computes only that end; outside l1 the upper end of exact
@@ -404,7 +405,7 @@ class _Partitions:
 
     def unscale(self, v):
         """The value of a result of the program (identity for generic
-        pieces)."""
+        pieces; a derived space's engine unscales as its base's)."""
         return v
 
     def chain(self, l, state, j):
@@ -461,20 +462,18 @@ class _Partitions:
             memo[l, j, alpha] = best
         return best
 
-    def admissible(self, alpha):
-        """sup over alpha-admissible chains of a tail [l..end] of the
-        support (an initial segment may be dropped): the best single
-        piece of a tail or the best split of the whole support."""
-        last = len(self.sp) - 1
-        return max(max(self.piece(l, last) for l in range(last + 1)),
-                   self.split_admissible(0, last, alpha))
+    def admissible(self, alpha, i, j):
+        """sup over alpha-admissible chains of a tail [l..j] of [i..j] (an
+        initial segment may be dropped): the best single piece of a tail
+        or the best split of [i..j]."""
+        return max(max(self.piece(l, j) for l in range(i, j + 1)),
+                   self.split_admissible(i, j, alpha))
 
-    def at_most(self, n):
-        """sup over chains of the whole support with at most n pieces: an
-        S_1 cursor that has read n allows n - 1 further cuts."""
-        last = len(self.sp) - 1
-        (budget,) = _cursor_start(_ONE, n, last)
-        return self.chain(0, budget, last)
+    def at_most(self, n, i, j):
+        """sup over chains of [i..j] with at most n pieces: an S_1 cursor
+        that has read n allows n - 1 further cuts."""
+        (budget,) = _cursor_start(_ONE, n, j - i)
+        return self.chain(i, budget, j)
 
 
 class _Cover(_Partitions):
@@ -568,8 +567,6 @@ class _Evaluator(_Partitions):
                 v = self.split_exact_count(i, j, k) / math.log2(k + 1)
                 if v > best:
                     best = v
-        elif not self.levels:
-            raise SpaceError("seg_norm only for implicit-norm spaces")
         for alpha, p, q in self.levels:
             v = self.split_admissible(i, j, alpha)
             v = p * v if q is None else p * v // q
@@ -602,20 +599,23 @@ class _Evaluator(_Partitions):
 
 def norm(space, x):
     """Norm of x in the given space (exact Fraction unless float mode)."""
+    if not isinstance(space, (C0, L1, MixedTsirelson, Schlumprecht, Derived)):
+        raise SpaceError("not a space: %r" % (space,))
     if isinstance(space, Derived):
-        kind = space.kind
-        if kind[0] == "nn":
-            return norm_n(space.base, kind[1], x)
-        return assoc_norm(space.base, kind[1], x, kind[2])
-    if x.is_zero():
+        arg = _derived_arg(space)
+        if x.is_zero():
+            return norm(space.base, x)
+        if space.kind[2:] == ("allowable",):
+            return _assoc_allowable(space.base, arg, x)
+    elif x.is_zero():
         return Fraction(0) if space_mode(space) == "exact" else 0.0
     if isinstance(space, C0):
         vals = x.values
         return max(max(vals), -min(vals))
     if isinstance(space, L1):
         return sum(abs(v) for v in x.values)
-    ev = _Evaluator(space, x)
-    return ev.unscale(ev.seg_norm(0, len(x.entries) - 1))
+    dp = _partitions(space, x)
+    return dp.unscale(dp.piece(0, len(x.entries) - 1))
 
 
 class _BlockSums:
@@ -701,53 +701,53 @@ class _BlockSums:
 
 
 def _partitions(space, x, rule=None):
-    """Partition engine over x's support points whose pieces are the
-    values rule(space, x's entries at an interval of positions): one end
-    of the dual bounds for the derived dual norms, the base norm when no
-    rule is given; then dp.unscale(dp.piece(i, j)) is the norm of x on
-    positions i..j, as the units of an asymptoticity measurement read it.
-
-    For the norm of an implicit-norm space the evaluator itself is used:
-    the norm of a restriction to an interval equals its segment norm, and
-    its chains are the same quantities, so the memos are shared."""
+    """Partition engine over x's support points whose piece (i, j) is
+    rule(space, x on i..j), one end of the derived dual bounds, or with no
+    rule the norm of x on positions i..j once unscaled: an implicit norm's
+    evaluator, and for NN(base, n) or ASSOC(base, S_alpha, adm) a program
+    over the base's one engine, reading its at_most or admissible on i..j."""
+    base = None
     if rule is None:
         if isinstance(space, (MixedTsirelson, Schlumprecht)):
             return _Evaluator(space, x)
+        if isinstance(space, Derived) and space.kind[2:] != ("allowable",):
+            arg, base = _derived_arg(space), _partitions(space.base, x)
+            read = base.at_most if space.kind[0] == "nn" else base.admissible
         rule = norm
-    entries = x.entries
-    memo = {}
+    entries, memo = x.entries, {}
 
-    def piece(i, j):
-        key = (i, j)
-        if key not in memo:
-            memo[key] = rule(space, FsVector(entries[i:j + 1]))
-        return memo[key]
+    def piece(i, j):  # a dict, not functools.cache: norm reads one piece
+        if (i, j) not in memo:
+            memo[i, j] = (rule(space, FsVector(entries[i:j + 1]))
+                          if base is None else read(arg, i, j))
+        return memo[i, j]
 
-    return _Partitions(x.support, piece)
+    dp = _Partitions(x.support, piece)
+    if base is not None:
+        dp.unscale = base.unscale
+    return dp
+
+
+def _derived_arg(space):
+    """NN's n, at least 1, or ASSOC's alpha as an Ordinal, variant checked."""
+    kind, arg = space.kind[:2]
+    if kind == "nn":
+        _count_or_alpha(arg, None)
+        return arg
+    if space.kind[2] not in ("admissible", "allowable"):
+        raise SpaceError("variant must be admissible or allowable")
+    return Ordinal.of(arg)
 
 
 def norm_n(space, n, y):
     """sup of sums of piece norms over at most n successive intervals."""
-    _count_or_alpha(n, None)
-    if y.is_zero():
-        return norm(space, y)
-    # dropping never helps for bimonotone norms, so pieces tile the support
-    dp = _partitions(space, y)
-    return dp.unscale(dp.at_most(n))
+    return norm(Derived(space, ("nn", n)), y)
 
 
 def assoc_norm(space, alpha, x, variant="admissible"):
     """Associated norm: sup of piece-norm sums over alpha-admissible
     successive intervals (or alpha-allowable disjoint sets)."""
-    alpha = Ordinal.of(alpha)
-    if variant not in ("admissible", "allowable"):
-        raise SpaceError("variant must be admissible or allowable")
-    if x.is_zero():
-        return norm(space, x)
-    if variant == "allowable":
-        return _assoc_allowable(space, alpha, x)
-    dp = _partitions(space, x)
-    return dp.unscale(dp.admissible(alpha))
+    return norm(Derived(space, ("assoc", Ordinal.of(alpha), variant)), x)
 
 
 def _assoc_allowable(space, alpha, x):
@@ -902,8 +902,8 @@ def _dual_assoc_end(space, phi, rule, n, alpha):
     if rule is _dual_upper and not isinstance(space, L1) and not any(
             isinstance(v, float) for v in phi.values):
         return _dual_upper(space, phi)
-    dp = _partitions(space, phi, rule)
-    return dp.at_most(n) if n is not None else dp.admissible(alpha)
+    dp, last = _partitions(space, phi, rule), len(phi.entries) - 1
+    return dp.at_most(n, 0, last) if n else dp.admissible(alpha, 0, last)
 
 
 def dual_assoc_norm(space, phi, n=None, alpha=None):

@@ -278,8 +278,9 @@ class TestExitCodes:
 
     def test_derived_asymptoticity_units_past_the_support_bound(self,
                                                                capsys):
-        # a derived space norms its units one piece at a time; the widest
-        # is normed first, so 100 points are refused before any other
+        # a derived space's units are pieces of one engine of its base over
+        # the whole universe, so 100 points are refused before any unit is
+        # normed
         t0 = time.perf_counter()
         code, out, err = run(capsys, "asymp", "--space", "NN(T(S(1),1/2),2)",
                              "--alpha", "0", "--universe", "100")
@@ -338,6 +339,17 @@ class TestExitCodes:
                              "--vec", vec)
         assert code == 65 and out == "" and err == "resource bound: %s\n" % want
         assert time.perf_counter() - t0 < 1
+
+    def test_nested_derived_norm_reads_one_base_engine(self, capsys):
+        # each piece of the ASSOC program is read from the one NN engine
+        # over 1..40, and each NN piece from the one T engine: no level
+        # builds an engine per piece
+        vec = json.dumps([[i, "1"] for i in range(1, 41)])
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "norm", "eval", "--space",
+                           "ASSOC(NN(T(S(1),1/2),3),S(1),adm)", "--vec", vec)
+        assert code == 0 and out.strip() == "30"
+        assert time.perf_counter() - t0 < 0.5
 
     def test_allowable_answers_at_its_support_bound(self, capsys):
         # the bound itself answers; in l1 every point joins a piece

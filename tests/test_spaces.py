@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -253,6 +254,15 @@ class TestBaseNorms:
         assert norm(C0(), negative.scale(-1)) == 3
         assert norm(C0(), mixed) == 3
         assert norm(C0(), FsVector.from_pairs([(1, "-1/4")])) == Fraction(1, 4)
+
+    @pytest.mark.parametrize("space", [42, None, "T"], ids=repr)
+    def test_a_non_space_is_refused_by_name(self, space):
+        # refused at the entry, for the zero vector too, before any engine
+        # is built (a piece of a non-space would norm a non-space again)
+        for x in (FsVector.basis(1), FsVector(), VECTORS[0]):
+            with pytest.raises(SpaceError, match="^not a space: %s$"
+                               % re.escape(repr(space))):
+                norm(space, x)
 
 
 class TestTsirelsonNorm:
@@ -837,9 +847,10 @@ class TestFreeChains:
                 closed = spaces._partitions(space, x)
                 looped = spaces._partitions(space, x)
                 looped._pre = None
-                assert closed.unscale(closed.at_most(n)) == total
+                last = len(x.entries) - 1
+                assert closed.unscale(closed.at_most(n, 0, last)) == total
                 assert closed._seg == {} and closed._chain == {}
-                assert looped.unscale(looped.at_most(n)) == total
+                assert looped.unscale(looped.at_most(n, 0, last)) == total
 
     @pytest.mark.parametrize("pairs,want", [
         ([(1, 1), (2, 1)], 1.261859507142915),
@@ -884,12 +895,12 @@ class TestPartitionEngine:
             dp = spaces._Partitions(sp, piece)
             for n in (1, 2, 3):
                 want = max(total(ps) for ps in tilings if len(ps) <= n)
-                assert dp.at_most(n) == want, (sp, table, n)
+                assert dp.at_most(n, 0, P - 1) == want, (sp, table, n)
             for a in alphas:
                 want = max(total(ps) for l in range(P)
                            for ps in interval_partitions(l, P - 1)
                            if brute_schreier(a, minima(ps)))
-                assert dp.admissible(a) == want, (sp, table, a)
+                assert dp.admissible(a, 0, P - 1) == want, (sp, table, a)
                 cover = spaces._Cover(sp, piece)
                 want = min(max(table[p] for p in ps) for ps in tilings
                            if brute_schreier(a, minima(ps)))
@@ -900,19 +911,26 @@ class TestPartitionEngine:
     @pytest.mark.parametrize("text", [
         "T(S(1),1/2)", "T(S(2),1/3)", "MT[(S(1),1/2),(S(2),1/4)]",
         "T(S(w),1/2)", "NN(T(S(1),1/2),2)", "ASSOC(T(S(1),1/2),S(1),adm)",
-        "SCHL"])
+        "SCHL", "NN(C0,2)", "NN(NN(T(S(1),1/2),2),2)",
+        "ASSOC(NN(T(S(1),1/2),3),S(1),adm)",
+        "NN(ASSOC(T(S(1),1/2),S(1),allow),2)", "NN(SCHL,2)"])
     def test_pieces_of_an_indicator_are_interval_norms(self, text):
         # the norm of an interval of a vector is that vector's piece over
         # the interval: the units of an asymptoticity measurement are read
-        # from one engine; exact values, and SCHL floats bit for bit
+        # from one engine, and a derived space's pieces from its base's
+        # one engine; exact values, and SCHL floats bit for bit
         space = parse_space(text)
-        for N in range(1, 11):
-            dp = spaces._partitions(space, FsVector.indicator(range(1, N + 1)))
-            for a in range(1, N + 1):
-                for b in range(a, N + 1):
-                    want = norm(space, FsVector.indicator(range(a, b + 1)))
-                    got = dp.unscale(dp.piece(a - 1, b - 1))
-                    assert got == want and type(got) is type(want), (N, a, b)
+        rng = random.Random(37)
+        vectors = [FsVector.indicator(range(1, N + 1)) for N in range(1, 11)]
+        vectors += [seeded_vector(rng, rng.randint(1, 9), 14)
+                    for _ in range(8)]
+        for x in vectors:
+            dp = spaces._partitions(space, x)
+            for a in range(len(x.entries)):
+                for b in range(a, len(x.entries)):
+                    want = norm(space, FsVector(x.entries[a:b + 1]))
+                    got = dp.unscale(dp.piece(a, b))
+                    assert got == want and type(got) is type(want), (x, a, b)
 
 
 class TestCursor:
@@ -1057,7 +1075,9 @@ class TestDuals:
         for phi in VECTORS + [FsVector.from_pairs([(3, "-2/3")])]:
             for n, alpha in ends:
                 dp = real(space, phi, spaces._dual_upper)
-                want = dp.at_most(n) if n else dp.admissible(alpha)
+                last = len(phi.entries) - 1
+                want = (dp.at_most(n, 0, last) if n
+                        else dp.admissible(alpha, 0, last))
                 with monkeypatch.context() as m:
                     m.setattr(spaces, "_partitions", None)
                     got = spaces._dual_assoc_end(space, phi, spaces._dual_upper,
